@@ -13,6 +13,12 @@ the server process), and reports the per-layer metrics; their spans are
 written once, at exit, to ``.perfbench/spans-<workload>-seed<n>.jsonl``.
 ``--tiny`` shrinks every input, for the smoke test.
 
+Times (op latencies, throughput, set-up) are in host-adjusted seconds:
+wall seconds scaled by the host speed that ``hostspeed.py`` probes next
+to each op, so that a shared host's slow spells do not read as
+regressions.  The provenance line keeps the wall-clock p50 and the
+median scale factor beside them.
+
 Standard output holds one ``name value unit`` line per metric, then a
 ``provenance {...}`` line, and last the JSON result ``{"correct",
 "attempted", "failed", "metrics"}``.  ``compare`` reads two files of
@@ -38,7 +44,7 @@ ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
 #: Cold set-ups per untraced run; ``setup_s`` is their median.
-SETUP_REPS = 3
+SETUP_REPS = 5
 #: Samples a tail percentile must leave beyond it.
 TAIL_SAMPLES = 10
 
@@ -52,15 +58,22 @@ def load_spec() -> dict:
 # ---------------------------------------------------------------------------
 
 def end_to_end(ops: list, setup_samples: list[float], rss_kb: int) -> tuple[dict, dict]:
-    """The end-to-end values, plus which tail percentile was used."""
-    latencies = sorted(op.latency for op in ops)
+    """The end-to-end values, plus which tail percentile was used and
+    the wall-clock p50 with the host speed factor."""
+    latencies = sorted(op.cost for op in ops)
     tail_rank = max(len(latencies) - 1 - TAIL_SAMPLES, 0)
-    replays = [op.latency for op in ops if op.repeat] or latencies
-    window = max(op.end for op in ops) - min(op.start for op in ops)
+    replays = [op.cost for op in ops if op.repeat] or latencies
+    segments: dict[int, list] = {}
+    for op in ops:
+        segments.setdefault(op.segment, []).append(op)
+    busy = sum(
+        (max(op.end for op in members) - min(op.start for op in members)) * members[0].scale
+        for members in segments.values()
+    )
     values = {
         "latency_p50_s": statistics.median(latencies),
         "latency_tail_s": latencies[tail_rank],
-        "throughput_ops_per_s": len(ops) / window,
+        "throughput_ops_per_s": len(ops) / busy,
         "replay_latency_p50_s": statistics.median(replays),
         "peak_rss_mb": rss_kb / 1024,
         "setup_s": statistics.median(setup_samples),
@@ -69,6 +82,8 @@ def end_to_end(ops: list, setup_samples: list[float], rss_kb: int) -> tuple[dict
         "tail_percentile": 100 * tail_rank / max(len(latencies) - 1, 1),
         "tail_samples": len(latencies),
         "tail_beyond": len(latencies) - 1 - tail_rank,
+        "wall_latency_p50_s": statistics.median(op.latency for op in ops),
+        "host_scale_median": statistics.median(op.scale for op in ops),
     }
     return values, tail
 
@@ -135,8 +150,8 @@ def per_layer(untraced: list, traced: list, spans: list[dict], service: bool) ->
     values["observability.coverage"] = covered / sum(op.latency for op in traced)
     common = min(len(untraced), count)
     values["observability.trace_overhead_ratio"] = (
-        sum(op.latency for op in traced[:common])
-        / sum(op.latency for op in untraced[:common])
+        sum(op.cost for op in traced[:common])
+        / sum(op.cost for op in untraced[:common])
         - 1
     )
     return values

@@ -25,12 +25,16 @@ of user work:
 In-process workloads warm up on one input of every class they draw
 from, so each measured op repeats an earlier input up to isomorphism;
 with no dedup in-process, a repeat costs a full op.
+
+Every op carries the host speed factor of ``hostspeed.py``, from probes
+taken around it (in-process: around each op; service-mix: around each
+one-second segment of load, with the server idle), so op times can be
+reported in host-adjusted seconds.
 """
 
 from __future__ import annotations
 
 import http.client
-import itertools
 import json
 import random
 import resource
@@ -50,6 +54,7 @@ ROOT = HERE.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(HERE))
 
+import hostspeed  # noqa: E402
 import layers  # noqa: E402
 from repro.core import cache as _cache  # noqa: E402
 from repro.core import round_elimination as _round_elimination  # noqa: E402
@@ -89,6 +94,10 @@ class Op:
     #: the server answered ``deduped: true``).
     repeat: bool = True
     error: str | None = None
+    #: Wall to host-adjusted seconds (see ``hostspeed.scale``).
+    scale: float = 1.0
+    #: Ops run between the same two host speed probes share a segment.
+    segment: int = 0
     #: What :meth:`verify` checks; dropped once checked.
     output: object = None
     detail: dict = field(default_factory=dict)
@@ -97,29 +106,22 @@ class Op:
     def latency(self) -> float:
         return self.end - self.start
 
+    @property
+    def cost(self) -> float:
+        """The latency in host-adjusted seconds."""
+        return self.latency * self.scale
 
-def relabeled(problem: Problem, rng: random.Random,
-              order: tuple[int, ...] | None = None) -> Problem:
-    """``problem`` with its labels renamed to distinct random letters.
 
-    ``order`` fixes how the new names sort relative to each other (the
-    label at position ``i`` gets the ``order[i]``-th smallest name);
-    by default that is random too.
+def relabeled(problem: Problem, rng: random.Random) -> Problem:
+    """``problem`` with its labels renamed to distinct random letters
+    that sort in the same order as the old labels.
+
+    How the names sort moves the kernel's cost by ~15%, so keeping the
+    order keeps each input's cost the same for every seed: seeds differ
+    in the letters, not in the work.
     """
     names = sorted(rng.sample(string.ascii_uppercase, len(problem.alphabet)))
-    if order is None:
-        rng.shuffle(names)
-    else:
-        names = [names[rank] for rank in order]
     return problem.rename(dict(zip(problem.alphabet, names)))
-
-
-def dealt(rng: random.Random, choices: list) -> Iterator:
-    """Endless seeded draws that use every choice once per round."""
-    while True:
-        deck = list(choices)
-        rng.shuffle(deck)
-        yield from deck
 
 
 def kernel_counters(records: list[dict]) -> dict[str, int]:
@@ -174,13 +176,18 @@ class InProcessWorkload:
             self.call(item)
 
     def setup_samples(self, seconds: float, reps: int, probe: list[str]) -> list[float]:
-        """Wall seconds of ``reps`` cold set-ups, each a fresh process
-        (``probe`` is its command line), then set up in this process."""
+        """Host-adjusted seconds of ``reps`` cold set-ups, each a fresh
+        process (``probe`` is its command line), then set up in this
+        process."""
         samples = []
+        before = hostspeed.probe()
         for _ in range(reps):
             started = time.monotonic()
             subprocess.run(probe, check=True, stdout=subprocess.DEVNULL, timeout=170)
-            samples.append(time.monotonic() - started)
+            elapsed = time.monotonic() - started
+            after = hostspeed.probe()
+            samples.append(elapsed * hostspeed.scale(before, after))
+            before = after
         self.setup(seconds)
         return samples
 
@@ -197,10 +204,12 @@ class InProcessWorkload:
 
     def measure(self, seconds: float, count: int | None = None,
                 counters: bool = False) -> list[Op]:
-        """Ops until ``seconds`` pass (or exactly ``count`` ops)."""
+        """Ops until ``seconds`` pass (or exactly ``count`` ops), each
+        between two host speed probes."""
         ops = []
         deadline = time.monotonic() + seconds
         items = self.items if count is None else self.items[:count]
+        before = hostspeed.probe()
         for item in items:
             if count is None and time.monotonic() >= deadline:
                 break
@@ -213,7 +222,10 @@ class InProcessWorkload:
             except Exception as failure:  # a failed op is counted, not fatal
                 error = repr(failure)
             end = time.monotonic()
-            op = Op(start, end, error=error, output=(item, output))
+            after = hostspeed.probe()
+            op = Op(start, end, error=error, output=(item, output),
+                    scale=hostspeed.scale(before, after), segment=len(ops))
+            before = after
             if tracer is not None:
                 op.detail["counters"] = kernel_counters(tracer.finish())
             ops.append(op)
@@ -248,19 +260,14 @@ class MisChainCold(InProcessWorkload):
         self.minority, self.majority = (3, 4) if tiny else (5, 6)
 
     def generate(self, rng: random.Random, count: int) -> list:
-        # How the new label names sort moves the kernel's cost by up to
-        # ~1.5x, so every seed deals each sort order equally often, and
-        # the minority Delta exactly once per block: seeds then differ
-        # in the letters and the sequence, not in the mix.
-        orders = list(itertools.permutations(range(len(mis_problem(3).alphabet))))
-        decks = {delta: dealt(rng, orders) for delta in (self.minority, self.majority)}
+        # The minority Delta comes exactly once per block, so seeds
+        # differ in the sequence, not in the mix.
         items = []
         for position in range(count):
             if position % self.block == 0:
                 minority_at = position + rng.randrange(self.block)
             delta = self.minority if position == minority_at else self.majority
-            problem = relabeled(mis_problem(delta), rng, next(decks[delta]))
-            items.append((delta, problem))
+            items.append((delta, relabeled(mis_problem(delta), rng)))
         return items
 
     def warm_up_items(self) -> list:
@@ -412,6 +419,8 @@ class ServiceMix:
 
     name = "service-mix"
     clients = 2
+    #: Seconds of load between two host speed probes.
+    segment_seconds = 1.0
     #: One job in every block of this many computes fresh, so the pool's
     #: 174 keys last the whole measured window (up to ~1400 jobs) and
     #: the mix stays the same.
@@ -466,10 +475,7 @@ class ServiceMix:
                 key = rng.choice(eligible or [index for _, index in pending])
             entry, policy = divmod(key, len(wire.POLICIES))
             builder, args, operator, steps = self.pool[entry]
-            problem = BUILDERS[builder](*args)
-            # Keeping the names' sort order keeps each key's kernel cost
-            # the same for every seed (see MisChainCold.generate).
-            problem = relabeled(problem, rng, tuple(range(len(problem.alphabet))))
+            problem = relabeled(BUILDERS[builder](*args), rng)
             jobs.append(json.dumps({
                 "problem": problem_to_text(problem),
                 "operator": operator,
@@ -534,13 +540,17 @@ class ServiceMix:
         self.boot(traced)
 
     def setup_samples(self, seconds: float, reps: int, probe: list[str]) -> list[float]:
-        """Wall seconds of ``reps`` set-ups (inputs, boot, health, warm-up);
-        the last server stays up for the measurement."""
+        """Host-adjusted seconds of ``reps`` set-ups (inputs, boot,
+        health, warm-up); the last server stays up for the measurement."""
         samples = []
+        before = hostspeed.probe()
         for rep in range(reps):
             started = time.monotonic()
             self.setup(seconds)
-            samples.append(time.monotonic() - started)
+            elapsed = time.monotonic() - started
+            after = hostspeed.probe()
+            samples.append(elapsed * hostspeed.scale(before, after))
+            before = after
             if rep < reps - 1:
                 self.stop()
         return samples
@@ -633,26 +643,50 @@ class ServiceMix:
     def measure(self, seconds: float, count: int | None = None,
                 counters: bool = False) -> list[Op]:
         """Closed loop: each client takes the next job once its last one
-        is done, until ``seconds`` pass (or exactly ``count`` jobs)."""
+        is done, until ``seconds`` pass (or exactly ``count`` jobs).
+
+        The load runs in segments of ``segment_seconds``: at the end of
+        one, the clients finish their jobs and the host speed is probed
+        with the server idle.
+        """
         limit = len(self.jobs) if count is None else min(count, len(self.jobs))
         ops: list[Op | None] = [None] * limit
         taken = iter(range(limit))
         lock = threading.Lock()
         deadline = time.monotonic() + seconds
+        drained = threading.Event()
 
-        def client() -> None:
-            while True:
+        def client(stop_at: float, ran: list[int]) -> None:
+            while time.monotonic() < stop_at:
                 with lock:
                     index = next(taken, None)
-                if index is None or (count is None and time.monotonic() >= deadline):
+                if index is None:
+                    drained.set()
                     return
                 ops[index] = self._run_op(self.jobs[index])
+                ran.append(index)
 
-        threads = [threading.Thread(target=client) for _ in range(self.clients)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        before = hostspeed.probe()
+        segment = 0
+        while not drained.is_set() and (count is not None or time.monotonic() < deadline):
+            stop_at = time.monotonic() + self.segment_seconds
+            if count is None:
+                stop_at = min(stop_at, deadline)
+            ran: list[int] = []
+            threads = [
+                threading.Thread(target=client, args=(stop_at, ran))
+                for _ in range(self.clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            after = hostspeed.probe()
+            for index in ran:
+                ops[index].scale = hostspeed.scale(before, after)
+                ops[index].segment = segment
+            before = after
+            segment += 1
         return [op for op in ops if op is not None]
 
     def verify(self, ops: list[Op]) -> None:
