@@ -12,18 +12,16 @@ a committed trajectory of measured speedups on the Delta=4 MIS chain:
   recorded ratio (a >3x regression).  Comparing *ratios* rather than
   wall-clock seconds keeps the gate meaningful across machines of
   different speeds; the whole run stays well under a minute.  The
-  quick gate also runs a seeded chaos mini-run of the shard scheduler
-  (worker killed mid-chain under a memory budget) and fails on any
-  semantic drift, missed recovery, or budget overrun, printing the
-  recovered ``mp.retries`` / ``mp.mem_admitted_peak`` counters, plus
-  the registry's ``quick`` scenarios (currently the Delta=2 maximal-
+  quick gate also runs the registry's ``quick`` scenarios (currently the Delta=2 maximal-
   matching self-reduction — a non-MIS family) on both engines, failing
   on any expectation drift or cross-engine divergence.
-* ``PYTHONPATH=src python benchmarks/bench_kernel.py --sharded``
-  records a ``mode: sharded`` trajectory row for the Delta=5 chain on
-  the supervised scheduler: cold (fresh spill directory) and warm
-  (resumed from the full spill) timings, the admitted-memory
-  high-water mark under a 64 KiB budget, and the recovery counters.
+* ``PYTHONPATH=src python benchmarks/bench_kernel.py --parallel``
+  records a ``mode: parallel`` trajectory row for the cold Delta=7
+  chain, the one measured workload where ``workers=2`` beats serial:
+  median and interquartile range of both sides over alternating
+  pairs, the shared result fingerprint, and the commit, Python version
+  and ``os.cpu_count()`` of the host.  (The older ``mode: sharded``
+  rows are marked ``legacy``: the scheduler they measured is gone.)
 * ``PYTHONPATH=src python benchmarks/bench_kernel.py --hotpath``
   records a ``mode: hotpath`` trajectory row for the *cold* Delta=5
   chain (fresh transport registry, serial kernel): best-of-3 wall
@@ -48,12 +46,14 @@ diagnostic.
 
 import json
 import os
+import platform
+import statistics
+import subprocess
 import sys
-import tempfile
 import time
 
+from repro.core.cache import fingerprint
 from repro.core.kernel.interning import transport_registry
-from repro.core.kernel.sharding import ShardPolicy, scheduling
 from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
 from repro.observability.metrics import (
     diff_semantic_profiles,
@@ -68,19 +68,17 @@ from repro.problems.mis import mis_problem
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, REPO_ROOT)  # for tests.faults in the chaos gate
 from bench_engine import MIS_CHAIN_DELTA, MIS_CHAIN_STEPS, run_mis_chain
 
 TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_kernel.json")
 REGRESSION_FACTOR = 3.0
 
-#: Admission budget used by the chaos gate and the sharded trajectory
-#: row — small enough to force batch-at-a-time admission on the Delta=4
-#: and Delta=5 chains, large enough for their biggest single unit.
-SHARD_BUDGET_BYTES = 65536
-
-SHARDED_DELTA = 5
-SHARDED_WORKERS = 4
+#: The parallel row: the smallest MIS chain where the process fan-out
+#: beats the serial kernel on a 2-core host (smaller chains are
+#: dominated by pool start-up and payload shipping).
+PARALLEL_DELTA = 7
+PARALLEL_WORKERS = 2
+PARALLEL_PAIRS = 5
 
 #: The hot-path row: the serial cold Delta=5 chain the engine rewrite
 #: optimizes.  The quick gate tolerates a 1.5x ratio regression against
@@ -245,180 +243,80 @@ def cache_gate() -> int:
     return 0
 
 
-def _mem_peak(records: list[dict]) -> int:
-    """The largest per-run admitted high-water mark in a trace.
-
-    Each ``kernel.map`` span's ``mp.mem_admitted_peak`` total is that
-    scheduler run's in-flight peak, so the max over spans is the
-    memory high-water mark of the whole chain.
-    """
-    return max(
-        (
-            record["counters"].get("mp.mem_admitted_peak", 0)
-            for record in records
-            if record.get("type") == "span"
-        ),
-        default=0,
-    )
-
-
-def chaos_gate() -> int:
-    """Seeded worker kills under a memory budget; 0 = full recovery.
-
-    The Delta=4 chain runs on the supervised scheduler with the first
-    two dispatches of every step SIGKILLed and a 64 KiB admission
-    budget.  The gate fails on output divergence, semantic-counter
-    drift against the clean kernel run, a missed injection (no
-    recorded deaths/retries), or an admission peak over the budget.
-    """
-    from tests.faults import WorkerKiller
-
-    policy = ShardPolicy(
-        worker_probe=WorkerKiller({0, 1}),
-        max_inflight_bytes=SHARD_BUDGET_BYTES,
-        backoff_base_seconds=0.01,
-        backoff_cap_seconds=0.05,
-    )
-    tracer = Tracer()
-    with tracing(tracer), scheduling(policy):
-        chaotic = run_mis_chain(use_kernel=True, workers=2)
-    records = tracer.finish()
-    if chaotic != run_mis_chain(use_kernel=True):
-        print(
-            "error: chaos run diverged from the clean kernel chain",
-            file=sys.stderr,
-        )
-        return 1
-    drift = diff_semantic_profiles(
-        semantic_profile(traced_chain_records(use_kernel=True)),
-        semantic_profile(records),
-    )
-    if drift:
-        for line in drift:
-            print(f"  {line}")
-        print(
-            "error: chaos run drifted semantically from the clean run",
-            file=sys.stderr,
-        )
-        return 1
-    totals = total_counters(records)
-    retries = totals.get("mp.retries", 0)
-    deaths = totals.get("mp.worker_deaths", 0)
-    peak = _mem_peak(records)
-    if deaths == 0 or retries == 0:
-        print(
-            f"error: chaos gate expected injected deaths and retries, "
-            f"saw deaths={deaths} retries={retries}",
-            file=sys.stderr,
-        )
-        return 1
-    if peak > SHARD_BUDGET_BYTES:
-        print(
-            f"error: admitted-memory peak {peak} exceeds the "
-            f"{SHARD_BUDGET_BYTES}-byte budget",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"chaos gate: mp.worker_deaths={deaths} mp.retries={retries} "
-        f"mp.mem_admitted_peak={peak} (budget {SHARD_BUDGET_BYTES})"
-    )
-    return 0
+def _provenance() -> dict:
+    """Commit (``-dirty`` with local edits), interpreter and core count,
+    so rows compare across hosts."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {
+        "commit": commit,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+    }
 
 
-def run_sharded_chain(policy: ShardPolicy):
-    """The Delta=5 chain on the supervised scheduler."""
-    problem = mis_problem(SHARDED_DELTA)
-    with scheduling(policy):
-        for _ in range(MIS_CHAIN_STEPS):
-            problem = speedup(
-                problem, use_kernel=True, workers=SHARDED_WORKERS
-            ).problem
+def _median_iqr(samples: list[float]) -> tuple[float, float]:
+    quartiles = statistics.quantiles(samples, n=4, method="inclusive")
+    return statistics.median(samples), quartiles[2] - quartiles[0]
+
+
+def run_parallel_chain(workers: int | None):
+    """The cold Delta=7 MIS chain, serial or fanned out over ``workers``."""
+    transport_registry().clear()
+    problem = mis_problem(PARALLEL_DELTA)
+    for _ in range(MIS_CHAIN_STEPS):
+        problem = speedup(problem, use_kernel=True, workers=workers).problem
     return problem
 
 
-def record_sharded() -> int:
-    """Append a ``mode: sharded`` cold/warm row to the trajectory.
+def record_parallel() -> int:
+    """Append a ``mode: parallel`` serial-vs-``workers`` row.
 
-    Cold runs against a fresh spill directory (every finished shard is
-    sealed to disk); warm reruns the identical chain against the now-
-    full spill store, so shards load instead of recompute.  Both runs
-    are traced — the row carries the admitted-memory high-water mark
-    under the budget, the recovery/spill counters, and the semantic
-    drift against the serial kernel chain (must be empty).
+    Runs alternate serial and parallel so host drift hits both sides
+    alike; every parallel result must have the serial fingerprint.  The
+    row keeps the medians and interquartile ranges of both sides.
     """
-    serial = mis_problem(SHARDED_DELTA)
-    tracer = Tracer()
-    with tracing(tracer):
-        for _ in range(MIS_CHAIN_STEPS):
-            serial = speedup(serial, use_kernel=True).problem
-    serial_records = tracer.finish()
-
-    with tempfile.TemporaryDirectory(prefix="bench-spill-") as spill_dir:
-        policy = ShardPolicy(
-            max_inflight_bytes=SHARD_BUDGET_BYTES, spill_dir=spill_dir
-        )
-        cold_tracer = Tracer()
-        started = time.perf_counter()
-        with tracing(cold_tracer):
-            cold = run_sharded_chain(policy)
-        cold_seconds = time.perf_counter() - started
-        cold_records = cold_tracer.finish()
-
-        warm_tracer = Tracer()
-        started = time.perf_counter()
-        with tracing(warm_tracer):
-            warm = run_sharded_chain(policy)
-        warm_seconds = time.perf_counter() - started
-        warm_records = warm_tracer.finish()
-
-    if not (serial == cold == warm):
+    serial_seconds: list[float] = []
+    parallel_seconds: list[float] = []
+    digests: set[str] = set()
+    run_parallel_chain(None)  # warm-up (imports, bytecode)
+    for _ in range(PARALLEL_PAIRS):
+        for workers, samples in (
+            (None, serial_seconds),
+            (PARALLEL_WORKERS, parallel_seconds),
+        ):
+            started = time.perf_counter()
+            problem = run_parallel_chain(workers)
+            samples.append(time.perf_counter() - started)
+            digests.add(fingerprint(problem))
+    if len(digests) != 1:
         print(
-            "error: sharded cold/warm runs diverged from the serial "
-            "chain",
+            "error: parallel chain diverged from the serial chain",
             file=sys.stderr,
         )
         return 1
-    warm_totals = total_counters(warm_records)
-    if warm_totals.get("mp.spill_loads", 0) == 0:
-        print(
-            "error: warm run loaded nothing from the spill store",
-            file=sys.stderr,
-        )
-        return 1
-    drift = diff_semantic_profiles(
-        semantic_profile(serial_records), semantic_profile(cold_records)
-    )
-    if drift:
-        for line in drift:
-            print(f"  {line}")
-        print(
-            "error: sharded run drifted semantically from serial",
-            file=sys.stderr,
-        )
-        return 1
-    cold_totals = total_counters(cold_records)
+    serial_median, serial_iqr = _median_iqr(serial_seconds)
+    parallel_median, parallel_iqr = _median_iqr(parallel_seconds)
     entry = {
-        "chain": f"mis_delta{SHARDED_DELTA}_steps{MIS_CHAIN_STEPS}",
-        "mode": "sharded",
-        "workers": SHARDED_WORKERS,
-        "cold_seconds": round(cold_seconds, 4),
-        "warm_seconds": round(warm_seconds, 4),
-        "mem_budget_bytes": SHARD_BUDGET_BYTES,
-        "mem_peak_bytes": max(_mem_peak(cold_records), _mem_peak(warm_records)),
-        "counters": {
-            "cold": {
-                counter: value
-                for counter, value in sorted(cold_totals.items())
-                if counter.startswith("mp.")
-            },
-            "warm": {
-                counter: value
-                for counter, value in sorted(warm_totals.items())
-                if counter.startswith("mp.")
-            },
-        },
-        "semantic_drift": drift,
+        "chain": f"mis_delta{PARALLEL_DELTA}_steps{MIS_CHAIN_STEPS}",
+        "mode": "parallel",
+        "workers": PARALLEL_WORKERS,
+        "pairs": PARALLEL_PAIRS,
+        "serial_median_seconds": round(serial_median, 4),
+        "serial_iqr_seconds": round(serial_iqr, 4),
+        "parallel_median_seconds": round(parallel_median, 4),
+        "parallel_iqr_seconds": round(parallel_iqr, 4),
+        "speedup": round(serial_median / parallel_median, 2),
+        "fingerprint": digests.pop(),
+        **_provenance(),
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     trajectory = load_trajectory()
@@ -671,9 +569,6 @@ def quick_gate() -> int:
     failed = cache_gate()
     if failed:
         return failed
-    failed = chaos_gate()
-    if failed:
-        return failed
     failed = scenario_gate()
     if failed:
         return failed
@@ -708,7 +603,7 @@ def quick_gate() -> int:
 
 def main(argv: list[str]) -> int:
     quick = False
-    sharded = False
+    parallel = False
     hotpath = False
     trace_path: str | None = None
     arguments = list(argv)
@@ -723,8 +618,8 @@ def main(argv: list[str]) -> int:
     for argument in arguments:
         if argument == "--quick":
             quick = True
-        elif argument == "--sharded":
-            sharded = True
+        elif argument == "--parallel":
+            parallel = True
         elif argument == "--hotpath":
             hotpath = True
         else:
@@ -736,8 +631,8 @@ def main(argv: list[str]) -> int:
     try:
         if quick:
             return quick_gate()
-        if sharded:
-            return record_sharded()
+        if parallel:
+            return record_parallel()
         if hotpath:
             return record_hotpath(trace_path)
         record()

@@ -1,8 +1,7 @@
 """A tiny round-eliminator CLI, in the spirit of Olivetti's tool [36].
 
 Run:  python examples/round_eliminator_cli.py [steps] [--kernel [--workers N]]
-          [--self-reduce] [--max-retries N] [--shard-bytes N] [--spill DIR]
-          [--cache] [--trace out.jsonl] [--metrics]
+          [--self-reduce] [--cache] [--trace out.jsonl] [--metrics]
 
 Reads a problem from stdin in the paper's condensed syntax — node
 configurations, a blank line, then edge configurations — and applies
@@ -14,14 +13,9 @@ constraint.  With no stdin input, demonstrates on sinkless orientation.
 step, and reports when the chain hits an isomorphism fixed point.
 ``--kernel`` routes the operators through the interned bitmask fast
 path (identical output, measured in benchmarks/bench_kernel.py), and
-``--workers N`` additionally parallelizes the Rbar maximization DFS
-through the supervised shard scheduler.  Its knobs ride along:
-``--max-retries N`` caps per-shard retries before the degradation
-ladder, ``--shard-bytes N`` bounds the aggregate size estimate of
-in-flight shards (memory admission), and ``--spill DIR`` seals each
-finished shard to disk so an interrupted run resumes from its
-completed work (all three imply ``--workers``; output stays
-byte-identical either way).
+``--workers N`` (N >= 1) additionally fans the kernel's DFS work out
+over N processes (output stays byte-identical).  A bad ``--workers``
+value exits 2.
 ``--trace out.jsonl`` writes the run's span trace as JSON lines and
 ``--metrics`` prints the per-phase counter table after the run.
 ``--cache`` memoizes operator results in the content-addressed store
@@ -43,13 +37,13 @@ import sys
 
 from repro.core.cache import OperatorCache, caching, default_cache_dir
 from repro.core.diagram import edge_diagram, node_diagram
-from repro.core.kernel.sharding import ShardPolicy, scheduling
 from repro.core.problem import Problem
-from repro.core.round_elimination import speedup
+from repro.core.round_elimination import check_workers, speedup
 from repro.core.self_reduction import self_reduce
 from repro.core.solvability import zero_round_solvable_pn
 from repro.observability.cli import cli_tracing
 from repro.problems.classic import sinkless_orientation_problem
+from repro.robustness.errors import EngineMisuse
 
 
 def read_problem_from_stdin() -> Problem | None:
@@ -85,9 +79,6 @@ def main() -> None:
     arguments = sys.argv[1:]
     use_kernel = False
     workers = None
-    max_retries = None
-    shard_bytes = None
-    spill_dir = None
     trace_path = None
     metrics = False
     use_cache = False
@@ -100,17 +91,6 @@ def main() -> None:
             use_kernel = True
         elif argument == "--workers":
             workers = _int_option(arguments, index, "--workers")
-            index += 1
-        elif argument == "--max-retries":
-            max_retries = _int_option(arguments, index, "--max-retries")
-            index += 1
-        elif argument == "--shard-bytes":
-            shard_bytes = _int_option(arguments, index, "--shard-bytes")
-            index += 1
-        elif argument == "--spill":
-            if index + 1 >= len(arguments):
-                raise SystemExit("error: --spill requires a directory")
-            spill_dir = arguments[index + 1]
             index += 1
         elif argument == "--trace":
             if index + 1 >= len(arguments):
@@ -128,13 +108,11 @@ def main() -> None:
         else:
             positional.append(argument)
         index += 1
-    if workers is not None and not use_kernel:
-        raise SystemExit("error: --workers requires --kernel")
-    scheduler_knobs = (max_retries, shard_bytes, spill_dir)
-    if any(knob is not None for knob in scheduler_knobs) and workers is None:
-        raise SystemExit(
-            "error: --max-retries/--shard-bytes/--spill require --workers"
-        )
+    try:
+        check_workers(workers, use_kernel=use_kernel, operator="cli")
+    except EngineMisuse as error:
+        print(f"error: --workers: {error}", file=sys.stderr)
+        raise SystemExit(2)
     try:
         steps = int(positional[0]) if positional else 2
     except ValueError:
@@ -150,19 +128,7 @@ def main() -> None:
         store = OperatorCache(default_cache_dir())
         print(f"(operator cache: {store.directory})")
     cache_context = caching(store) if store is not None else contextlib.nullcontext()
-    policy = None
-    if any(knob is not None for knob in scheduler_knobs):
-        policy = ShardPolicy(
-            max_retries=max_retries,
-            max_inflight_bytes=shard_bytes,
-            spill_dir=spill_dir,
-        )
-        print(
-            "(shard scheduler: "
-            f"max_retries={max_retries} shard_bytes={shard_bytes} "
-            f"spill={spill_dir})"
-        )
-    with cli_tracing(trace_path, metrics), cache_context, scheduling(policy):
+    with cli_tracing(trace_path, metrics), cache_context:
         for step_index in range(steps + 1):
             print(f"=== step {step_index} ===")
             print(problem.render())

@@ -17,7 +17,7 @@ analysis"); what it handles:
 * local-variable receivers via light type propagation: parameter and
   variable annotations, ``x = ClassName(...)`` constructor results,
   and ``x = f(...)`` where ``f``'s return annotation names a class
-  (``ShardScheduler | None`` unwraps to ``ShardScheduler``);
+  (``KernelPool | None`` unwraps to ``KernelPool``);
 * ``self.attr.method(...)`` where ``self.attr`` carries a class type
   from an annotated assignment;
 * synthetic edges for indirect control flow the detectors must see
@@ -25,10 +25,11 @@ analysis"); what it handles:
   (the target is marked a thread root when it is a ``Thread``),
   bare references to known functions (registry dicts, callbacks), and
   :class:`~repro.core.kernel.parallel.KernelPool` dispatch — a
-  ``map_chunks``/``run_chunks_serial``/``run(kind, ...)`` call whose
+  ``map_chunks``/``run_chunks_serial``/``run_shard_serial`` call whose
   first argument is a chunk-kind string constant gets an edge to that
   kind's chunk runner (``"node-max"`` →
-  ``search_maximization_chunk``, and so on).
+  ``search_maximization_chunk``, and so on), since the runner itself
+  executes in an executor worker the graph cannot follow.
 
 Everything else (duck-typed receivers, attributes of call results,
 ``**kwargs`` dispatch) stays unresolved and is surfaced per function
@@ -60,7 +61,7 @@ KERNEL_DISPATCH_KINDS = {
 }
 
 #: Attribute/function names whose first string argument is a chunk kind.
-_DISPATCH_CALLEES = ("map_chunks", "run_chunks_serial", "run_shard_serial", "run")
+_DISPATCH_CALLEES = ("map_chunks", "run_chunks_serial", "run_shard_serial")
 
 #: Constructors whose ``target=`` argument is a synthetic callee.
 _TARGET_CONSTRUCTORS = ("Thread", "Process")

@@ -605,10 +605,9 @@ def maximize_edge_constraint_kernel(
     pairs: list[tuple[int, int]] | None = None
     with _prof_section("edge_max.pairing"):
         if pool is not None and len(closed_sets) > 1:
-            # One closed set per unit; the scheduler groups units into
-            # shards (slice width is the memory estimate) and merges
-            # them back in index order, so the pair list equals the
-            # serial loop.
+            # One closed set per unit; the pool groups units into
+            # contiguous shards and merges them back in index order,
+            # so the pair list equals the serial loop.
             chunks = pool.map_chunks(
                 "edge-pair",
                 (tuple(kernel.compat), closed_sets),
@@ -888,16 +887,15 @@ def prune_non_maximal_masks(
 
 
 def maximize_node_constraint_kernel(
-    problem: Problem, *, workers: int | None = None, pool: KernelPool | None = None
+    problem: Problem, *, pool: KernelPool | None = None
 ) -> Constraint:
     """Kernel twin of :func:`repro.core.round_elimination.maximize_node_constraint`.
 
-    With a usable ``pool`` (or ``workers > 1``, which builds a
-    transient one) the arity-Delta DFS fans out over a
-    ``multiprocessing`` pool, chunked by the top-level right-closed-set
-    prefix (see :mod:`repro.core.kernel.parallel`); otherwise it runs
-    serially with per-node budget checkpoints exactly like the
-    reference implementation.
+    With a ``pool`` the arity-Delta DFS fans out over worker
+    processes, chunked by the top-level right-closed-set prefix (see
+    :mod:`repro.core.kernel.parallel`); otherwise it runs serially with
+    per-node budget checkpoints exactly like the reference
+    implementation.
     """
     kernel = KernelProblem.of(problem)
     interner = kernel.interner
@@ -910,27 +908,15 @@ def maximize_node_constraint_kernel(
         _elements, trans = kernel.node_dfs_machine()
     member_labels = tuple(tuple(bits_list(mask)) for mask in candidates)
     delta = kernel.delta
-    parallel_requested = pool is not None or (
-        workers is not None and workers > 1
-    )
     with _prof_section("node_max.dfs"):
-        if parallel_requested and len(candidates) > 1:
-            from repro.core.kernel.parallel import (
-                KernelPool,
-                run_chunks_serial,
-            )
+        if pool is not None and len(candidates) > 1:
+            from repro.core.kernel.parallel import run_chunks_serial
 
             payload = (candidates, member_labels, trans, delta)
             count = len(candidates)
-            if pool is not None:
-                chunks = pool.map_chunks(
-                    "node-max", payload, count, phase="node-maximization"
-                )
-            else:
-                with KernelPool(workers) as owned:
-                    chunks = owned.map_chunks(
-                        "node-max", payload, count, phase="node-maximization"
-                    )
+            chunks = pool.map_chunks(
+                "node-max", payload, count, phase="node-maximization"
+            )
             if chunks is None:
                 chunks = run_chunks_serial(
                     "node-max", payload, count, phase="node-maximization"
@@ -1172,7 +1158,7 @@ def existential_constraint_kernel(
 def kernel_R(problem: Problem, *, pool: KernelPool | None = None) -> Problem:
     """Kernel twin of :func:`repro.core.round_elimination.R`.
 
-    A usable ``pool`` (a :class:`~repro.core.kernel.parallel.KernelPool`)
+    A ``pool`` (a :class:`~repro.core.kernel.parallel.KernelPool`)
     fans out both the edge-side pairing and the existential DFS.
     """
     with _trace.span(
@@ -1194,28 +1180,17 @@ def kernel_R(problem: Problem, *, pool: KernelPool | None = None) -> Problem:
     return Problem(Alphabet(sigma), node_constraint, edge_constraint, name=name)
 
 
-def kernel_Rbar(
-    problem: Problem, *, workers: int | None = None, pool: KernelPool | None = None
-) -> Problem:
+def kernel_Rbar(problem: Problem, *, pool: KernelPool | None = None) -> Problem:
     """Kernel twin of :func:`repro.core.round_elimination.Rbar`.
 
-    ``workers > 1`` without a ``pool`` builds a transient
-    :class:`~repro.core.kernel.parallel.KernelPool` shared by the
-    maximization and existential steps of this one call; a caller that
-    already owns a pool (``speedup``) passes it in instead.
+    A ``pool`` (a :class:`~repro.core.kernel.parallel.KernelPool`)
+    fans out both the maximization DFS and the existential DFS.
     """
-    if pool is None and workers is not None and workers > 1:
-        from repro.core.kernel.parallel import KernelPool
-
-        with KernelPool(workers) as owned:
-            return kernel_Rbar(problem, workers=workers, pool=owned)
     with _trace.span(
         "op.Rbar", engine="kernel", problem=problem.name, delta=problem.delta
     ) as span:
         span.add("labels.in", len(problem.alphabet))
-        node_constraint = maximize_node_constraint_kernel(
-            problem, workers=workers, pool=pool
-        )
+        node_constraint = maximize_node_constraint_kernel(problem, pool=pool)
         sigma = sorted(node_constraint.labels_used(), key=_set_sort_key)
         _budget.check_alphabet(
             len(sigma), operator="Rbar", alphabet_before=len(problem.alphabet)

@@ -1,8 +1,8 @@
-"""Opt-in multiprocessing fan-out for the kernel's DFS-shaped work.
+"""Opt-in process fan-out for the kernel's DFS-shaped work.
 
 Three kinds of work chunk cleanly by an independent top-level unit
-index, so the serial result is exactly the in-order concatenation (or
-set union) of per-unit results:
+index, so the serial result is exactly the in-order concatenation of
+per-unit results:
 
 * ``node-max`` — the arity-Delta maximization DFS of ``Rbar``, chunked
   by its top-level right-closed-set prefix: the subtree whose first
@@ -12,137 +12,215 @@ set union) of per-unit results:
 * ``edge-pair`` — the Galois pairing loop of the edge maximization,
   one closed set per unit (each set is tested independently).
 
-A :class:`KernelPool` owns one supervised
-:class:`~repro.core.kernel.sharding.ShardScheduler` and is reused
-across a whole ``speedup`` call — both operators, all three chunk
-kinds.  Units are grouped into contiguous *shards* with cheap size
-estimates, admitted batch-at-a-time against the ambient memory budget,
-and each in-flight shard is supervised: a worker that dies (OOM-kill,
-segfault, signal) or wedges past its deadline no longer hangs the
-parent the way the old one-shot ``pool.imap`` fan-out did — the shard
-is retried with backoff, split, or run serially in the parent, and
-failures surface as typed :class:`~repro.robustness.errors.ReproError`
-exceptions with the pool torn down.  See
-:mod:`repro.core.kernel.sharding` for the scheduler, the spill/resume
-store, and the determinism contract (index-ordered merge equals the
-serial run byte-for-byte).
+A :class:`KernelPool` wraps one
+:class:`~concurrent.futures.ProcessPoolExecutor` that lives for a whole
+``speedup`` call.  Each call splits the unit range into about
+``workers * SHARDS_PER_WORKER`` contiguous shards of similar work and
+maps them over the executor; results come back in index order, so the
+merged output equals the serial run byte-for-byte.  With
+``workers <= 1``, a single unit, or a platform that cannot start
+processes, callers run the serial loop instead.
 
-With ``workers <= 1``, a single unit, or workers that cannot be
-spawned (restricted environments), callers fall back to the serial
-loop — no processes are ever built for one unit of work.
+Budgets: a ``Budget`` never crosses the process boundary (its clock and
+fault-injection probe belong to the parent).  The *parent* fires the
+ambient checkpoint as each shard's results are accepted, so wall-clock
+budgets, configuration caps and injected faults still trip, at shard
+granularity rather than per DFS node.
 
-Budget interplay (PR 1's ``governed()`` machinery): workers run
-unbudgeted — a ``Budget`` is deliberately not shipped across the
-process boundary, because its wall clock and fault-injection probe are
-bound to the parent — and instead the *parent* fires the ambient
-checkpoints as shard results are accepted, with the accumulated result
-count.  Wall-clock budgets, configuration caps, and injected faults
-therefore still trip in parallel mode, at shard granularity rather
-than per DFS node.  Callers who need per-node enforcement should stay
-on the serial path (``workers=None``).
+Tracing: a ``Tracer`` never crosses the boundary either.  When the
+parent traces, each worker records its shard into a local tracer and
+returns the finished records with the results; the parent grafts them
+under its open span (:meth:`~repro.observability.trace.Tracer.graft`).
 
-Tracing interplay (the observability layer): a ``Tracer`` likewise
-never crosses the process boundary.  When the parent has an ambient
-tracer, each task carries a boolean flag; the worker then records its
-shard into a *local* tracer and returns the finished records alongside
-the results, and the parent grafts them under its open span
-(:meth:`~repro.observability.trace.Tracer.graft`).  Only the winning
-attempt of a shard ever ships records — abandoned attempts are dropped
-whole, so retries can never double-count counters or graft duplicate
-spans.
+Failures: an exception raised in a worker re-raises in the parent.  A
+worker that dies outright (a signal, the OOM killer) breaks the
+executor; that surfaces as a typed
+:class:`~repro.robustness.errors.WorkerCrashed`, with the pool shut down
+and its processes reaped.  Nothing is retried.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
-from repro.core.kernel.sharding import (
-    ShardPolicy,
-    ShardScheduler,
-    active_policy,
-    run_shard_serial,
+from repro.core.kernel.engine import (
+    edge_pairing_chunk,
+    search_existential_chunk,
+    search_maximization_chunk,
 )
 from repro.observability import trace as _trace
 from repro.robustness import budget as _budget
+from repro.robustness.errors import EngineMisuse, WorkerCrashed
+
+#: Shards per worker in one fan-out: enough to even out the uneven DFS
+#: subtrees, few enough that shipping the payload stays cheap.
+SHARDS_PER_WORKER = 4
+
+
+def run_shard_serial(
+    kind: str, payload: tuple[Any, ...], lo: int, hi: int
+) -> list[Any]:
+    """Execute one shard in-process: the serial twin of a worker attempt.
+
+    The concatenation over a partition of ``[0, count)`` in index order
+    is exactly the serial chunk loop's output — the determinism
+    contract the index-ordered merge leans on.
+    """
+    if kind == "node-max":
+        candidates, member_labels, trans, arity = payload
+        results: list[Any] = []
+        for index in range(lo, hi):
+            results.extend(
+                search_maximization_chunk(
+                    candidates, member_labels, trans, arity, index
+                )
+            )
+        return results
+    if kind == "exists":
+        member_labels, trans, arity = payload
+        results = []
+        for index in range(lo, hi):
+            results.extend(
+                search_existential_chunk(member_labels, trans, arity, index)
+            )
+        return results
+    if kind == "edge-pair":
+        compat, closed_sets = payload
+        return list(edge_pairing_chunk(compat, closed_sets, lo, hi))
+    raise EngineMisuse(f"unknown chunk kind: {kind}")
+
+
+def plan_shards(kind: str, count: int, parts: int) -> list[tuple[int, int]]:
+    """Split ``[0, count)`` into about ``parts`` contiguous ranges.
+
+    A DFS unit ``i`` explores only candidates ``>= i``, so it weighs
+    ``count - i``; a pairing unit weighs 1.  Ranges are cut greedily at
+    an equal share of the total weight, so early (heavy) DFS units get
+    narrower shards.
+    """
+    if kind in ("node-max", "exists"):
+        weights = [count - index for index in range(count)]
+    else:
+        weights = [1] * count
+    target = -(-sum(weights) // parts)
+    shards: list[tuple[int, int]] = []
+    start = 0
+    volume = 0
+    for index, weight in enumerate(weights):
+        if index > start and volume + weight > target:
+            shards.append((start, index))
+            start = index
+            volume = 0
+        volume += weight
+    if start < count:
+        shards.append((start, count))
+    return shards
+
+
+def _run_shard(
+    task: tuple[str, tuple[Any, ...], int, int, bool],
+) -> tuple[list[Any], list[dict[str, Any]] | None]:
+    """The worker entry point: one shard, plus its trace when asked."""
+    kind, payload, lo, hi, traced = task
+    if not traced:
+        return run_shard_serial(kind, payload, lo, hi), None
+    tracer = _trace.Tracer()
+    with _trace.tracing(tracer):
+        with _trace.span("kernel.chunk", kind=kind, first_index=lo) as span:
+            results = run_shard_serial(kind, payload, lo, hi)
+            span.add("mp.chunk_results", len(results))
+    return results, tracer.records
 
 
 class KernelPool:
-    """One reusable supervised worker fleet spanning a ``speedup`` call.
+    """One process pool reused across a ``speedup`` call.
 
-    The scheduler (and its worker processes) is created lazily on the
-    first :meth:`map_chunks` that can use it; a spawn failure is
-    remembered so callers fall back to the serial loop exactly once.
-    Use as a context manager: ``close()`` (sentinel + join) on clean
-    exit, ``terminate()`` (kill) when an exception — a budget trip, an
-    injected fault, a worker-side typed error — escapes.
+    The executor starts on the first :meth:`map_chunks` that can use
+    it.  Use as a context manager: a clean exit shuts the executor
+    down, an escaping exception (a budget trip, a worker-side error)
+    kills its processes first.
 
-    The shard policy resolves in precedence order: one passed here
-    explicitly, else the ambient policy installed by
-    :func:`repro.core.kernel.sharding.scheduling`, else the defaults
-    (budget-provided knobs fill remaining ``None`` fields at run time).
+    Workers use the platform's default start method (``fork`` on
+    Linux).  ``forkserver`` and ``spawn`` pay an interpreter start and
+    imports per worker per ``speedup`` call, which erases most of the
+    Delta=7 gain; forking from a threaded parent (the service's job
+    threads) is safe here because workers run only the pure chunk
+    functions, which take no locks.
     """
 
-    def __init__(
-        self, workers: int | None, *, policy: ShardPolicy | None = None
-    ) -> None:
+    def __init__(self, workers: int | None) -> None:
         self.workers = workers or 0
-        self.policy = policy
-        self._scheduler: ShardScheduler | None = None
+        self._executor: ProcessPoolExecutor | None = None
         self._failed = False
 
     def usable(self) -> bool:
         return self.workers > 1 and not self._failed
 
-    def _ensure(self) -> ShardScheduler | None:
-        if self._scheduler is None and not self._failed:
-            policy = self.policy
-            if policy is None:
-                policy = active_policy()
-            scheduler = ShardScheduler(self.workers, policy)
-            if scheduler.start():
-                self._scheduler = scheduler
-            else:
-                self._failed = True
-        return self._scheduler
-
     def map_chunks(
-        self, kind: str, payload: tuple, count: int, *, phase: str
-    ) -> list[list] | None:
-        """Run ``count`` units of ``kind`` across the supervised fleet.
+        self, kind: str, payload: tuple[Any, ...], count: int, *, phase: str
+    ) -> list[list[Any]] | None:
+        """Run ``count`` units of ``kind`` across the pool.
 
         Returns per-shard result lists in unit order (flattening gives
-        the serial result exactly), or ``None`` when the fleet is
-        unusable (``workers <= 1``, a single unit, or spawn failure) —
-        the caller then runs the serial loop.  Worker deaths, wedged
-        shards, and memory faults are retried/degraded by the scheduler
-        rather than hanging; unrecoverable failures raise typed errors
-        (the surrounding context manager then ``terminate()``s).
+        the serial result exactly), or ``None`` when the pool cannot
+        help (``workers <= 1``, a single unit, or process start-up
+        failure) — the caller then runs the serial loop.
         """
         if count <= 1 or not self.usable():
             return None
-        scheduler = self._ensure()
-        if scheduler is None:
-            return None
+        traced = _trace.tracing_enabled()
+        shards = plan_shards(kind, count, self.workers * SHARDS_PER_WORKER)
+        tasks = [(kind, payload, lo, hi, traced) for lo, hi in shards]
         try:
-            return scheduler.run(kind, payload, count, phase=phase)
-        except BaseException:
-            # The error path must never leave live workers behind a
-            # raised typed error (the old imap fan-out deadlocked
-            # here): kill the fleet now, then let the error surface.
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(self.workers)
+            # Submits every shard now, so start-up failures land here.
+            returned = self._executor.map(_run_shard, tasks)
+        except (OSError, ValueError, NotImplementedError):
             self.terminate()
-            raise
+            self._failed = True
+            return None
+        chunks: list[list[Any]] = []
+        produced = 0
+        try:
+            for (lo, hi), (results, records) in zip(shards, returned):
+                _budget.check_configurations(
+                    produced,
+                    phase=phase,
+                    chunk=lo,
+                    parallel_workers=self.workers,
+                )
+                _trace.add("mp.chunks", hi - lo)
+                tracer = _trace.active_tracer()
+                if records is not None and tracer is not None:
+                    tracer.graft(records)
+                chunks.append(results)
+                produced += len(results)
+        except BrokenProcessPool as error:
+            self.terminate()
+            raise WorkerCrashed(
+                "a kernel worker process died", kind=kind, phase=phase
+            ) from error
+        return chunks
 
     def close(self) -> None:
-        """Clean shutdown: let workers drain their sentinel, then join."""
-        if self._scheduler is not None:
-            self._scheduler.close()
-            self._scheduler = None
+        """Clean shutdown: let the workers finish, then join them."""
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
 
     def terminate(self) -> None:
-        """Hard shutdown for the error path."""
-        if self._scheduler is not None:
-            self._scheduler.terminate()
-            self._scheduler = None
+        """Hard shutdown for the error path: kill the workers now."""
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        # ProcessPoolExecutor has no public kill before Python 3.14.
+        for process in list((executor._processes or {}).values()):
+            if process.is_alive():
+                process.kill()
+        executor.shutdown(cancel_futures=True)
 
     def __enter__(self) -> "KernelPool":
         return self
@@ -161,16 +239,15 @@ class KernelPool:
 
 
 def run_chunks_serial(
-    kind: str, payload: tuple, count: int, *, phase: str
-) -> list[list]:
+    kind: str, payload: tuple[Any, ...], count: int, *, phase: str
+) -> list[list[Any]]:
     """The in-process twin of :meth:`KernelPool.map_chunks`.
 
     Same unit decomposition, same budget checkpoints and ``mp.*``
-    counters at unit granularity — used when a worker fleet is
-    unavailable so parallel-requested runs behave identically minus the
-    processes.
+    counters at unit granularity — used when the pool is unavailable
+    so parallel-requested runs behave identically minus the processes.
     """
-    chunks: list[list] = []
+    chunks: list[list[Any]] = []
     produced = 0
     for index in range(count):
         _budget.check_configurations(produced, phase=phase, chunk=index)
@@ -182,34 +259,10 @@ def run_chunks_serial(
     return chunks
 
 
-def search_maximization_parallel(
-    candidates: tuple[int, ...],
-    member_labels: tuple[tuple[int, ...], ...],
-    trans: tuple[tuple[int, ...], ...],
-    arity: int,
-    workers: int,
-) -> list[tuple[int, ...]]:
-    """Run the maximization DFS chunked across ``workers`` processes.
-
-    Takes the machine form of the search state (per-candidate member
-    label ids plus the closure transition table of
-    :func:`repro.core.kernel.engine.closure_machine`).  Returns the
-    same list, in the same order, as the serial search.  Kept as the
-    stable entry point for callers without a shared
-    :class:`KernelPool`; falls back to the serial chunk loop when the
-    fleet cannot help.
-    """
-    payload = (candidates, member_labels, trans, arity)
-    count = len(candidates)
-    with KernelPool(workers) as pool:
-        chunks = pool.map_chunks(
-            "node-max", payload, count, phase="node-maximization"
-        )
-    if chunks is None:
-        chunks = run_chunks_serial(
-            "node-max", payload, count, phase="node-maximization"
-        )
-    return [item for chunk in chunks for item in chunk]
-
-
-__all__ = ["KernelPool", "run_chunks_serial", "search_maximization_parallel"]
+__all__ = [
+    "KernelPool",
+    "SHARDS_PER_WORKER",
+    "plan_shards",
+    "run_chunks_serial",
+    "run_shard_serial",
+]

@@ -302,6 +302,29 @@ def existential_condensed(
 # The R / Rbar operators and renaming
 # ---------------------------------------------------------------------------
 
+def check_workers(
+    workers: int | None, *, use_kernel: bool, operator: str
+) -> None:
+    """Reject a ``workers`` value no engine configuration can honor.
+
+    ``workers`` needs the kernel engine and must be at least 1;
+    ``None`` means serial.  Raises
+    :class:`~repro.robustness.errors.EngineMisuse` (a ``ValueError``).
+    """
+    if workers is None:
+        return
+    if not use_kernel:
+        raise EngineMisuse(
+            "workers requires use_kernel=True",
+            operator=operator,
+            workers=workers,
+        )
+    if workers < 1:
+        raise EngineMisuse(
+            "workers must be >= 1", operator=operator, workers=workers
+        )
+
+
 def R(
     problem: Problem,
     *,
@@ -320,10 +343,7 @@ def R(
     store the whole operator is memoized by the problem's
     renaming-invariant fingerprint.
     """
-    if (workers is not None or pool is not None) and not use_kernel:
-        raise EngineMisuse(
-            "workers requires use_kernel=True", operator="R", workers=workers
-        )
+    check_workers(workers, use_kernel=use_kernel, operator="R")
     return _cache.cached_problem_operator(
         "R",
         problem,
@@ -379,21 +399,15 @@ def Rbar(
 
     With ``use_kernel=True`` the bitmask fast path runs instead; adding
     ``workers=N`` (N > 1) additionally fans the arity-Delta
-    maximization DFS and the existential step out over a
-    ``multiprocessing`` pool, chunked by top-level prefix (a shared
-    ``pool`` from :func:`speedup` is reused instead of spawning one).
-    ``workers`` requires the kernel and raises
-    :class:`~repro.robustness.errors.EngineMisuse` (a ``ValueError``)
-    otherwise.  With an ambient :func:`repro.core.cache.caching` store
+    maximization DFS and the existential step out over a process
+    pool, chunked by top-level prefix (a shared ``pool`` from
+    :func:`speedup` is reused instead of spawning one).  ``workers``
+    requires the kernel and must be at least 1; anything else raises
+    :class:`~repro.robustness.errors.EngineMisuse` (a ``ValueError``).  With an ambient :func:`repro.core.cache.caching` store
     the whole operator is memoized by the problem's renaming-invariant
     fingerprint.
     """
-    if (workers is not None or pool is not None) and not use_kernel:
-        raise EngineMisuse(
-            "workers requires use_kernel=True",
-            operator="Rbar",
-            workers=workers,
-        )
+    check_workers(workers, use_kernel=use_kernel, operator="Rbar")
     return _cache.cached_problem_operator(
         "Rbar",
         problem,
@@ -413,7 +427,12 @@ def _Rbar_uncached(
     if use_kernel:
         from repro.core.kernel.engine import kernel_Rbar
 
-        return kernel_Rbar(problem, workers=workers, pool=pool)
+        if pool is None and workers is not None and workers > 1:
+            from repro.core.kernel.parallel import KernelPool
+
+            with KernelPool(workers) as owned:
+                return kernel_Rbar(problem, pool=owned)
+        return kernel_Rbar(problem, pool=pool)
     with _trace.span(
         "op.Rbar", engine="reference", problem=problem.name, delta=problem.delta
     ) as span:
@@ -514,12 +533,7 @@ def speedup(
     :func:`repro.core.cache.caching` store, ``speedup`` is memoized
     through its component ``R`` and ``Rbar`` lookups.
     """
-    if workers is not None and not use_kernel:
-        raise EngineMisuse(
-            "workers requires use_kernel=True",
-            operator="speedup",
-            workers=workers,
-        )
+    check_workers(workers, use_kernel=use_kernel, operator="speedup")
     with _trace.span(
         "op.speedup",
         engine="kernel" if use_kernel else "reference",

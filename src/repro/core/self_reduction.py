@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from repro.core import cache as _cache
 from repro.core.diagram import Diagram
 from repro.core.problem import Problem
-from repro.core.round_elimination import SpeedupResult, speedup
+from repro.core.round_elimination import SpeedupResult, check_workers, speedup
 from repro.observability import trace as _trace
 from repro.robustness import budget as _budget
 from repro.robustness.errors import EngineMisuse
@@ -203,12 +203,7 @@ def self_reduce(
     ``use_kernel`` / ``workers`` thread through to the component
     operators; output is identical either way.
     """
-    if workers is not None and not use_kernel:
-        raise EngineMisuse(
-            "workers requires use_kernel=True",
-            operator="self_reduce",
-            workers=workers,
-        )
+    check_workers(workers, use_kernel=use_kernel, operator="self_reduce")
     with _trace.span(
         "op.self_reduce",
         engine="kernel" if use_kernel else "reference",

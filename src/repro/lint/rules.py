@@ -8,7 +8,8 @@ on but that nothing else checks mechanically:
   checkpoint byte-identity contract both assume that equal inputs
   produce equal bytes, which wall clocks, ambient RNG, ``id()`` keys,
   and raw set iteration all silently break.
-* RL003 — picklability across the :class:`KernelPool` process boundary.
+* RL003 — picklability across the :class:`KernelPool` process boundary
+  (what kernel code hands to ``executor.map``/``executor.submit``).
 * RL004 — every emitted trace counter is declared (and classified
   semantic vs timing) in :mod:`repro.observability.schema`.
 * RL005 — ambient context managers (``governed()``/``tracing()``/
@@ -63,10 +64,8 @@ _TIME_FUNCTIONS = (
     "perf_counter", "perf_counter_ns", "process_time", "thread_time",
 )
 
-_POOL_DISPATCH = (
-    "map", "imap", "imap_unordered", "map_async",
-    "apply_async", "starmap", "starmap_async", "submit",
-)
+#: ``ProcessPoolExecutor`` methods that pickle their callable.
+_POOL_DISPATCH = ("map", "submit")
 
 _OBSERVATIONAL_APPENDERS = ("_append_cache_summary", "_append_trace_summary")
 _OBSERVATIONAL_ARG_NAMES = ("cache_notes",)
@@ -294,7 +293,7 @@ def _rl002_call(context: FileContext, node: ast.Call) -> Iterator[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# RL003 — picklable dispatch through kernel/parallel.py
+# RL003 — picklable executor dispatch in the kernel
 # ---------------------------------------------------------------------------
 
 def _check_rl003(context: FileContext) -> Iterator[Violation]:
@@ -317,16 +316,28 @@ def _check_rl003(context: FileContext) -> Iterator[Violation]:
             if isinstance(argument, ast.Lambda):
                 yield _violation(
                     context, node, "RL003",
-                    f"lambda passed to pool.{func.attr}: lambdas do not "
-                    "pickle across the KernelPool process boundary; "
+                    f"lambda passed to executor.{func.attr}: lambdas do "
+                    "not pickle across the KernelPool process boundary; "
                     "dispatch a module-level function",
                 )
             elif isinstance(argument, ast.Name) and argument.id in nested:
                 yield _violation(
                     context, node, "RL003",
                     f"locally defined function {argument.id!r} passed to "
-                    f"pool.{func.attr}: nested functions do not pickle; "
-                    "hoist it to module level",
+                    f"executor.{func.attr}: nested functions do not "
+                    "pickle; hoist it to module level",
+                )
+            elif (
+                isinstance(argument, ast.Attribute)
+                and isinstance(argument.value, ast.Name)
+                and argument.value.id == "self"
+            ):
+                yield _violation(
+                    context, node, "RL003",
+                    f"bound method self.{argument.attr} passed to "
+                    f"executor.{func.attr}: it pickles its instance (and "
+                    "the executor it holds); dispatch a module-level "
+                    "function",
                 )
 
 
@@ -716,8 +727,8 @@ RULES: Sequence[Rule] = (
         code="RL003",
         name="picklable-dispatch",
         summary=(
-            "functions dispatched through kernel/parallel.py must be "
-            "module-level (picklable payloads only)"
+            "callables kernel code hands to executor.map/submit must be "
+            "module-level functions (picklable payloads only)"
         ),
         applies=_in_kernel,
         check=_check_rl003,

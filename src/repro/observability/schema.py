@@ -85,13 +85,6 @@ TIMING_COUNTERS = (
     "budget.checkpoints",
     "mp.chunks",
     "mp.chunk_results",
-    "mp.shards",
-    "mp.retries",
-    "mp.worker_deaths",
-    "mp.shard_splits",
-    "mp.spilled_bytes",
-    "mp.spill_loads",
-    "mp.mem_admitted_peak",
     "kernel.intern.transported",
     "prof.calls",
     "prof.wall_ns",

@@ -41,6 +41,7 @@ from repro.robustness.errors import (
     ReproError,
     RetryExhausted,
     SimplificationFailed,
+    WorkerCrashed,
 )
 
 _LAZY = {
@@ -90,5 +91,6 @@ __all__ = [
     "InvalidGraph",
     "InvalidTrace",
     "RetryExhausted",
+    "WorkerCrashed",
     *sorted(_LAZY),
 ]

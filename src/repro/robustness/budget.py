@@ -53,14 +53,6 @@ class Budget:
             closed-set counts inside the maximization searches and on
             brute-force search spaces.
         max_chain_steps: cap on Lemma 13 chain length.
-        max_shard_bytes: aggregate cap on the size estimates of shards
-            the parallel kernel admits in flight at once (the
-            memory-accounting budget of
-            :mod:`repro.core.kernel.sharding`); enforced by admission,
-            not by raising.
-        max_shard_retries: per-shard retry cap before the shard
-            scheduler degrades (split, then serial fallback).  A
-            :class:`ShardPolicy` with an explicit value wins over this.
         probe: optional callable invoked with the context dict at every
             checkpoint — the fault-injection hook.
     """
@@ -69,8 +61,6 @@ class Budget:
     max_alphabet: int | None = None
     max_configurations: int | None = None
     max_chain_steps: int | None = None
-    max_shard_bytes: int | None = None
-    max_shard_retries: int | None = None
     probe: Callable[[dict], None] | None = None
     _started_at: float | None = field(
         default=None, repr=False, compare=False

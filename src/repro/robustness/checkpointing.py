@@ -41,9 +41,8 @@ class CheckpointStore:
     def save(self, stage: str, payload: dict) -> int:
         """Atomically persist ``payload`` under ``stage``.
 
-        Returns the size of the sealed document in bytes, so spill
-        accounting (``mp.spilled_bytes`` in the shard scheduler) can
-        charge exactly what landed on disk.
+        Returns the size of the sealed document in bytes (also emitted
+        on the ``checkpoint.save`` trace event).
         """
         path = self.path_for(stage)
         write_json_checkpoint(path, payload)

@@ -24,11 +24,10 @@ The ladder, weakest medicine first:
    information is genuinely lost; the event is flagged ``LOSSY`` and
    must appear in any certificate built from the result.
 
-The parallel kernel's shard scheduler
-(:mod:`repro.core.kernel.sharding`) follows the same
-weakest-medicine-first shape for *infrastructure* faults — retry with
-backoff, split the shard, fall back to serial — where this module
-degrades the *problem* for semantic budget trips.
+This module degrades the *problem* for semantic budget trips only.
+Infrastructure faults get no medicine: a parallel kernel worker that
+dies raises :class:`~repro.robustness.errors.WorkerCrashed`
+(:mod:`repro.core.kernel.parallel`).
 """
 
 from __future__ import annotations

@@ -49,6 +49,9 @@ working:
   ``RuntimeError``) — a bounded retry or round loop ran out of
   attempts: the configuration-model generator found no simple graph,
   or a simulated algorithm did not halt within ``max_rounds``.
+* :class:`WorkerCrashed` (also a ``RuntimeError``) — a worker process
+  of the parallel kernel died mid-run (a signal, the OOM killer); the
+  pool is already shut down when it is raised.
 * :class:`InvalidJobRequest` (also a ``ValueError``) — a service job
   submission (:mod:`repro.service`) is malformed: unknown keys, a
   missing problem, an operator/policy/engine the wire format does not
@@ -123,12 +126,16 @@ class InvalidScenario(ReproError, ValueError):
 
 
 class RetryExhausted(BudgetExceeded):
-    """A bounded retry or round loop ran out of attempts.
+    """A bounded retry or round loop ran out of attempts."""
 
-    The shard scheduler (:mod:`repro.core.kernel.sharding`) raises this
-    only after its whole degradation ladder failed — backoff retries,
-    shard splits, and the in-parent serial fallback — so catching it
-    means the work itself is broken, not just one worker process.
+
+class WorkerCrashed(ReproError, RuntimeError):
+    """A parallel kernel worker process died before returning its shard.
+
+    Raised by :class:`~repro.core.kernel.parallel.KernelPool` in place
+    of the executor's ``BrokenProcessPool``, after the pool's remaining
+    processes have been killed and reaped.  Nothing is retried: rerun
+    serially (``workers=None``) or with more memory.
     """
 
 
@@ -156,5 +163,6 @@ __all__ = [
     "InvalidTrace",
     "InvalidScenario",
     "RetryExhausted",
+    "WorkerCrashed",
     "InvalidJobRequest",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.problem import Problem
-from repro.core.round_elimination import speedup
+from repro.core.round_elimination import check_workers, speedup
 from repro.core.self_reduction import self_reduction_chain
 from repro.core.solvability import (
     zero_round_solvable_pn,
@@ -201,6 +201,7 @@ def run_scenario(
     underlying operators; the run outcome must be identical either way
     (the differential tests enforce this).
     """
+    check_workers(workers, use_kernel=use_kernel, operator="run_scenario")
     problems: list[Problem]
     reached_fixed_point = False
     certified: int

@@ -17,32 +17,10 @@ propagate to the harness that injected it.
 :func:`corrupt_checkpoint` flips a byte in a checkpoint file so tests
 can assert that damaged state is detected (sealed digests), discarded,
 and recomputed rather than trusted.
-
-The *process-level* injectors target the shard scheduler
-(:mod:`repro.core.kernel.sharding`) through its ``worker_probe`` hook,
-which fires inside the worker process before each shard attempt:
-
-* :class:`WorkerKiller` SIGKILLs the worker outright — the real
-  OOM-killer/segfault scenario that used to hang ``pool.imap``
-  forever.  Keyed on the dispatch ``seq`` and (by default) first
-  attempts only, so retries of the same shard survive and the run
-  terminates.
-* :class:`AllocationCap` raises ``MemoryError`` for any shard whose
-  size estimate exceeds a byte threshold, driving the scheduler's
-  split ladder until shards fit.
-* :class:`StallInjector` sleeps past the shard deadline, simulating a
-  wedged (not dead) worker so the supervision kill path is exercised.
-
-All three are picklable module-level classes (they cross the process
-boundary inside the task tuple under the ``fork`` start method).
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import time
-from collections.abc import Iterable
 from pathlib import Path
 
 from repro.robustness.budget import Budget
@@ -121,80 +99,6 @@ def counting_budget(**budget_fields) -> tuple[Budget, FaultInjector]:
     """A budget that only counts checkpoints, never raising."""
     injector = FaultInjector(trip_at=None)
     return Budget(probe=injector, **budget_fields), injector
-
-
-class WorkerKiller:
-    """A worker probe that SIGKILLs the process on chosen dispatches.
-
-    Attributes:
-        kill_seqs: the scheduler dispatch sequence numbers to die on.
-            Every dispatch (including each retry) gets a fresh ``seq``,
-            so a fixed set of seqs yields a fixed number of deaths.
-        only_first_attempt: kill only ``attempt == 0`` dispatches
-            (the default) — retried shards then survive, guaranteeing
-            the run terminates with exactly ``len(kill_seqs)`` deaths
-            (for seqs that are actually dispatched).
-    """
-
-    def __init__(
-        self, kill_seqs: Iterable[int], *, only_first_attempt: bool = True
-    ):
-        self.kill_seqs = frozenset(kill_seqs)
-        self.only_first_attempt = only_first_attempt
-
-    def __call__(self, context: dict) -> None:
-        if self.only_first_attempt and context.get("attempt", 0) != 0:
-            return
-        if context.get("seq") in self.kill_seqs:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-
-class AllocationCap:
-    """A worker probe that OOMs any shard estimated past a threshold.
-
-    Raises ``MemoryError`` (the scheduler's cue to *split*, not retry —
-    rerunning an identical oversized shard would just OOM again) until
-    shard estimates fall to ``max_bytes`` or below.
-    """
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-
-    def __call__(self, context: dict) -> None:
-        estimate = context.get("estimate", 0)
-        if estimate > self.max_bytes:
-            raise MemoryError(
-                f"injected allocation cap: shard estimate {estimate} "
-                f"exceeds {self.max_bytes} bytes"
-            )
-
-
-class StallInjector:
-    """A worker probe that wedges (sleeps) on chosen dispatches.
-
-    Unlike :class:`WorkerKiller` the process stays alive, so only the
-    scheduler's shard *deadline* can detect it — this is the probe for
-    the supervised-timeout kill path.  Sleeps well past any test
-    deadline; the scheduler SIGKILLs the wedged worker, so the sleep
-    never actually completes.
-    """
-
-    def __init__(
-        self,
-        stall_seqs: Iterable[int],
-        *,
-        seconds: float = 60.0,
-        only_first_attempt: bool = True,
-    ):
-        self.stall_seqs = frozenset(stall_seqs)
-        self.seconds = seconds
-        self.only_first_attempt = only_first_attempt
-
-    def __call__(self, context: dict) -> None:
-        if self.only_first_attempt and context.get("attempt", 0) != 0:
-            return
-        if context.get("seq") in self.stall_seqs:
-            time.sleep(self.seconds)
 
 
 def corrupt_checkpoint(path: str | Path, offset: int = -2) -> None:

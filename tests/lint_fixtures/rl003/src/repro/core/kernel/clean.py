@@ -5,5 +5,5 @@ def _run_chunk(chunk: object) -> object:
     return chunk
 
 
-def _fan_out(pool: object, chunks: list) -> list:
-    return list(pool.imap(_run_chunk, chunks))
+def _fan_out(executor: object, chunks: list) -> list:
+    return list(executor.map(_run_chunk, chunks))

@@ -1,10 +1,18 @@
-"""RL003 fixture: unpicklable payloads handed to a pool."""
+"""RL003 fixture: unpicklable callables handed to an executor."""
 
 
-def _fan_out(pool: object, chunks: list) -> list:
+class _Fan:
+    def _method(self, chunk: object) -> object:
+        return chunk
+
+    def fan_out(self, executor: object, chunks: list) -> list:
+        return list(executor.map(self._method, chunks))
+
+
+def _fan_out(executor: object, chunks: list) -> list:
     def _local(chunk: object) -> object:
         return chunk
 
-    results = list(pool.imap(_local, chunks))
-    results += pool.map(lambda chunk: chunk, chunks)
+    results = [executor.submit(_local, chunk) for chunk in chunks]
+    results += list(executor.map(lambda chunk: chunk, chunks))
     return results

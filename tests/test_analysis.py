@@ -342,6 +342,25 @@ def test_semantic_counters_are_engine_symmetric(real_tree):
         assert bool(kernel) == bool(reference), (name, kernel, reference)
 
 
+def test_kernel_dispatch_edges_reach_the_chunk_runners(real_tree):
+    """Chunk-kind dispatch links the engine to each runner, and the
+    pool's executor entry point is linked to the in-process twin."""
+    graph, _ = real_tree
+    engine = "repro.core.kernel.engine"
+    dispatched = {
+        edge.callee
+        for edge in graph.edges
+        if edge.kind == "dispatch" and edge.caller.startswith(engine)
+    }
+    assert dispatched == {
+        f"{engine}.search_maximization_chunk",
+        f"{engine}.search_existential_chunk",
+        f"{engine}.edge_pairing_chunk",
+    }
+    reached = graph.reachable(["repro.core.kernel.parallel.KernelPool.map_chunks"])
+    assert dispatched <= reached
+
+
 def test_committed_baseline_is_current():
     """The repo-root baseline parses and carries no stale entries."""
     entries = load_baseline(str(REPO_ROOT / "analysis_baseline.json"))

@@ -35,6 +35,7 @@ from repro.core.cache import (
 )
 from repro.core.relaxation import find_label_relabeling
 from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
+from repro.core.self_reduction import self_reduce
 from repro.core.solvability import zero_round_solvable_pn
 from repro.lowerbound.certificate import build_certificate
 from repro.lowerbound.sequence import run_chain
@@ -107,12 +108,16 @@ class TestFingerprint:
 # ---------------------------------------------------------------------------
 
 class TestEngineMisuse:
-    @pytest.mark.parametrize("operator", [R, Rbar, speedup])
+    @pytest.mark.parametrize("operator", [R, Rbar, speedup, self_reduce])
     def test_workers_without_kernel_is_typed(self, operator):
         problem = mis_problem(3)
         with pytest.raises(EngineMisuse) as caught:
             operator(problem, workers=2)
         assert isinstance(caught.value, ValueError)  # back-compat
+        # workers < 1 is misuse on the kernel too, never a silent serial run.
+        for workers in (0, -3):
+            with pytest.raises(EngineMisuse):
+                operator(problem, use_kernel=True, workers=workers)
 
 
 # ---------------------------------------------------------------------------

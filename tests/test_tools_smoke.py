@@ -115,6 +115,17 @@ class TestRunScenario:
         assert completed.returncode == 2
         assert completed.stderr.startswith("error:")
 
+    def test_workers_0_exits_2(self):
+        """workers < 1 is usage misuse in both CLIs, never a serial run."""
+        for argv in (
+            ("tools/run_scenario.py", "run", "mis3-speedup", "--kernel"),
+            ("examples/round_eliminator_cli.py", "1", "--kernel"),
+        ):
+            completed = run_script(*argv, "--workers", "0")
+            assert completed.returncode == 2, argv
+            assert completed.stderr.startswith("error:")
+            assert "workers must be >= 1" in completed.stderr
+
     def test_help_documents_exit_codes(self):
         completed = run_script("tools/run_scenario.py", "--help")
         assert completed.returncode == 0
