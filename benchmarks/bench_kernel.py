@@ -12,9 +12,10 @@ a committed trajectory of measured speedups on the Delta=4 MIS chain:
   recorded ratio (a >3x regression).  Comparing *ratios* rather than
   wall-clock seconds keeps the gate meaningful across machines of
   different speeds; the whole run stays well under a minute.  The
-  quick gate also runs the registry's ``quick`` scenarios (currently the Delta=2 maximal-
-  matching self-reduction — a non-MIS family) on both engines, failing
-  on any expectation drift or cross-engine divergence.
+  quick gate also runs the registry's ``quick`` scenarios (currently
+  the Delta=2 maximal-matching self-reduction — a non-MIS family) on
+  both engines, failing on any expectation drift or cross-engine
+  divergence.
 * ``PYTHONPATH=src python benchmarks/bench_kernel.py --parallel``
   records a ``mode: parallel`` trajectory row for the cold Delta=7
   chain, the one measured workload where ``workers=2`` beats serial:

@@ -343,8 +343,8 @@ def test_semantic_counters_are_engine_symmetric(real_tree):
 
 
 def test_kernel_dispatch_edges_reach_the_chunk_runners(real_tree):
-    """Chunk-kind dispatch links the engine to each runner, and the
-    pool's executor entry point is linked to the in-process twin."""
+    """Chunk-kind dispatch links the engine to each runner, and all
+    three stay reachable from the pool through its executor entry."""
     graph, _ = real_tree
     engine = "repro.core.kernel.engine"
     dispatched = {
@@ -357,8 +357,8 @@ def test_kernel_dispatch_edges_reach_the_chunk_runners(real_tree):
         f"{engine}.search_existential_chunk",
         f"{engine}.edge_pairing_chunk",
     }
-    reached = graph.reachable(["repro.core.kernel.parallel.KernelPool.map_chunks"])
-    assert dispatched <= reached
+    pool = "repro.core.kernel.parallel.KernelPool.map_chunks"
+    assert dispatched <= graph.reachable([pool])
 
 
 def test_committed_baseline_is_current():

@@ -14,9 +14,9 @@ Four contracts, each tested here:
 * **Robustness** — a torn or tampered on-disk entry is detected by its
   seal, evicted, and recomputed, never trusted; a budget trip in the
   middle of a disk write leaves no partial entry behind.
-* **Typed misuse** — requesting ``workers`` without ``use_kernel``
-  raises :class:`EngineMisuse` (still a ``ValueError``) from R, Rbar,
-  and speedup.
+* **Typed misuse** — requesting ``workers`` without ``use_kernel``, or
+  ``workers < 1``, raises :class:`EngineMisuse` (still a
+  ``ValueError``) from R, Rbar, speedup and self_reduce.
 """
 
 import random
