@@ -38,17 +38,11 @@ class CheckpointStore:
         """The on-disk path of ``stage``."""
         return self.directory / f"{stage}.json"
 
-    def save(self, stage: str, payload: dict) -> int:
-        """Atomically persist ``payload`` under ``stage``.
-
-        Returns the size of the sealed document in bytes (also emitted
-        on the ``checkpoint.save`` trace event).
-        """
+    def save(self, stage: str, payload: dict) -> None:
+        """Atomically persist ``payload`` under ``stage``."""
         path = self.path_for(stage)
         write_json_checkpoint(path, payload)
-        size = path.stat().st_size
-        _trace.event("checkpoint.save", stage=stage, bytes=size)
-        return size
+        _trace.event("checkpoint.save", stage=stage, bytes=path.stat().st_size)
 
     def load(self, stage: str) -> object | None:
         """The payload of ``stage``, or ``None`` when absent.
