@@ -11,7 +11,10 @@ a committed trajectory of measured speedups on the Delta=4 MIS chain:
   kernel-vs-reference speedup ratio fell below one third of the best
   recorded ratio (a >3x regression).  Comparing *ratios* rather than
   wall-clock seconds keeps the gate meaningful across machines of
-  different speeds; the whole run stays well under a minute.  The
+  different speeds; the whole run stays well under a minute.  Rows
+  marked ``legacy`` (with a ``legacy_reason``) are kept for the record
+  but set no floor: a ratio only compares against rows measured with
+  the same reference engine.  The
   quick gate also runs the registry's ``quick`` scenarios (currently
   the Delta=2 maximal-matching self-reduction — a non-MIS family) on
   both engines, failing on any expectation drift or cross-engine
@@ -182,7 +185,7 @@ def load_trajectory() -> list[dict]:
 
 
 def record() -> None:
-    entry = measure_chain(rounds=3)
+    entry = {**measure_chain(rounds=3), **_provenance()}
     trajectory = load_trajectory()
     trajectory.append(entry)
     with open(TRAJECTORY_PATH, "w", encoding="utf-8") as handle:
@@ -451,6 +454,7 @@ def record_hotpath(trace_path: str | None = None) -> int:
     failed = _check_hotpath_entry(entry)
     if failed:
         return failed
+    entry.update(_provenance())
     trajectory = load_trajectory()
     trajectory.append(entry)
     with open(TRAJECTORY_PATH, "w", encoding="utf-8") as handle:
@@ -470,7 +474,9 @@ def hotpath_gate() -> int:
     suite.  Skips silently when no hotpath row has been recorded yet.
     """
     rows = [
-        item for item in load_trajectory() if item.get("mode") == "hotpath"
+        item
+        for item in load_trajectory()
+        if item.get("mode") == "hotpath" and not item.get("legacy")
     ]
     if not rows:
         print("no recorded hotpath rows - nothing to compare against")
@@ -583,7 +589,9 @@ def quick_gate() -> int:
     kernel_entries = [
         item["speedup"]
         for item in trajectory
-        if "kernel_seconds" in item and "mode" not in item
+        if "kernel_seconds" in item
+        and "mode" not in item
+        and not item.get("legacy")
     ]
     if not kernel_entries:
         print("no recorded trajectory - nothing to compare against")

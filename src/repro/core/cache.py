@@ -85,6 +85,12 @@ ENGINE_VERSION = 1
 
 
 def _set_sort_key(labels: frozenset) -> tuple:
+    """The order of set labels in every operator's output alphabet.
+
+    The one definition: both engines sort ``R`` / ``Rbar`` alphabets with
+    it, and the cache re-sorts transported alphabets with it, so warm
+    and cold results rename identically.
+    """
     return (len(labels), sorted(render_label(label) for label in labels))
 
 

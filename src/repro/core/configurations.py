@@ -20,6 +20,7 @@ parser accepts the syntax used throughout the paper:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator
@@ -29,8 +30,18 @@ from repro.robustness import budget as _budget
 from repro.robustness.errors import InvalidProblem
 
 
-def _label_sort_key(label: Hashable) -> str:
-    return render_label(label)
+def insert_canonical(
+    items: tuple[Hashable, ...], label: Hashable, order: dict[Hashable, str]
+) -> tuple[Hashable, ...]:
+    """Add ``label`` to the canonically ordered ``items``.
+
+    Equals ``tuple(sorted(items + (label,), key=render_label))``:
+    ``order`` maps every label involved to its rendering, and the stable
+    sort places ``label`` after each item rendering equal to it, which
+    is exactly ``bisect_right``.
+    """
+    index = bisect.bisect_right(items, order[label], key=order.__getitem__)
+    return items[:index] + (label,) + items[index:]
 
 
 class Configuration:
@@ -43,9 +54,17 @@ class Configuration:
     __slots__ = ("_items",)
 
     def __init__(self, labels: Iterable[Hashable]) -> None:
-        self._items: tuple[Hashable, ...] = tuple(sorted(labels, key=_label_sort_key))
+        self._items: tuple[Hashable, ...] = tuple(sorted(labels, key=render_label))
         if not self._items:
             raise InvalidProblem("a configuration must contain at least one label")
+
+    @classmethod
+    def _presorted(cls, items: tuple[Hashable, ...]) -> "Configuration":
+        """Trusted constructor: ``items`` is non-empty and already in
+        canonical (``render_label``, stable) order."""
+        configuration = cls.__new__(cls)
+        configuration._items = items
+        return configuration
 
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self._items)
@@ -125,7 +144,7 @@ class Configuration:
         """Human-readable form with exponents, e.g. ``M^3 X``."""
         counts = self.counts()
         parts = []
-        for label in sorted(counts, key=_label_sort_key):
+        for label in sorted(counts, key=render_label):
             multiplicity = counts[label]
             text = render_label(label)
             parts.append(text if multiplicity == 1 else f"{text}^{multiplicity}")
@@ -143,7 +162,7 @@ class Disjunction:
             raise InvalidProblem("a disjunction must offer at least one label")
 
     def __iter__(self) -> Iterator[Hashable]:
-        return iter(sorted(self._labels, key=_label_sort_key))
+        return iter(sorted(self._labels, key=render_label))
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -237,9 +256,14 @@ class CondensedConfiguration:
         a group ``[ABPQ]^9`` contributes C(12, 3) = 220 multisets, not
         4^9 tuples.
         """
+        order = {
+            label: render_label(label)
+            for disjunction, _ in self._parts
+            for label in disjunction.labels
+        }
         group_options: list[list[tuple]] = []
         for disjunction, exponent in self._parts:
-            members = sorted(disjunction.labels, key=_label_sort_key)
+            members = sorted(disjunction.labels, key=order.__getitem__)
             group_options.append(
                 list(itertools.combinations_with_replacement(members, exponent))
             )
@@ -256,7 +280,8 @@ class CondensedConfiguration:
             labels: list = []
             for part in combo:
                 labels.extend(part)
-            results.add(Configuration(labels))
+            labels.sort(key=order.__getitem__)
+            results.add(Configuration._presorted(tuple(labels)))
         return results
 
     def contains(self, configuration: Configuration) -> bool:

@@ -19,6 +19,7 @@ import itertools
 from collections.abc import Hashable, Iterable
 from typing import TYPE_CHECKING
 
+from repro.core.configurations import insert_canonical
 from repro.core.constraints import Constraint
 from repro.core.labels import render_label
 from repro.robustness import budget as _budget
@@ -36,8 +37,27 @@ class Diagram:
     def __init__(self, constraint: Constraint, labels: Iterable[Hashable]) -> None:
         self._labels: tuple[Hashable, ...] = tuple(labels)
         self._ge: dict[tuple[Hashable, Hashable], bool] = {}
+        # The paper's replacement test on canonical item tuples: drop one
+        # occurrence of ``weak`` from each allowed configuration holding
+        # it, insert ``strong``, and look the result up.
+        allowed = {configuration.items for configuration in constraint.configurations}
+        order = {
+            label: render_label(label)
+            for items in (self._labels, *allowed)
+            for label in items
+        }
+        remainders: dict[Hashable, list[tuple]] = {
+            weak: [] for weak in self._labels
+        }
+        for items in allowed:
+            for index, label in enumerate(items):
+                if label in remainders and items.index(label) == index:
+                    remainders[label].append(items[:index] + items[index + 1:])
         for strong, weak in itertools.product(self._labels, repeat=2):
-            self._ge[(strong, weak)] = _at_least_as_strong(constraint, strong, weak)
+            self._ge[(strong, weak)] = strong == weak or all(
+                insert_canonical(rest, strong, order) in allowed
+                for rest in remainders[weak]
+            )
 
     @property
     def labels(self) -> tuple[Hashable, ...]:
@@ -146,16 +166,6 @@ class Diagram:
         if isolated:
             lines.append("isolated: " + " ".join(sorted(isolated)))
         return "\n".join(lines)
-
-
-def _at_least_as_strong(constraint: Constraint, strong: Hashable, weak: Hashable) -> bool:
-    """The paper's replacement test, applied to every configuration."""
-    if strong == weak:
-        return True
-    for configuration in constraint.configurations_containing(weak):
-        if configuration.replace_one(weak, strong) not in constraint:
-            return False
-    return True
 
 
 def edge_diagram(problem: Problem) -> Diagram:

@@ -38,6 +38,7 @@ import itertools
 from collections.abc import Hashable, Iterable
 
 from repro.core import cache as _cache
+from repro.core.cache import _set_sort_key
 from repro.core.configurations import Configuration
 from repro.core.constraints import Constraint
 from repro.core.kernel.bitops import (
@@ -50,7 +51,7 @@ from repro.core.kernel.bitops import (
     popcount,
 )
 from repro.core.kernel.interning import LabelInterner, transport_registry
-from repro.core.labels import Alphabet, render_label
+from repro.core.labels import Alphabet
 from repro.core.problem import Problem
 from repro.observability import trace as _trace
 from repro.observability.profiling import section as _prof_section
@@ -60,10 +61,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.core.kernel.parallel import KernelPool
-
-
-def _set_sort_key(labels: frozenset) -> tuple:
-    return (len(labels), sorted(render_label(label) for label in labels))
 
 
 # hotpath

@@ -217,10 +217,18 @@ class KernelPool:
         if executor is None:
             return
         # ProcessPoolExecutor has no public kill before Python 3.14.
-        for process in list((executor._processes or {}).values()):
+        processes = list((executor._processes or {}).values())
+        manager = executor._executor_manager_thread
+        # Flag the shutdown before any worker dies: the manager thread
+        # then drops the futures ``Executor.map`` already cancelled
+        # instead of failing them as broken, which raises
+        # InvalidStateError in that thread on CPython 3.11.
+        executor.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
             if process.is_alive():
                 process.kill()
-        executor.shutdown(cancel_futures=True)
+        if manager is not None:
+            manager.join()
 
     def __enter__(self) -> "KernelPool":
         return self

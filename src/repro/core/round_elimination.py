@@ -26,10 +26,12 @@ from dataclasses import dataclass
 from contextlib import nullcontext
 
 from repro.core import cache as _cache
+from repro.core.cache import _set_sort_key
 from repro.core.configurations import (
     CondensedConfiguration,
     Configuration,
     Disjunction,
+    insert_canonical,
 )
 from repro.core.constraints import Constraint
 from repro.core.diagram import Diagram
@@ -113,6 +115,7 @@ def maximize_node_constraint(problem: Problem) -> Constraint:
     candidate_sets = sorted(diagram.right_closed_sets(), key=_set_sort_key)
     _trace.add("node.right_closed_sets", len(candidate_sets))
     closure = _prefix_closure(node_constraint)
+    order = _render_map(candidate_sets)
     results: list[tuple[frozenset, ...]] = []
 
     def extend(start: int, chosen: list[frozenset], frontier: frozenset) -> None:
@@ -126,7 +129,7 @@ def maximize_node_constraint(problem: Problem) -> Constraint:
             return
         for index in range(start, len(candidate_sets)):
             candidate = candidate_sets[index]
-            grown = _grow_frontier(frontier, candidate, closure)
+            grown = _grow_frontier(frontier, candidate, closure, order)
             if grown is None:
                 continue
             chosen.append(candidate)
@@ -147,8 +150,16 @@ def maximize_node_constraint(problem: Problem) -> Constraint:
     return Constraint(Configuration(sets) for sets in maximal)
 
 
-def _set_sort_key(labels: frozenset) -> tuple:
-    return (len(labels), sorted(render_label(label) for label in labels))
+def _render_map(label_sets: Iterable[frozenset]) -> dict[Hashable, str]:
+    """``render_label`` of every member of ``label_sets``, computed once.
+
+    The map lives for one operator call and is keyed by that call's
+    own labels; a process-wide memo would be keyed by equality, and
+    equal labels can render differently (``1`` and ``True``).
+    """
+    return {
+        label: render_label(label) for labels in label_sets for label in labels
+    }
 
 
 def _prefix_closure(constraint: Constraint) -> frozenset[tuple]:
@@ -163,17 +174,22 @@ def _prefix_closure(constraint: Constraint) -> frozenset[tuple]:
 
 
 def _grow_frontier(
-    frontier: frozenset[tuple], candidate: frozenset, closure: frozenset[tuple]
+    frontier: frozenset[tuple],
+    candidate: frozenset,
+    closure: frozenset[tuple],
+    order: dict[Hashable, str],
 ) -> frozenset[tuple] | None:
     """Extend every partial choice by every label of ``candidate``.
 
+    Partials are kept sorted by their labels' renderings (``order``).
     Returns the new frontier, or ``None`` if some extension leaves the
     prefix closure (meaning some full choice would be disallowed).
     """
     grown: set[tuple] = set()
+    # analysis: unbounded-ok(one DFS node: |frontier| x |candidate| inserts; the caller checkpoints per node)
     for partial in frontier:
         for label in candidate:
-            extended = tuple(sorted(partial + (label,), key=render_label))
+            extended = insert_canonical(partial, label, order)
             if extended not in closure:
                 return None
             grown.add(extended)
@@ -194,8 +210,10 @@ def _prune_non_maximal(
     Membership of each enlargement is a hash lookup in the complete
     passing list, so pruning is near-linear instead of quadratic.
     """
+    set_keys = {labels: _set_sort_key(labels) for labels in candidate_sets}
+
     def canonical(sets: Iterable[frozenset]) -> tuple:
-        return tuple(sorted(sets, key=_set_sort_key))
+        return tuple(sorted(sets, key=set_keys.__getitem__))
 
     passing = {canonical(sets) for sets in configurations}
     supersets: dict[frozenset, list[frozenset]] = {
@@ -231,6 +249,8 @@ def existential_constraint(
     choice allowed by ``old_constraint`` (the second halves of R / Rbar)."""
     labels = sorted(set(new_labels), key=_set_sort_key)
     closure = _prefix_closure(old_constraint)
+    order = _render_map(labels)
+    rendered = {new_label: render_label(new_label) for new_label in labels}
     results: set[Configuration] = set()
 
     def extend(start: int, chosen: list[frozenset], frontier: frozenset) -> None:
@@ -238,11 +258,13 @@ def existential_constraint(
             len(results), phase="existential", depth=len(chosen)
         )
         if len(chosen) == arity:
-            results.add(Configuration(chosen))
+            results.add(Configuration._presorted(
+                tuple(sorted(chosen, key=rendered.__getitem__))
+            ))
             return
         for index in range(start, len(labels)):
             candidate = labels[index]
-            grown = _grow_frontier_exists(frontier, candidate, closure)
+            grown = _grow_frontier_exists(frontier, candidate, closure, order)
             if not grown:
                 continue
             chosen.append(candidate)
@@ -261,13 +283,17 @@ def existential_constraint(
 
 
 def _grow_frontier_exists(
-    frontier: frozenset[tuple], candidate: frozenset, closure: frozenset[tuple]
+    frontier: frozenset[tuple],
+    candidate: frozenset,
+    closure: frozenset[tuple],
+    order: dict[Hashable, str],
 ) -> frozenset[tuple]:
     """Like :func:`_grow_frontier` but keeps only surviving choices."""
     grown: set[tuple] = set()
+    # analysis: unbounded-ok(one DFS node: |frontier| x |candidate| inserts; the caller checkpoints per node)
     for partial in frontier:
         for label in candidate:
-            extended = tuple(sorted(partial + (label,), key=render_label))
+            extended = insert_canonical(partial, label, order)
             if extended in closure:
                 grown.add(extended)
     return frozenset(grown)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from contextlib import contextmanager
 
@@ -235,6 +236,14 @@ def _raise_typed_on_shard_zero(kind, payload, lo, hi):
     return _serial_shard(kind, payload, lo, hi)
 
 
+def _raise_typed_on_shard_zero_others_slow(kind, payload, lo, hi):
+    """Shard 0 fails at once while the others are still queued or
+    running, so ``Executor.map`` has pending futures to cancel."""
+    if multiprocessing.parent_process() is not None and lo != 0:
+        time.sleep(0.05)
+    return _raise_typed_on_shard_zero(kind, payload, lo, hi)
+
+
 class TestFailures:
     """Run under the default ``fork`` start method: the patched chunk
     runner is inherited by the worker processes."""
@@ -261,6 +270,28 @@ class TestFailures:
         with deadline(), pytest.raises(InjectedFault) as caught:
             Rbar(problem, use_kernel=True, workers=2)
         assert caught.value.context.get("lo") == 0
+        assert not wait_for_no_children()
+
+    def test_error_path_leaves_no_thread_exception(self, monkeypatch):
+        """Tearing the pool down after a worker error must not fail the
+        futures ``Executor.map`` cancelled from the executor's manager
+        thread; oversubscribed workers make that race likely."""
+        monkeypatch.setattr(
+            parallel, "run_shard_serial", _raise_typed_on_shard_zero_others_slow
+        )
+        problem = intermediate(mis_problem(4))
+        workers = (os.cpu_count() or 1) + 2
+        captured = []
+        previous = threading.excepthook
+        threading.excepthook = captured.append
+        try:
+            with deadline(2 * DEADLINE):
+                for _ in range(20):
+                    with pytest.raises(InjectedFault):
+                        Rbar(problem, use_kernel=True, workers=workers)
+        finally:
+            threading.excepthook = previous
+        assert [str(hook.exc_value) for hook in captured] == []
         assert not wait_for_no_children()
 
 
