@@ -30,15 +30,27 @@ from repro.robustness import budget as _budget
 from repro.robustness.errors import InvalidProblem
 
 
+def render_map(groups: Iterable[Iterable[Hashable]]) -> dict[Hashable, str]:
+    """``render_label`` of every label in ``groups``, computed once.
+
+    Canonical order is the stable sort by ``render_label``; sorting by
+    lookups in this map gives the same order without re-rendering nested
+    labels on every comparison.  Build one per call, keyed by that
+    call's own labels: a process-wide memo would be keyed by equality,
+    and equal labels can render differently (``1`` and ``True``).
+    """
+    return {label: render_label(label) for group in groups for label in group}
+
+
 def insert_canonical(
     items: tuple[Hashable, ...], label: Hashable, order: dict[Hashable, str]
 ) -> tuple[Hashable, ...]:
     """Add ``label`` to the canonically ordered ``items``.
 
     Equals ``tuple(sorted(items + (label,), key=render_label))``:
-    ``order`` maps every label involved to its rendering, and the stable
-    sort places ``label`` after each item rendering equal to it, which
-    is exactly ``bisect_right``.
+    ``order`` (a :func:`render_map`) covers every label involved, and
+    the stable sort places ``label`` after each item rendering equal to
+    it, which is exactly ``bisect_right``.
     """
     index = bisect.bisect_right(items, order[label], key=order.__getitem__)
     return items[:index] + (label,) + items[index:]
@@ -256,11 +268,7 @@ class CondensedConfiguration:
         a group ``[ABPQ]^9`` contributes C(12, 3) = 220 multisets, not
         4^9 tuples.
         """
-        order = {
-            label: render_label(label)
-            for disjunction, _ in self._parts
-            for label in disjunction.labels
-        }
+        order = render_map(disjunction.labels for disjunction, _ in self._parts)
         group_options: list[list[tuple]] = []
         for disjunction, exponent in self._parts:
             members = sorted(disjunction.labels, key=order.__getitem__)

@@ -19,7 +19,7 @@ import itertools
 from collections.abc import Hashable, Iterable
 from typing import TYPE_CHECKING
 
-from repro.core.configurations import insert_canonical
+from repro.core.configurations import insert_canonical, render_map
 from repro.core.constraints import Constraint
 from repro.core.labels import render_label
 from repro.robustness import budget as _budget
@@ -41,11 +41,7 @@ class Diagram:
         # occurrence of ``weak`` from each allowed configuration holding
         # it, insert ``strong``, and look the result up.
         allowed = {configuration.items for configuration in constraint.configurations}
-        order = {
-            label: render_label(label)
-            for items in (self._labels, *allowed)
-            for label in items
-        }
+        order = render_map((self._labels, *allowed))
         remainders: dict[Hashable, list[tuple]] = {
             weak: [] for weak in self._labels
         }

@@ -32,6 +32,7 @@ from repro.core.configurations import (
     Configuration,
     Disjunction,
     insert_canonical,
+    render_map,
 )
 from repro.core.constraints import Constraint
 from repro.core.diagram import Diagram
@@ -115,7 +116,7 @@ def maximize_node_constraint(problem: Problem) -> Constraint:
     candidate_sets = sorted(diagram.right_closed_sets(), key=_set_sort_key)
     _trace.add("node.right_closed_sets", len(candidate_sets))
     closure = _prefix_closure(node_constraint)
-    order = _render_map(candidate_sets)
+    order = render_map(candidate_sets)
     results: list[tuple[frozenset, ...]] = []
 
     def extend(start: int, chosen: list[frozenset], frontier: frozenset) -> None:
@@ -148,18 +149,6 @@ def maximize_node_constraint(problem: Problem) -> Constraint:
             candidate_sets=len(candidate_sets),
         )
     return Constraint(Configuration(sets) for sets in maximal)
-
-
-def _render_map(label_sets: Iterable[frozenset]) -> dict[Hashable, str]:
-    """``render_label`` of every member of ``label_sets``, computed once.
-
-    The map lives for one operator call and is keyed by that call's
-    own labels; a process-wide memo would be keyed by equality, and
-    equal labels can render differently (``1`` and ``True``).
-    """
-    return {
-        label: render_label(label) for labels in label_sets for label in labels
-    }
 
 
 def _prefix_closure(constraint: Constraint) -> frozenset[tuple]:
@@ -249,8 +238,8 @@ def existential_constraint(
     choice allowed by ``old_constraint`` (the second halves of R / Rbar)."""
     labels = sorted(set(new_labels), key=_set_sort_key)
     closure = _prefix_closure(old_constraint)
-    order = _render_map(labels)
-    rendered = {new_label: render_label(new_label) for new_label in labels}
+    order = render_map(labels)
+    rendered = render_map([labels])
     results: set[Configuration] = set()
 
     def extend(start: int, chosen: list[frozenset], frontier: frozenset) -> None:

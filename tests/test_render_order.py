@@ -23,6 +23,7 @@ from repro.core.configurations import (
     Disjunction,
     insert_canonical,
     parse_condensed,
+    render_map,
 )
 from repro.core.diagram import Diagram
 from repro.core.labels import render_label
@@ -59,10 +60,6 @@ def literal_sorted(labels) -> tuple:
     return tuple(sorted(labels, key=render_label))
 
 
-def order_of(labels) -> dict:
-    return {label: render_label(label) for label in labels}
-
-
 # ---------------------------------------------------------------------------
 # Frontier growth
 # ---------------------------------------------------------------------------
@@ -75,7 +72,7 @@ def test_insert_canonical_is_the_stable_sort(pool, data):
         data.draw(st.lists(st.sampled_from(pool), max_size=6))
     )
     label = data.draw(st.sampled_from(pool))
-    assert insert_canonical(partial, label, order_of(pool)) == literal_sorted(
+    assert insert_canonical(partial, label, render_map([pool])) == literal_sorted(
         partial + (label,)
     )
 
@@ -97,7 +94,7 @@ def test_grown_frontiers_match_literal(pool, seed):
         for _ in range(rng.randint(1, 6))
     )
     candidate = frozenset(rng.sample(pool, rng.randint(1, 4)))
-    order = order_of(pool)
+    order = render_map([pool])
     extensions = literal_extensions(frontier, candidate)
     closure = frozenset(extensions)
     assert _grow_frontier(frontier, candidate, closure, order) == closure
