@@ -1,19 +1,10 @@
-"""Numeric bound formulas, table builders, and whole-program analysis.
+"""Numeric bound formulas and table builders.
 
-Two halves live here:
-
-* Paper math — :mod:`repro.analysis.bounds` collects the asymptotic
-  bound expressions of the paper and of the prior work it compares
-  against, as concrete functions of (n, Delta, k);
-  :mod:`repro.analysis.tables` renders the comparison tables used by
-  the benchmarks and EXPERIMENTS.md.
-* Static analysis — :mod:`repro.analysis.callgraph` links the whole
-  ``src/repro`` tree into a module-qualified call graph,
-  :mod:`repro.analysis.facts` summarizes each function, and
-  :mod:`repro.analysis.detectors` runs the interprocedural detectors
-  AN001-AN004 (hot-path closure, budget reachability, lock order,
-  counter flow) that ``python -m repro.analysis`` gates CI with —
-  the cross-call complement to :mod:`repro.lint`'s per-file rules.
+:mod:`repro.analysis.bounds` collects the asymptotic bound expressions
+of the paper and of the prior work it compares against, as concrete
+functions of (n, Delta, k); :mod:`repro.analysis.tables` renders the
+comparison tables used by the benchmarks and EXPERIMENTS.md, which
+:mod:`repro.analysis.experiments` regenerates.
 """
 
 from repro.analysis.bounds import (
@@ -26,38 +17,15 @@ from repro.analysis.bounds import (
     upper_bound_k_outdegree_ds,
     upper_bound_mis_bek,
 )
-from repro.analysis.callgraph import (
-    AnalysisError,
-    CallEdge,
-    CallGraph,
-    build_call_graph,
-)
-from repro.analysis.detectors import (
-    DETECTORS,
-    Detector,
-    Finding,
-    run_detectors,
-)
-from repro.analysis.facts import ProgramFacts, collect_facts
 from repro.analysis.tables import Table
 
 __all__ = [
-    "AnalysisError",
-    "CallEdge",
-    "CallGraph",
-    "DETECTORS",
-    "Detector",
-    "Finding",
-    "ProgramFacts",
     "Table",
     "balliu2019_lower_bound",
     "bbo2020_deterministic_lower_bound",
     "bbo2020_randomized_lower_bound",
-    "build_call_graph",
-    "collect_facts",
     "kmw_lower_bound",
     "log_star",
-    "run_detectors",
     "upper_bound_k_degree_ds",
     "upper_bound_k_outdegree_ds",
     "upper_bound_mis_bek",

@@ -129,7 +129,7 @@ def _refined_colors(problem: Problem, labels: list) -> dict:
     signatures = {label: problem._label_signature(label) for label in labels}
     ranked = sorted(set(signatures.values()))
     color = {label: ranked.index(signatures[label]) for label in labels}
-    # analysis: unbounded-ok(WL refinement strictly coarsens until stable, at most len(labels) rounds)
+    # reprolint: unbounded-ok(WL refinement strictly coarsens until stable, at most len(labels) rounds)
     while True:
         profiles = {}
         for label in labels:

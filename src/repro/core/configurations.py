@@ -364,7 +364,7 @@ def parse_condensed(text: str) -> CondensedConfiguration:
         position += 1
         return label
 
-    # analysis: unbounded-ok(single left-to-right scan of one constraint line)
+    # reprolint: unbounded-ok(single left-to-right scan of one constraint line)
     while True:
         skip_spaces()
         if position >= length:
@@ -373,7 +373,7 @@ def parse_condensed(text: str) -> CondensedConfiguration:
         if character == "[":
             position += 1
             members: list[str] = []
-            # analysis: unbounded-ok(consumes at least one character of the line per iteration)
+            # reprolint: unbounded-ok(consumes at least one character of the line per iteration)
             while True:
                 skip_spaces()
                 if position >= length:

@@ -856,7 +856,7 @@ def prune_non_maximal_masks(
     single-coordinate-enlargement argument, with int-subset tests).
 
     Membership structures are dicts rather than sets so the hot loop
-    allocates nothing set-shaped (RL010); insertion order is irrelevant
+    allocates nothing set-shaped (AN001); insertion order is irrelevant
     because only key lookups are performed.
     """
     candidates = list(candidate_sets)

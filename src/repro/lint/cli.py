@@ -15,21 +15,31 @@ file lives inside the package.
 
 from __future__ import annotations
 
+import json
 import sys
 
-from repro.lint.engine import lint_paths
+from repro.lint.detectors import DETECTORS
+from repro.lint.engine import FileReport, lint_paths
 from repro.lint.rules import RULES
 
 USAGE = """\
-usage: python -m repro.lint [--list-rules] PATH [PATH ...]
+usage: python -m repro.lint [--json] [--list-rules] PATH [PATH ...]
 
-Project-invariant static analysis for the round-elimination engine.
-Scans the given files and directories (the canonical invocation is
-`python -m repro.lint src tests tools benchmarks`) and reports every
-violation as `path:line: CODE message`.
+Static analysis for the round-elimination engine.  Runs the per-file
+rules RL001-RL009 on every python file under the given paths, then the
+whole-program detectors AN001-AN004 over the call graph of the files
+inside the `repro` package.  The canonical invocation is
+`python -m repro.lint src tests tools benchmarks`.  Each finding is
+reported as `path:line: CODE message`.
 
-Suppress a finding with a trailing comment on its line:
-    # reprolint: disable=RL001 -- justification
+Options:
+    --json        print the findings as one JSON report on stdout
+    --list-rules  print the rule and detector catalogue and exit
+
+Waive a finding with a comment on its (anchor) line:
+    # reprolint: disable=RL001,AN003 -- justification
+or, for an AN002 loop, on its header line or the line above:
+    # reprolint: unbounded-ok(why this loop is bounded)
 
 Exit status (unified across repro tooling):
     0  clean
@@ -39,16 +49,43 @@ Exit status (unified across repro tooling):
 
 
 def list_rules() -> str:
-    """The rule catalogue as aligned ``CODE name summary`` lines."""
-    width = max(len(rule.name) for rule in RULES)
+    """The catalogue as aligned ``CODE name summary`` lines, RL then AN."""
+    entries = [(rule.code, rule.name, rule.summary) for rule in RULES] + [
+        (detector.code, detector.name, detector.summary)
+        for detector in DETECTORS
+    ]
+    width = max(len(name) for _, name, _ in entries)
     return "\n".join(
-        f"{rule.code}  {rule.name.ljust(width)}  {rule.summary}"
-        for rule in RULES
+        f"{code}  {name.ljust(width)}  {summary}"
+        for code, name, summary in entries
+    )
+
+
+def _json_report(reports: list[FileReport]) -> str:
+    return json.dumps(
+        {
+            "schema": 1,
+            "scanned_files": len(reports),
+            "violations": [
+                {
+                    "code": violation.code,
+                    "path": violation.path,
+                    "line": violation.line,
+                    "symbol": violation.symbol,
+                    "message": violation.message,
+                }
+                for report in reports
+                for violation in report.violations
+            ],
+        },
+        indent=2,
+        sort_keys=True,
     )
 
 
 def main(argv: list[str]) -> int:
     paths: list[str] = []
+    as_json = False
     for argument in argv:
         if argument in ("-h", "--help"):
             print(USAGE)  # reprolint: disable=RL007 -- the lint CLI front-end
@@ -56,6 +93,9 @@ def main(argv: list[str]) -> int:
         if argument == "--list-rules":
             print(list_rules())  # reprolint: disable=RL007 -- the lint CLI front-end
             return 0
+        if argument == "--json":
+            as_json = True
+            continue
         if argument.startswith("-"):
             print(  # reprolint: disable=RL007 -- the lint CLI front-end
                 f"error: unknown option {argument}\n{USAGE}", file=sys.stderr
@@ -83,8 +123,11 @@ def main(argv: list[str]) -> int:
     violations = [
         violation for report in reports for violation in report.violations
     ]
-    for violation in violations:
-        print(violation.render())  # reprolint: disable=RL007 -- the lint CLI front-end
+    if as_json:
+        print(_json_report(reports))  # reprolint: disable=RL007 -- the lint CLI front-end
+    else:
+        for violation in violations:
+            print(violation.render())  # reprolint: disable=RL007 -- the lint CLI front-end
     if broken:
         return 2
     if violations:

@@ -1,4 +1,4 @@
-"""The project-invariant rule catalogue, RL001 through RL010.
+"""The per-file rule catalogue, RL001 through RL009.
 
 Each rule guards one convention the engine's correctness story leans
 on but that nothing else checks mechanically:
@@ -26,16 +26,13 @@ on but that nothing else checks mechanically:
   non-empty golden trace case, and a ``.scn`` spec filename.  A
   scenario outside the differential and golden gates is an untested
   workload pretending otherwise.
-* RL010 — kernel functions marked ``# hotpath`` stay allocation-free
-  of ``set``/``frozenset``: the engine-v2 inner loops speak int
-  bitmasks end to end, and a set sneaking back into a marked function
-  is exactly the regression the Δ=5 bench gate would later catch the
-  slow way.  Mark a function by placing ``# hotpath`` on its ``def``
-  line or on the line directly above it.
 
 Rules are pure AST passes over one file at a time; scope is decided
 from the file's path parts so the same rule set runs identically over
 the real tree and over the test fixtures that mirror its layout.
+Invariants that cross call edges (the ``# hotpath`` allocation ban
+among them) are the whole-program detectors of
+:mod:`repro.lint.detectors`.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ import ast
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
-from repro.lint.violations import Violation
+from repro.lint.violations import Suppressions, Violation
 
 #: Counters every ``.add("name")`` emission must be declared among.
 from repro.observability.schema import SEMANTIC_COUNTERS, TIMING_COUNTERS
@@ -76,12 +73,13 @@ _PERSIST_ATTRS = ("save",)
 
 @dataclass(frozen=True)
 class FileContext:
-    """One parsed file, ready for the rule passes."""
+    """One parsed file, ready for the rule passes and the call graph."""
 
     path: str
     parts: tuple[str, ...]
     tree: ast.Module
     source: str
+    suppressions: Suppressions
 
 
 @dataclass(frozen=True)
@@ -156,15 +154,16 @@ def _call_name(node: ast.Call) -> str | None:
     return None
 
 
-def _is_setish(node: ast.expr) -> bool:
-    """An expression that evaluates to a freshly built, unordered set."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("set", "frozenset")
-    )
+def _is_setish(node: ast.expr) -> str | None:
+    """The kind of freshly built, unordered set ``node`` is, if any."""
+    if isinstance(node, ast.Set):
+        return "set literal"
+    if isinstance(node, ast.SetComp):
+        return "set comprehension"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id in ("set", "frozenset"):
+            return f"{node.func.id}() call"
+    return None
 
 
 def _violation(
@@ -271,7 +270,7 @@ def _rl002_call(context: FileContext, node: ast.Call) -> Iterator[Violation]:
             )
     # {list,tuple,enumerate}(set(...)) and "sep".join(set(...)):
     # unordered input materialized into ordered output.
-    setish_arg = bool(node.args) and _is_setish(node.args[0])
+    setish_arg = bool(node.args) and _is_setish(node.args[0]) is not None
     if setish_arg and isinstance(func, ast.Name) and func.id in (
         "list", "tuple", "enumerate"
     ):
@@ -654,51 +653,6 @@ def _check_rl009(context: FileContext) -> Iterator[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# RL010 — hotpath-marked kernel functions allocate no sets
-# ---------------------------------------------------------------------------
-
-#: The exact marker comment that opts a function into RL010.
-_HOTPATH_MARKER = "# hotpath"
-
-
-def _hotpath_functions(
-    context: FileContext,
-) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Functions marked ``# hotpath`` on the def line or the line above.
-
-    For a decorated function ``node.lineno`` is the ``def`` line, below
-    the decorators — so "the line above" is anchored at the function's
-    first line of source (its first decorator, if any), where the
-    marker naturally sits.
-    """
-    lines = context.source.splitlines()
-    for node in ast.walk(context.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        def_line = lines[node.lineno - 1] if node.lineno <= len(lines) else ""
-        anchor = min(
-            [node.lineno]
-            + [decorator.lineno for decorator in node.decorator_list]
-        )
-        above = lines[anchor - 2] if anchor >= 2 else ""
-        if _HOTPATH_MARKER in def_line or above.strip() == _HOTPATH_MARKER:
-            yield node
-
-
-def _check_rl010(context: FileContext) -> Iterator[Violation]:
-    for function in _hotpath_functions(context):
-        for node in ast.walk(function):
-            if isinstance(node, ast.expr) and _is_setish(node):
-                yield _violation(
-                    context, node, "RL010",
-                    f"set/frozenset allocated inside `# hotpath` function "
-                    f"{function.name!r}: the kernel hot path speaks int "
-                    "bitmasks only — hoist the set build to a cold "
-                    "(unmarked) helper or drop the marker",
-                )
-
-
-# ---------------------------------------------------------------------------
 # The catalogue
 # ---------------------------------------------------------------------------
 
@@ -791,16 +745,6 @@ RULES: Sequence[Rule] = (
         ),
         applies=_in_scenarios,
         check=_check_rl009,
-    ),
-    Rule(
-        code="RL010",
-        name="hotpath-no-set-alloc",
-        summary=(
-            "kernel functions marked `# hotpath` allocate no "
-            "set/frozenset (int-bitmask loops only)"
-        ),
-        applies=_in_kernel,
-        check=_check_rl010,
     ),
 )
 

@@ -1,14 +1,16 @@
-"""Tests for the whole-program analyzer: fixtures, waivers, self-check.
+"""Tests for reprolint's whole-program detectors AN001-AN004.
 
 Each detector has a fixture mini-tree under
-``tests/fixtures/analysis/<anxxx>/`` mirroring the real layout
+``tests/lint_fixtures/<anxxx>/`` mirroring the real layout
 (``src/repro/<package>/...``), so module naming and path scoping run
-identically over fixtures and product code.  Every tree seeds one true
-positive *and* one waived case, proving both that the detector fires
-and that its escape hatch works.
+identically over fixtures and product code.  Every tree seeds true
+positives *and* waived cases, proving both that the detector fires
+and that its ``# reprolint:`` escape hatch works.  The fixture trees
+are driven through :func:`repro.lint.lint_paths`, the same single
+parse that feeds the per-file rules.
 
 The self-check tests then pin the shipped tree itself at zero
-findings — the same gate CI runs via ``python -m repro.analysis``.
+findings — the same gate CI runs via ``python -m repro.lint``.
 """
 
 from __future__ import annotations
@@ -21,39 +23,44 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
+from repro.lint import (
     DETECTORS,
     build_call_graph,
     collect_facts,
-    run_detectors,
+    discover,
+    lint_paths,
+    parse_file,
+    parse_suppressions,
 )
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.callgraph import AnalysisError, module_name_of
-from repro.analysis.facts import parse_waivers
+from repro.lint.callgraph import module_name_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = REPO_ROOT / "tests" / "fixtures" / "analysis"
+FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
 SRC_TREE = REPO_ROOT / "src" / "repro"
 
 DETECTOR_CODES = [detector.code for detector in DETECTORS]
 
 
-def analyze_fixture(name, codes=None):
-    """Build graph + facts for one fixture tree and run the detectors."""
-    graph = build_call_graph([str(FIXTURES / name / "src")])
-    facts = collect_facts(graph)
-    return graph, facts, run_detectors(graph, facts, codes)
+def analyze_fixture(name):
+    """Every finding ``python -m repro.lint`` reports on one fixture tree."""
+    reports, missing = lint_paths([str(FIXTURES / name / "src")])
+    assert not missing
+    assert all(report.error is None for report in reports)
+    return [violation for report in reports for violation in report.violations]
+
+
+def link(path):
+    """The call graph of the python files under ``path``."""
+    files, missing = discover([str(path)])
+    assert not missing
+    return build_call_graph(parse_file(name) for name in files)
 
 
 def run_cli(*argv, cwd=None, timeout=300):
     environment = dict(os.environ)
     environment["PYTHONPATH"] = str(REPO_ROOT / "src")
     return subprocess.run(
-        [sys.executable, "-m", "repro.analysis", *argv],
+        [sys.executable, "-m", "repro.lint", *argv],
         cwd=cwd or REPO_ROOT,
         env=environment,
         stdin=subprocess.DEVNULL,
@@ -66,7 +73,7 @@ def run_cli(*argv, cwd=None, timeout=300):
 @pytest.fixture(scope="module")
 def real_tree():
     """The shipped tree's graph and facts, built once per test module."""
-    graph = build_call_graph([str(SRC_TREE)])
+    graph = link(SRC_TREE)
     return graph, collect_facts(graph)
 
 
@@ -98,7 +105,7 @@ def test_module_name_derives_from_last_repro_component():
 
 
 def test_fixture_tree_links_cross_module_calls():
-    graph, _, _ = analyze_fixture("an002")
+    graph = link(FIXTURES / "an002" / "src")
     chain = graph.call_chain(
         "repro.lowerbound.chain.run", "repro.core.ops.mutate"
     )
@@ -116,32 +123,69 @@ def test_fixture_tree_links_cross_module_calls():
 
 
 def test_thread_targets_become_roots():
-    graph, _, _ = analyze_fixture("an003")
+    graph = link(FIXTURES / "an003" / "src")
     assert "repro.service.worker.Coordinator.poll" in graph.thread_roots
     assert "repro.service.worker.Coordinator.drain" in graph.thread_roots
 
 
 # ---------------------------------------------------------------------------
-# Per-detector fixtures: one true positive, one waived case each
+# Per-detector fixtures: true positives and waived cases
 # ---------------------------------------------------------------------------
 
+def an001_findings():
+    """The AN001 fixture's findings, keyed by line."""
+    findings = analyze_fixture("an001")
+    assert {finding.code for finding in findings} == {"AN001"}
+    return {finding.line: finding for finding in findings}
+
+
 def test_an001_flags_allocation_in_hot_closure_with_chain():
-    _, _, findings = analyze_fixture("an001")
-    assert [finding.code for finding in findings] == ["AN001"]
-    finding = findings[0]
-    assert finding.line == 23  # grown = set() inside _expand
+    finding = an001_findings()[23]  # grown = set() inside _expand
     assert finding.symbol == "repro.core.kernel.hot._expand"
     assert "core.kernel.hot.dfs" in finding.message
     assert "->" in finding.message  # the call chain is reported
 
 
 def test_an001_disable_comment_waives_the_boot_table():
-    _, _, findings = analyze_fixture("an001")
-    assert all(finding.line != 34 for finding in findings)
+    assert 34 not in an001_findings()
+
+
+def test_an001_flags_a_marked_functions_own_allocation():
+    finding = an001_findings()[40]  # survivors = set() inside grow
+    assert finding.symbol == "repro.core.kernel.hot.grow"
+    assert "set() call" in finding.message
+    assert "(chain: core.kernel.hot.grow);" in finding.message
+
+
+def test_an001_marker_above_the_first_decorator_counts():
+    finding = an001_findings()[55]  # frozenset(...) in _grow_cached
+    assert finding.symbol == "repro.core.kernel.hot._grow_cached"
+    assert "frozenset() call" in finding.message
+
+
+def test_an001_line_suppression_silences_a_marked_function():
+    assert 60 not in an001_findings()  # _grow_waived's set comprehension
+
+
+def test_an001_unmarked_cold_helper_may_build_sets():
+    assert 66 not in an001_findings()  # _materialize, reached by no root
+
+
+def test_an001_trailing_hotpath_comment_marks_nothing():
+    findings = an001_findings()
+    assert 71 not in findings  # _widths_view, below `... # hotpath table`
+    assert sorted(findings) == [23, 40, 55]
+    graph = link(FIXTURES / "an001" / "src")
+    hot = {
+        qualname.rsplit(".", 1)[-1]
+        for qualname, summary in collect_facts(graph).functions.items()
+        if summary.hotpath
+    }
+    assert hot == {"dfs", "grow", "_grow_cached", "_grow_waived"}
 
 
 def test_an002_flags_governed_loop_without_checkpoint():
-    _, _, findings = analyze_fixture("an002")
+    findings = analyze_fixture("an002")
     assert [finding.code for finding in findings] == ["AN002"]
     finding = findings[0]
     assert finding.line == 10  # the while loop in explode
@@ -151,7 +195,7 @@ def test_an002_flags_governed_loop_without_checkpoint():
 
 
 def test_an002_waiver_and_direct_checkpoint_both_pass():
-    _, _, findings = analyze_fixture("an002")
+    findings = analyze_fixture("an002")
     flagged = {finding.line for finding in findings}
     assert 19 not in flagged  # condense: unbounded-ok(reason)
     assert 27 not in flagged  # rebuild: checkpoint in the loop body
@@ -171,7 +215,7 @@ def test_an002_empty_waiver_reason_is_itself_a_finding(tmp_path):
         "\n"
         "def spin(items: object) -> int:\n"
         "    total = 0\n"
-        "    # analysis: unbounded-ok()\n"
+        "    # reprolint: unbounded-ok()\n"
         "    while items:\n"
         "        total += probe(items)\n"
         "        items = None\n"
@@ -181,15 +225,14 @@ def test_an002_empty_waiver_reason_is_itself_a_finding(tmp_path):
         "def probe(items: object) -> int:\n"
         "    return 1\n"
     )
-    graph = build_call_graph([str(tmp_path / "src")])
-    facts = collect_facts(graph)
-    findings = run_detectors(graph, facts)
+    reports, _ = lint_paths([str(tmp_path / "src")])
+    findings = [v for report in reports for v in report.violations]
     assert [finding.code for finding in findings] == ["AN002"]
     assert "non-empty reason" in findings[0].message
 
 
 def test_an003_reports_cycle_and_unguarded_cross_thread_write():
-    _, _, findings = analyze_fixture("an003")
+    findings = analyze_fixture("an003")
     assert [finding.code for finding in findings] == ["AN003", "AN003"]
     cycle, write = findings
     assert cycle.line == 35  # with self._lock: inside drain
@@ -202,14 +245,14 @@ def test_an003_reports_cycle_and_unguarded_cross_thread_write():
 
 
 def test_an003_guarded_and_waived_writes_pass():
-    _, _, findings = analyze_fixture("an003")
+    findings = analyze_fixture("an003")
     symbols = {finding.symbol for finding in findings}
     assert "repro.service.worker.Coordinator._jobs" not in symbols
     assert "repro.service.worker.Coordinator._beacon" not in symbols
 
 
 def test_an004_flags_dead_and_single_engine_counters():
-    _, _, findings = analyze_fixture("an004")
+    findings = analyze_fixture("an004")
     assert [finding.code for finding in findings] == ["AN004", "AN004"]
     single, dead = findings
     assert single.symbol == "node.configs.out"
@@ -219,7 +262,7 @@ def test_an004_flags_dead_and_single_engine_counters():
 
 
 def test_an004_waived_and_healthy_counters_pass():
-    _, _, findings = analyze_fixture("an004")
+    findings = analyze_fixture("an004")
     symbols = {finding.symbol for finding in findings}
     assert "cache.legacy" not in symbols  # disable comment
     assert "labels.in" not in symbols  # both engines emit it
@@ -231,79 +274,31 @@ def test_an004_waived_and_healthy_counters_pass():
 # ---------------------------------------------------------------------------
 
 def test_parse_waivers_reads_both_comment_forms():
-    disable, unbounded = parse_waivers(
-        "x = 1  # analysis: disable=AN001, AN003 -- justified\n"
-        "y = 2  # analysis: disable=all\n"
-        "# analysis: unbounded-ok(scan is one pass)\n"
+    suppressions = parse_suppressions(
+        "x = 1  # reprolint: disable=AN001, AN003 -- justified\n"
+        "y = 2  # reprolint: disable=all\n"
+        "# reprolint: unbounded-ok(scan is one pass)\n"
         "while y:\n"
         "    pass\n"
     )
-    assert disable[1] == {"AN001", "AN003"}
-    assert disable[2] == {"all"}
-    assert unbounded[3] == "scan is one pass"
+    assert suppressions.disabled[1] == {"AN001", "AN003"}
+    assert suppressions.disabled[2] == {"all"}
+    assert suppressions.unbounded == {3: "scan is one pass"}
 
 
 def test_parse_waivers_keeps_empty_reason_distinct():
-    _, unbounded = parse_waivers("# analysis: unbounded-ok()\n")
-    assert unbounded[1] == ""
-
-
-# ---------------------------------------------------------------------------
-# Baseline round-trip
-# ---------------------------------------------------------------------------
-
-def test_baseline_round_trip_grandfathers_findings(tmp_path):
-    _, _, findings = analyze_fixture("an001")
-    baseline_file = tmp_path / "baseline.json"
-    assert write_baseline(str(baseline_file), findings) == 1
-    entries = load_baseline(str(baseline_file))
-    fresh, stale = apply_baseline(findings, entries)
-    assert fresh == []
-    assert stale == []
-
-
-def test_baseline_reports_stale_entries(tmp_path):
-    _, _, findings = analyze_fixture("an001")
-    baseline_file = tmp_path / "baseline.json"
-    baseline_file.write_text(
-        json.dumps(
-            {
-                "version": 1,
-                "entries": [
-                    {
-                        "code": "AN001",
-                        "path": "src/repro/core/kernel/hot.py",
-                        "symbol": "repro.core.kernel.hot._expand",
-                    },
-                    {
-                        "code": "AN003",
-                        "path": "src/repro/service/gone.py",
-                        "symbol": "repro.service.gone.Ghost._x",
-                    },
-                ],
-            }
-        )
-    )
-    fresh, stale = apply_baseline(findings, load_baseline(str(baseline_file)))
-    assert fresh == []
-    assert [entry.code for entry in stale] == ["AN003"]
-
-
-def test_malformed_baseline_is_an_analysis_error(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text('{"version": 99, "entries": []}')
-    with pytest.raises(AnalysisError):
-        load_baseline(str(bad))
+    suppressions = parse_suppressions("# reprolint: unbounded-ok()\n")
+    assert suppressions.unbounded[1] == ""
 
 
 # ---------------------------------------------------------------------------
 # The shipped tree: self-check and schema closure
 # ---------------------------------------------------------------------------
 
-def test_shipped_tree_has_zero_findings(real_tree):
-    graph, facts = real_tree
-    findings = run_detectors(graph, facts)
-    assert findings == [], [finding.render() for finding in findings]
+def test_shipped_tree_has_zero_findings():
+    reports, _ = lint_paths([str(SRC_TREE)])
+    findings = [v.render() for report in reports for v in report.violations]
+    assert findings == []
 
 
 def test_schema_emission_closure(real_tree):
@@ -361,91 +356,32 @@ def test_kernel_dispatch_edges_reach_the_chunk_runners(real_tree):
     assert dispatched <= graph.reachable([pool])
 
 
-def test_committed_baseline_is_current():
-    """The repo-root baseline parses and carries no stale entries."""
-    entries = load_baseline(str(REPO_ROOT / "analysis_baseline.json"))
-    graph = build_call_graph([str(SRC_TREE)])
-    findings = run_detectors(graph, collect_facts(graph))
-    _, stale = apply_baseline(findings, entries)
-    assert stale == [], [entry.path for entry in stale]
-
-
 # ---------------------------------------------------------------------------
 # The command line, exactly as CI runs it
 # ---------------------------------------------------------------------------
 
 class TestAnalysisCli:
     def test_shipped_tree_is_clean(self):
-        completed = run_cli()
+        completed = run_cli("src")
         assert completed.returncode == 0, completed.stdout + completed.stderr
 
     def test_fixture_tree_exits_1_with_findings(self):
-        completed = run_cli("tests/fixtures/analysis/an001/src")
+        completed = run_cli("tests/lint_fixtures/an001/src")
         assert completed.returncode == 1
         assert "AN001" in completed.stdout
-        assert "finding" in completed.stderr
+        assert "violation" in completed.stderr
 
     def test_json_report_shape(self):
-        completed = run_cli("--json", "tests/fixtures/analysis/an004/src")
+        completed = run_cli("--json", "tests/lint_fixtures/an004/src")
         assert completed.returncode == 1
         report = json.loads(completed.stdout)
         assert report["schema"] == 1
-        assert report["scanned_modules"] == 3
+        assert report["scanned_files"] == 3
         assert [v["code"] for v in report["violations"]] == ["AN004", "AN004"]
-        assert report["stale_baseline_entries"] == []
-
-    def test_write_then_apply_baseline_grandfathers(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        wrote = run_cli(
-            "--write-baseline", str(baseline),
-            "tests/fixtures/analysis/an003/src",
-        )
-        assert wrote.returncode == 0, wrote.stderr
-        assert baseline.is_file()
-        applied = run_cli(
-            "--baseline", str(baseline),
-            "tests/fixtures/analysis/an003/src",
-        )
-        assert applied.returncode == 0, applied.stdout + applied.stderr
-
-    def test_stale_baseline_entry_warns(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "code": "AN001",
-                            "path": "src/repro/core/kernel/hot.py",
-                            "symbol": "repro.core.kernel.hot._expand",
-                        },
-                        {
-                            "code": "AN002",
-                            "path": "src/repro/core/gone.py",
-                            "symbol": "repro.core.gone.loop",
-                        },
-                    ],
-                }
-            )
-        )
-        completed = run_cli(
-            "--baseline", str(baseline),
-            "tests/fixtures/analysis/an001/src",
-        )
-        assert completed.returncode == 0
-        assert "stale baseline entry" in completed.stderr
-
-    def test_only_restricts_detectors(self):
-        completed = run_cli(
-            "--only", "AN001", "tests/fixtures/analysis/an004/src"
-        )
-        assert completed.returncode == 0, completed.stdout + completed.stderr
-
-    def test_unknown_only_code_exits_2(self):
-        completed = run_cli("--only", "AN999")
-        assert completed.returncode == 2
-        assert completed.stderr.startswith("error:")
+        assert [v["symbol"] for v in report["violations"]] == [
+            "node.configs.out",
+            "cache.ghost",
+        ]
 
     def test_missing_path_exits_2(self):
         completed = run_cli("no/such/tree")
@@ -469,11 +405,11 @@ class TestAnalysisCli:
         completed = run_cli("--help")
         assert completed.returncode == 0
         assert "Exit status" in completed.stdout
-        for fragment in ("0  clean", "1  findings", "2  usage"):
+        for fragment in ("0  clean", "1  violations", "2  usage"):
             assert fragment in completed.stdout
 
     def test_list_detectors_prints_the_catalogue(self):
-        completed = run_cli("--list-detectors")
+        completed = run_cli("--list-rules")
         assert completed.returncode == 0
         for code in DETECTOR_CODES:
             assert code in completed.stdout

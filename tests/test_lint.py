@@ -1,38 +1,49 @@
 """Tests for reprolint: fixtures, suppression, discovery, and self-check.
 
-Each rule has a fixture triple under ``tests/lint_fixtures/<rule>/``
-mirroring the real tree's layout (``src/repro/<package>/...``), so the
-path-scoping logic runs identically over fixtures and product code:
+Each per-file rule has a fixture triple under
+``tests/lint_fixtures/<rule>/`` mirroring the real tree's layout
+(``src/repro/<package>/...``), so the path-scoping logic runs
+identically over fixtures and product code:
 
 * ``violating.py`` — must yield that rule's code (and only it),
 * ``clean.py`` — the idiomatic fix, no violations,
 * ``suppressed.py`` — the violation under ``# reprolint: disable=...``.
 
-The self-check test then pins the shipped tree itself at zero
-violations — the same gate CI runs via ``python -m repro.lint``.
+The whole-program detectors' fixture trees (``tests/lint_fixtures/
+an00N/``) are exercised in ``tests/test_analysis.py``.  The self-check
+test then pins the shipped tree itself at zero violations — the same
+gate CI runs via ``python -m repro.lint``.
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import subprocess
 import sys
+from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from repro.lint import (
+    DETECTORS,
     RULES,
+    FileReport,
     discover,
     is_suppressed,
-    lint_file,
     lint_paths,
     parse_suppressions,
 )
+from repro.lint.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
 
 RULE_CODES = [rule.code for rule in RULES]
+DETECTOR_CODES = [detector.code for detector in DETECTORS]
+SHIPPED_DIRS = ("src", "tests", "tools", "benchmarks")
 
 #: rule code -> directory of its fixture triple (mirrors real scoping).
 FIXTURE_DIRS = {
@@ -45,8 +56,15 @@ FIXTURE_DIRS = {
     "RL007": FIXTURES / "rl007" / "src" / "repro" / "analysis",
     "RL008": FIXTURES / "rl008" / "src" / "repro" / "core",
     "RL009": FIXTURES / "rl009" / "src" / "repro" / "scenarios",
-    "RL010": FIXTURES / "rl010" / "src" / "repro" / "core" / "kernel",
 }
+
+
+def lint_file(path: Path) -> FileReport:
+    """The report of one explicitly named file, both passes included."""
+    reports, missing = lint_paths([str(path)])
+    assert not missing
+    (report,) = reports
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +72,7 @@ FIXTURE_DIRS = {
 # ---------------------------------------------------------------------------
 
 def test_catalogue_is_complete_and_ordered():
-    assert RULE_CODES == [f"RL{i:03d}" for i in range(1, 11)]
+    assert RULE_CODES == [f"RL{i:03d}" for i in range(1, 10)]
     assert len({rule.name for rule in RULES}) == len(RULES)
     for rule in RULES:
         assert rule.summary
@@ -73,7 +91,7 @@ def test_every_rule_has_a_fixture_triple():
 
 @pytest.mark.parametrize("code", RULE_CODES)
 def test_violating_fixture_trips_exactly_its_rule(code):
-    report = lint_file(str(FIXTURE_DIRS[code] / "violating.py"))
+    report = lint_file(FIXTURE_DIRS[code] / "violating.py")
     assert report.error is None
     assert report.violations, f"{code} fixture yielded nothing"
     assert {violation.code for violation in report.violations} == {code}
@@ -81,26 +99,26 @@ def test_violating_fixture_trips_exactly_its_rule(code):
 
 @pytest.mark.parametrize("code", RULE_CODES)
 def test_clean_fixture_is_clean(code):
-    report = lint_file(str(FIXTURE_DIRS[code] / "clean.py"))
+    report = lint_file(FIXTURE_DIRS[code] / "clean.py")
     assert report.error is None
     assert report.violations == ()
 
 
 @pytest.mark.parametrize("code", RULE_CODES)
 def test_suppression_silences_the_rule(code):
-    report = lint_file(str(FIXTURE_DIRS[code] / "suppressed.py"))
+    report = lint_file(FIXTURE_DIRS[code] / "suppressed.py")
     assert report.error is None
     assert report.violations == ()
 
 
 def test_rl007_scope_allows_print_under_tools():
-    report = lint_file(str(FIXTURES / "rl007" / "tools" / "script.py"))
+    report = lint_file(FIXTURES / "rl007" / "tools" / "script.py")
     assert report.error is None
     assert report.violations == ()
 
 
 def test_violations_render_path_line_code():
-    report = lint_file(str(FIXTURE_DIRS["RL001"] / "violating.py"))
+    report = lint_file(FIXTURE_DIRS["RL001"] / "violating.py")
     rendered = report.violations[0].render()
     assert "violating.py:6: RL001 " in rendered
 
@@ -112,7 +130,7 @@ def test_violations_render_path_line_code():
 def test_parse_suppressions_single_and_list():
     source = (
         "x = 1  # reprolint: disable=RL001\n"
-        "y = 2  # reprolint: disable=RL002, RL007 -- justified\n"
+        "y = 2  # reprolint: disable=RL002, AN003 -- justified\n"
         "z = 3  # reprolint: disable=all\n"
         "w = 4  # an ordinary comment\n"
     )
@@ -120,8 +138,9 @@ def test_parse_suppressions_single_and_list():
     assert is_suppressed(suppressions, 1, "RL001")
     assert not is_suppressed(suppressions, 1, "RL002")
     assert is_suppressed(suppressions, 2, "RL002")
-    assert is_suppressed(suppressions, 2, "RL007")
+    assert is_suppressed(suppressions, 2, "AN003")
     assert is_suppressed(suppressions, 3, "RL008")
+    assert is_suppressed(suppressions, 3, "AN001")
     assert not is_suppressed(suppressions, 4, "RL001")
 
 
@@ -157,10 +176,7 @@ def test_explicitly_named_fixture_is_still_lintable():
 # ---------------------------------------------------------------------------
 
 def test_shipped_tree_is_lint_clean():
-    targets = [
-        str(REPO_ROOT / name)
-        for name in ("src", "tests", "tools", "benchmarks")
-    ]
+    targets = [str(REPO_ROOT / name) for name in SHIPPED_DIRS]
     reports, missing = lint_paths(targets)
     assert not missing
     problems = [
@@ -171,6 +187,26 @@ def test_shipped_tree_is_lint_clean():
     errors = [report.error for report in reports if report.error]
     assert not errors, errors
     assert not problems, "\n".join(problems)
+
+
+def test_one_parse_per_discovered_file(monkeypatch):
+    """Both passes share one ``ast.parse`` of each file per run."""
+    parsed: Counter[str] = Counter()
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed[str(filename)] += 1
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.chdir(REPO_ROOT)
+    with redirect_stdout(io.StringIO()):
+        assert main(list(SHIPPED_DIRS)) == 0
+    files, _ = discover(list(SHIPPED_DIRS))
+    assert any("/repro/" in name for name in files)
+    # String annotations are parsed too, but never under a file name.
+    del parsed["<unknown>"]
+    assert parsed == Counter(files)
 
 
 # ---------------------------------------------------------------------------
@@ -218,5 +254,5 @@ def test_cli_help_and_list_rules_exit_0():
     assert "exit" in result.stdout.lower()
     listing = _run_lint("--list-rules")
     assert listing.returncode == 0
-    for code in RULE_CODES:
+    for code in RULE_CODES + DETECTOR_CODES:
         assert code in listing.stdout

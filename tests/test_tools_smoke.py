@@ -425,28 +425,33 @@ class TestReproLint:
 
 
 class TestReproAnalysis:
+    """The whole-program detectors, reached through the one lint CLI."""
+
     def test_shipped_tree_is_clean(self):
-        completed = run_script("-m", "repro.analysis")
+        completed = run_script("-m", "repro.lint", "--json", "src")
         assert completed.returncode == 0, completed.stdout + completed.stderr
+        assert json.loads(completed.stdout)["violations"] == []
 
     def test_help_exits_0_and_documents_exit_codes(self):
-        completed = run_script("-m", "repro.analysis", "--help")
+        completed = run_script("-m", "repro.lint", "--help")
         assert completed.returncode == 0
-        assert "Exit status" in completed.stdout
-        for fragment in ("0  clean", "1  findings", "2  usage"):
-            assert fragment in completed.stdout
+        for code in ("RL001-RL009", "AN001-AN004", "unbounded-ok"):
+            assert code in completed.stdout
 
     def test_fixture_tree_exits_1_with_json_report(self):
         completed = run_script(
-            "-m", "repro.analysis", "--json",
-            "tests/fixtures/analysis/an001/src",
+            "-m", "repro.lint", "--json",
+            "tests/lint_fixtures/rl001/src/repro/analysis/violating.py",
+            "tests/lint_fixtures/an004/src",
         )
         assert completed.returncode == 1
         report = json.loads(completed.stdout)
-        assert [v["code"] for v in report["violations"]] == ["AN001"]
+        assert [v["code"] for v in report["violations"]] == [
+            "RL001", "AN004", "AN004",
+        ]
 
     def test_missing_path_exits_2(self):
-        completed = run_script("-m", "repro.analysis", "no/such/tree")
+        completed = run_script("-m", "repro.lint", "no/such/tree")
         assert completed.returncode == 2
         assert completed.stderr.startswith("error:")
 

@@ -3,8 +3,9 @@
 Run:  PYTHONPATH=src python tools/callgraph_report.py [options] [PATH ...]
 
 Renders the same module-qualified call graph the AN001-AN004 detectors
-run over (:mod:`repro.analysis.callgraph`), so a finding's call chain
-can be audited visually and the resolver's blind spots inspected.
+of ``python -m repro.lint`` run over (:mod:`repro.lint.callgraph`), so
+a finding's call chain can be audited visually and the resolver's
+blind spots inspected.
 With no PATH the installed ``repro`` package tree is scanned.
 
 Options:
@@ -37,8 +38,9 @@ sys.path.insert(
 )
 
 import repro
-from repro.analysis.callgraph import AnalysisError, CallGraph, build_call_graph
-from repro.analysis.facts import ProgramFacts, collect_facts
+from repro.lint.callgraph import CallGraph, build_call_graph
+from repro.lint.engine import AnalysisError, discover, parse_file
+from repro.lint.facts import ProgramFacts, collect_facts
 
 USAGE = (
     "usage: callgraph_report.py [--format text|dot] [--root NAME] "
@@ -199,8 +201,11 @@ def main(argv: list[str]) -> int:
     if not paths:
         paths = [os.path.dirname(os.path.abspath(repro.__file__))]
 
+    files, missing = discover(paths)
+    if missing:
+        raise _fail(f"no such path: {', '.join(missing)}")
     try:
-        graph = build_call_graph(paths)
+        graph = build_call_graph([parse_file(path) for path in files])
     except AnalysisError as error:
         raise _fail(str(error)) from error
     facts = collect_facts(graph)
