@@ -6,8 +6,10 @@ stays the semantic source of truth; this package is its performance
 twin, pinned to it by the differential oracle in ``tests/oracle.py``.
 Select it through the ``use_kernel=True`` flag on the public entry
 points (``R``, ``Rbar``, ``speedup``, the zero-round tests, the
-relaxation helpers, ``run_chain``) or call the ``*_kernel`` functions
-directly.
+relaxation helpers) or call the ``*_kernel`` functions directly.  The
+engine work of :mod:`repro.lowerbound` (``run_chain``,
+``build_certificate`` and the Lemma 6/8 checks) runs here by default;
+``use_kernel=False`` sends it back to the reference engine.
 """
 
 from repro.core.kernel.bitops import (

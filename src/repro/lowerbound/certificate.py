@@ -19,6 +19,13 @@ The result is a :class:`LowerBoundCertificate` whose ``ok`` property
 states that every executed check passed — the closest a program can
 come to "running" the paper's proof for one parameter point.
 
+The engine computations (the Lemma 12 tests, R for Lemma 6, and the
+node maximization and existential step of Lemma 8's direct check) run
+on the kernel engine by default.  The reference engine stays the oracle:
+``use_kernel=False`` builds the same certificate on it, and the two
+are pinned byte-identical — render, ``to_dict``, semantic counters and
+checkpoint files — by ``tests/test_certificate_engines.py``.
+
 The builder is *resource-governed*: pass a
 :class:`~repro.robustness.budget.Budget` to bound it and a
 :class:`~repro.robustness.checkpointing.CheckpointStore` to make it
@@ -143,8 +150,14 @@ def build_certificate(
     *,
     store: CheckpointStore | None = None,
     budget: Budget | None = None,
+    use_kernel: bool = True,
 ) -> LowerBoundCertificate:
     """Run the whole roadmap for one parameter point.
+
+    ``use_kernel`` is passed to the chain arithmetic and the Lemma 6/8
+    checks, so one value picks the engine for all of them: the kernel
+    by default, the reference engine with ``use_kernel=False``.  Both
+    render and checkpoint byte-identically.
 
     All proof checks are raise-free: failures are recorded in
     ``checks`` so the certificate can report exactly which step broke.
@@ -216,7 +229,7 @@ def build_certificate(
             marks = _cache_marks()
             certificate.chain_length = max(len(chain) - 1, 0)
             checks["lemma13 chain arithmetic"] = _safe(
-                lambda: verify_chain_arithmetic(chain)
+                lambda: verify_chain_arithmetic(chain, use_kernel=use_kernel)
             )
             premises = verify_theorem14_premises(chain)
             checks["theorem14 premises"] = premises.ok
@@ -246,7 +259,7 @@ def build_certificate(
                 marks = _cache_marks()
                 if delta <= ARGUMENT_VERIFICATION_LIMIT:
                     checks["lemma6 normal form"] = _safe(
-                        lambda: verify_lemma6(delta, a, x)
+                        lambda: verify_lemma6(delta, a, x, use_kernel=use_kernel)
                     )
                     checks["lemma8 case analysis"] = _safe(
                         lambda: verify_lemma8_argument(delta, a, x).ok
@@ -262,7 +275,9 @@ def build_certificate(
                 marks = _cache_marks()
                 if delta <= DIRECT_VERIFICATION_LIMIT:
                     checks["lemma8 direct Rbar"] = _safe(
-                        lambda: verify_lemma8_direct(delta, a, x)
+                        lambda: verify_lemma8_direct(
+                            delta, a, x, use_kernel=use_kernel
+                        )
                     )
                 else:
                     certificate.skipped.append("lemma8 direct Rbar")

@@ -13,7 +13,9 @@ and edge constraint ``XQ, OB, AU, PM``, under the renaming
     {A,O,X} -> A, {M,A,O,X} -> B, {P,A,O,X} -> P, {M,P,A,O,X} -> Q.
 
 :func:`verify_lemma6` recomputes R with the engine and compares, for
-any concrete parameters.
+any concrete parameters.  The kernel engine computes R by default; the
+reference engine (``use_kernel=False``) is the oracle it is tested
+against, and both must return the identical problem.
 """
 
 from __future__ import annotations
@@ -80,10 +82,16 @@ def expected_r_of_family(delta: int, a: int, x: int) -> Problem:
     )
 
 
-def compute_r_of_family(delta: int, a: int, x: int) -> RenamedProblem:
-    """R(Pi_Delta(a, x)) computed by the engine, renamed per Lemma 6."""
+def compute_r_of_family(
+    delta: int, a: int, x: int, *, use_kernel: bool = True
+) -> RenamedProblem:
+    """R(Pi_Delta(a, x)) computed by the engine, renamed per Lemma 6.
+
+    ``use_kernel=False`` computes it on the reference engine instead;
+    both engines return the identical problem.
+    """
     _check_lemma6_range(delta, a, x)
-    intermediate = R(family_problem(delta, a, x))
+    intermediate = R(family_problem(delta, a, x), use_kernel=use_kernel)
     return rename_to_strings(
         intermediate,
         naming=LEMMA6_RENAMING,
@@ -91,16 +99,17 @@ def compute_r_of_family(delta: int, a: int, x: int) -> RenamedProblem:
     )
 
 
-def verify_lemma6(delta: int, a: int, x: int) -> bool:
+def verify_lemma6(delta: int, a: int, x: int, *, use_kernel: bool = True) -> bool:
     """Mechanically check Lemma 6 for concrete parameters.
 
-    Recomputes R(Pi_Delta(a, x)) with the round-elimination engine,
-    applies the lemma's renaming, and compares node and edge
-    constraints with the claimed normal form.  Returns True on an exact
-    match and raises ``AssertionError`` (with the differing part) on a
-    mismatch, so failures are diagnosable.
+    Recomputes R(Pi_Delta(a, x)) with the round-elimination engine
+    (the kernel unless ``use_kernel=False``), applies the lemma's
+    renaming, and compares node and edge constraints with the claimed
+    normal form.  Returns True on an exact match and raises
+    ``AssertionError`` (with the differing part) on a mismatch, so
+    failures are diagnosable.
     """
-    computed = compute_r_of_family(delta, a, x).problem
+    computed = compute_r_of_family(delta, a, x, use_kernel=use_kernel).problem
     expected = expected_r_of_family(delta, a, x)
     if computed.edge_constraint != expected.edge_constraint:
         raise AssertionError(

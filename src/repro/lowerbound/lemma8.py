@@ -8,7 +8,10 @@ The proof has two computational faces, both implemented:
   node configuration of Pi_rel, and that Pi_rel's edge constraint is
   exactly the replacement-method (existential) constraint over its six
   label sets.  Together with the renaming Pi_rel -> Pi+ (tested in the
-  family tests) this is the lemma, verbatim.
+  family tests) this is the lemma, verbatim.  The kernel engine does
+  the computation by default; the reference engine
+  (``use_kernel=False``) is the oracle, and the two must agree
+  byte for byte (``tests/test_certificate_engines.py``).
 
 * :func:`verify_lemma8_argument` — the paper's own case analysis,
   executed as a checker.  It never materializes Rbar, so it runs for
@@ -24,6 +27,10 @@ from collections import Counter
 
 from repro.core.configurations import CondensedConfiguration, parse_condensed
 from repro.core.diagram import Diagram
+from repro.core.kernel.engine import (
+    existential_constraint_kernel,
+    maximize_node_constraint_kernel,
+)
 from repro.core.relaxation import all_relax_into
 from repro.core.round_elimination import (
     existential_constraint,
@@ -33,13 +40,23 @@ from repro.lowerbound.lemma6 import compute_r_of_family, expected_r_of_family
 from repro.problems.family import pi_rel_problem
 
 
-def verify_lemma8_direct(delta: int, a: int, x: int) -> bool:
+def verify_lemma8_direct(
+    delta: int, a: int, x: int, *, use_kernel: bool = True
+) -> bool:
     """Full engine check of Lemma 8 (exponential in Delta; use <= 5).
 
-    Raises ``AssertionError`` with diagnostics on failure.
+    R, the node maximization and the existential edge constraint run
+    on the kernel unless ``use_kernel=False`` selects the reference
+    engine.  Raises ``AssertionError`` with diagnostics on failure.
     """
-    renamed_r = compute_r_of_family(delta, a, x)
-    node_max = maximize_node_constraint(renamed_r.problem)
+    if use_kernel:
+        maximize, existential = (
+            maximize_node_constraint_kernel, existential_constraint_kernel
+        )
+    else:
+        maximize, existential = maximize_node_constraint, existential_constraint
+    renamed_r = compute_r_of_family(delta, a, x, use_kernel=use_kernel)
+    node_max = maximize(renamed_r.problem)
     rel = pi_rel_problem(delta, a, x)
     stray = [
         configuration
@@ -53,7 +70,7 @@ def verify_lemma8_direct(delta: int, a: int, x: int) -> bool:
         )
     # The edge constraint of Pi_rel must be the replacement-method
     # (existential) edge constraint over its six label sets.
-    exist_edges = existential_constraint(
+    exist_edges = existential(
         renamed_r.problem.edge_constraint, set(rel.alphabet), 2
     )
     if exist_edges != rel.edge_constraint:

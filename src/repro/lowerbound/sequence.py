@@ -134,7 +134,7 @@ def run_chain(
     store: CheckpointStore | None = None,
     budget: Budget | None = None,
     verify_steps: bool = False,
-    use_kernel: bool = False,
+    use_kernel: bool = True,
 ) -> ChainRunResult:
     """Build the Lemma 13 chain restartably, under an optional budget.
 
@@ -150,7 +150,8 @@ def run_chain(
     With ``verify_steps=True`` every appended step is additionally
     checked non-0-round-solvable (Lemma 12) before being persisted,
     and the engine used for the check is recorded in ``provenance``;
-    ``use_kernel`` selects the bitmask fast path for those checks.
+    those checks run on the kernel unless ``use_kernel=False`` selects
+    the reference engine.
 
     Under an ambient :func:`repro.core.cache.caching` store the
     per-step Lemma 12 verdicts are served from the operator cache, and
@@ -285,7 +286,7 @@ def _append_trace_summary(provenance: list[str]) -> None:
 
 
 def verify_chain_arithmetic(
-    chain: list[ChainStep], *, use_kernel: bool = False
+    chain: list[ChainStep], *, use_kernel: bool = True
 ) -> bool:
     """Check the numeric glue between consecutive chain steps.
 
@@ -294,7 +295,8 @@ def verify_chain_arithmetic(
     next step's ``a_(i+1)`` (so Lemma 11 applies in the easy
     direction), the x parameter advances by exactly one, and every
     problem in the chain — including the last — fails the 0-round
-    solvability test of Lemma 12.  Raises ``AssertionError`` with the
+    solvability test of Lemma 12 (on the kernel unless
+    ``use_kernel=False``).  Raises ``AssertionError`` with the
     offending step otherwise.
     """
     for current, following in zip(chain, chain[1:]):
@@ -316,7 +318,7 @@ def verify_chain_arithmetic(
     return True
 
 
-def step_zero_round_solvable(step: ChainStep, *, use_kernel: bool = False) -> bool:
+def step_zero_round_solvable(step: ChainStep, *, use_kernel: bool = True) -> bool:
     """Lemma 12's test for one chain step, scalable to huge Delta.
 
     For small Delta the full engine test runs on the materialized
