@@ -38,8 +38,13 @@ def render_map(groups: Iterable[Iterable[Hashable]]) -> dict[Hashable, str]:
     labels on every comparison.  Build one per call, keyed by that
     call's own labels: a process-wide memo would be keyed by equality,
     and equal labels can render differently (``1`` and ``True``).
+    A label occurring many times is rendered at its first occurrence.
     """
-    return {label: render_label(label) for group in groups for label in group}
+    order: dict[Hashable, str] = {}
+    for label in itertools.chain.from_iterable(groups):
+        if label not in order:
+            order[label] = render_label(label)
+    return order
 
 
 def insert_canonical(

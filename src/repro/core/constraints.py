@@ -15,6 +15,7 @@ from repro.core.configurations import (
     CondensedConfiguration,
     Configuration,
     parse_condensed,
+    render_map,
 )
 from repro.robustness.errors import InvalidProblem
 
@@ -111,9 +112,20 @@ class Constraint:
         return Constraint(kept)
 
     def rename(self, mapping: dict) -> "Constraint":
-        """Apply a label renaming to every configuration."""
+        """Apply a label renaming to every configuration.
+
+        Equals ``configuration.replace_all(mapping)`` per configuration,
+        with each renamed label rendered once per call instead of on
+        every sort.
+        """
+        renamed = [
+            [mapping.get(label, label) for label in configuration.items]
+            for configuration in self._configurations
+        ]
+        order = render_map(renamed)
         return Constraint(
-            configuration.replace_all(mapping) for configuration in self._configurations
+            Configuration._presorted(tuple(sorted(labels, key=order.__getitem__)))
+            for labels in renamed
         )
 
     def union(self, other: "Constraint") -> "Constraint":

@@ -126,9 +126,10 @@ class Diagram:
     def right_closed_sets(self) -> list[frozenset]:
         """All non-empty right-closed subsets of the alphabet.
 
-        Enumerated as upward closures of antichains; for the constant
-        alphabets of the paper (at most 8 labels) a filtered powerset
-        scan is fast and simple, so that is what we do.
+        A filtered powerset scan: simple, and fast enough for the
+        constant alphabets of the paper (at most 8 labels).  For node
+        constraints the kernel enumerates the same sets output-sensitively
+        (:meth:`repro.core.kernel.engine.KernelProblem.node_right_closed_sets`).
         """
         result = []
         checked = 0

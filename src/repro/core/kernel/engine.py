@@ -51,7 +51,7 @@ from repro.core.kernel.bitops import (
     popcount,
 )
 from repro.core.kernel.interning import LabelInterner, transport_registry
-from repro.core.labels import Alphabet
+from repro.core.labels import Alphabet, render_label
 from repro.core.problem import Problem
 from repro.observability import trace as _trace
 from repro.observability.profiling import section as _prof_section
@@ -132,7 +132,6 @@ class KernelProblem:
         "delta",
         "compat",
         "node_configs",
-        "node_config_set",
         "_partner_cache",
         "_closed_sets",
         "_node_ge",
@@ -158,7 +157,6 @@ class KernelProblem:
                 for configuration in problem.node_constraint.configurations
             )
         )
-        self.node_config_set = frozenset(self.node_configs)
         self._partner_cache: dict[int, int] = {}
         self._closed_sets: tuple[int, ...] | None = None
         self._node_ge: list[int] | None = None
@@ -244,30 +242,26 @@ class KernelProblem:
         if self._node_ge is not None:
             return self._node_ge
         n = self.n
-        containing: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-        for configuration in self.node_configs:
+        # Configurations packed into count fields (:func:`pack_ids`):
+        # replacing one ``weak`` by ``strong`` is a single int add, and
+        # no field over- or underflows (counts stay within 0..delta).
+        shift = self.delta.bit_length()
+        words = [pack_ids(configuration, shift) for configuration in self.node_configs]
+        packed = frozenset(words)
+        containing: list[list[int]] = [[] for _ in range(n)]
+        for configuration, word in zip(self.node_configs, words):
             for index in sorted(set(configuration)):
-                containing[index].append(configuration)
-        ge = [[False] * n for _ in range(n)]
-        for strong in range(n):
-            for weak in range(n):
-                if strong == weak:
-                    ge[strong][weak] = True
-                    continue
-                ok = True
-                for configuration in containing[weak]:
-                    replaced = list(configuration)
-                    replaced.remove(weak)
-                    replaced.append(strong)
-                    replaced.sort()
-                    if tuple(replaced) not in self.node_config_set:
-                        ok = False
-                        break
-                ge[strong][weak] = ok
-        self._node_ge = [
-            mask_from_ids(strong for strong in range(n) if ge[strong][weak])
-            for weak in range(n)
-        ]
+                containing[index].append(word)
+        ge: list[int] = []
+        for weak in range(n):
+            weak_field = 1 << (shift * weak)
+            mask = 0
+            for strong in range(n):
+                step = (1 << (shift * strong)) - weak_field
+                if step == 0 or all(word + step in packed for word in containing[weak]):
+                    mask |= 1 << strong
+            ge.append(mask)
+        self._node_ge = ge
         return self._node_ge
 
     def edge_ge_masks(self) -> list[int]:
@@ -491,7 +485,6 @@ def _transported_view(
             for configuration in source.node_configs
         )
     )
-    target.node_config_set = frozenset(target.node_configs)
     target._partner_cache = {
         _permute_mask(query, perm): _permute_mask(image, perm)
         for query, image in source._partner_cache.items()
@@ -1134,8 +1127,14 @@ def existential_constraint_kernel(
                 budget_phase="existential",
             )
     with _prof_section("exists.materialize"):
+        # Equals ``Configuration(labels[index] for index in ids)``: the
+        # same stable sort over the same input order, keyed by the same
+        # strings, each rendered once per call instead of per occurrence.
+        keys = [render_label(label) for label in labels]
         results: set[Configuration] = {
-            Configuration(labels[index] for index in ids)
+            Configuration._presorted(
+                tuple(labels[index] for index in sorted(ids, key=keys.__getitem__))
+            )
             for ids in index_tuples
         }
     if not results:

@@ -45,13 +45,15 @@ def _check_duplicate_node_lines(node_lines: Iterable[str], name: str = "") -> No
     seen: dict = {}
     for line in node_lines:
         condensed = parse_condensed(line) if isinstance(line, str) else line
+        # A genuine disjunction always yields at least two
+        # configurations, so such a line is skipped unexpanded; every
+        # other line expands to exactly one.
+        if any(len(disjunction) > 1 for disjunction, _ in condensed.parts):
+            continue
         rendered = (
             line.strip() if isinstance(line, str) else condensed.render()
         )
-        expanded = condensed.expand()
-        if len(expanded) != 1:
-            continue
-        (configuration,) = expanded
+        (configuration,) = condensed.expand()
         previous = seen.get(configuration)
         if previous is not None and previous != rendered:
             raise InvalidProblem(

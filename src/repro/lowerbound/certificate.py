@@ -19,9 +19,10 @@ The result is a :class:`LowerBoundCertificate` whose ``ok`` property
 states that every executed check passed — the closest a program can
 come to "running" the paper's proof for one parameter point.
 
-The engine computations (the Lemma 12 tests, R for Lemma 6, and the
-node maximization and existential step of Lemma 8's direct check) run
-on the kernel engine by default.  The reference engine stays the oracle:
+The engine computations (the Lemma 12 tests, R for Lemma 6, the
+right-closedness facts of Lemma 8's case analysis, and the node
+maximization and existential step of Lemma 8's direct check) run on
+the kernel engine by default.  The reference engine stays the oracle:
 ``use_kernel=False`` builds the same certificate on it, and the two
 are pinned byte-identical — render, ``to_dict``, semantic counters and
 checkpoint files — by ``tests/test_certificate_engines.py``.
@@ -154,10 +155,10 @@ def build_certificate(
 ) -> LowerBoundCertificate:
     """Run the whole roadmap for one parameter point.
 
-    ``use_kernel`` is passed to the chain arithmetic and the Lemma 6/8
-    checks, so one value picks the engine for all of them: the kernel
-    by default, the reference engine with ``use_kernel=False``.  Both
-    render and checkpoint byte-identically.
+    ``use_kernel`` is passed to the chain arithmetic, the Lemma 6
+    check and both Lemma 8 checks, so one value picks the engine for
+    all of them: the kernel by default, the reference engine with
+    ``use_kernel=False``.  Both render and checkpoint byte-identically.
 
     All proof checks are raise-free: failures are recorded in
     ``checks`` so the certificate can report exactly which step broke.
@@ -262,7 +263,9 @@ def build_certificate(
                         lambda: verify_lemma6(delta, a, x, use_kernel=use_kernel)
                     )
                     checks["lemma8 case analysis"] = _safe(
-                        lambda: verify_lemma8_argument(delta, a, x).ok
+                        lambda: verify_lemma8_argument(
+                            delta, a, x, use_kernel=use_kernel
+                        ).ok
                     )
                 else:
                     certificate.skipped.append("lemma 6/8 expansion")

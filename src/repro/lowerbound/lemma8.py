@@ -18,19 +18,27 @@ The proof has two computational faces, both implemented:
   any Delta: it checks the five right-closedness facts about the node
   diagram of R(Pi_Delta(a, x)) and the two "no such configuration in
   N_R" counting facts that the proof derives its contradiction from.
+  The kernel's node strength relation answers the right-closedness
+  facts by default; a reference :class:`~repro.core.diagram.Diagram`
+  (``use_kernel=False``) is the oracle, and the two reports must be
+  equal field for field (``tests/test_certificate_engines.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
+from collections.abc import Callable, Hashable, Iterable
 
 from repro.core.configurations import CondensedConfiguration, parse_condensed
 from repro.core.diagram import Diagram
+from repro.core.kernel.bitops import is_subset, iter_bits
 from repro.core.kernel.engine import (
+    KernelProblem,
     existential_constraint_kernel,
     maximize_node_constraint_kernel,
 )
+from repro.core.problem import Problem
 from repro.core.relaxation import all_relax_into
 from repro.core.round_elimination import (
     existential_constraint,
@@ -102,7 +110,9 @@ class Lemma8Report:
         )
 
 
-def verify_lemma8_argument(delta: int, a: int, x: int) -> Lemma8Report:
+def verify_lemma8_argument(
+    delta: int, a: int, x: int, *, use_kernel: bool = True
+) -> Lemma8Report:
     """Execute the paper's Lemma 8 case analysis for these parameters.
 
     The proof argues: a node configuration Y_1 .. Y_Delta of
@@ -113,10 +123,19 @@ def verify_lemma8_argument(delta: int, a: int, x: int) -> Lemma8Report:
     the node constraint of R(Pi).  This function verifies each of those
     facts.  All facts are statements about the *verified* Lemma 6
     normal form, so the whole chain is machine-checked.
+
+    The right-closedness facts come from the kernel's node strength
+    relation; ``use_kernel=False`` answers them with a reference
+    :class:`~repro.core.diagram.Diagram` instead, the oracle the kernel
+    is tested against field for field.
     """
     problem = expected_r_of_family(delta, a, x)
-    diagram = Diagram(problem.node_constraint, problem.alphabet)
-    right_closed = diagram.right_closed_sets()
+    if use_kernel:
+        right_closed, is_right_closed = _kernel_right_closedness(problem)
+    else:
+        diagram = Diagram(problem.node_constraint, problem.alphabet)
+        right_closed = diagram.right_closed_sets()
+        is_right_closed = diagram.is_right_closed
 
     def closed_without(
         label: str, within: frozenset | None = None
@@ -157,11 +176,36 @@ def verify_lemma8_argument(delta: int, a: int, x: int) -> Lemma8Report:
             {"A": x + 1, "U": delta - a + 1, "B": delta - (x + 1) - (delta - a + 1)},
         ),
         pi_rel_sets_right_closed=all(
-            diagram.is_right_closed(labels)
+            is_right_closed(labels)
             for labels in pi_rel_problem(delta, a, x).alphabet
         ),
     )
     return report
+
+
+def _kernel_right_closedness(
+    problem: Problem,
+) -> tuple[list[frozenset], Callable[[Iterable[Hashable]], bool]]:
+    """The kernel twin of ``Diagram.right_closed_sets`` and
+    ``Diagram.is_right_closed`` for ``problem``'s node constraint.
+
+    The view is built directly rather than through
+    :meth:`KernelProblem.of`: ``problem`` is fresh on every call, so the
+    memo could never hit, and recording it in the transport registry
+    would only keep the large normal form alive.
+    """
+    kernel = KernelProblem(problem)
+    interner = kernel.interner
+    successors = kernel.node_strict_successors()
+    right_closed = [
+        interner.labels_of_mask(mask) for mask in kernel.node_right_closed_sets()
+    ]
+
+    def is_right_closed(labels: Iterable[Hashable]) -> bool:
+        mask = interner.mask_of(labels)
+        return all(is_subset(successors[index], mask) for index in iter_bits(mask))
+
+    return right_closed, is_right_closed
 
 
 def lemma6_condensed_node_constraint(

@@ -8,11 +8,12 @@ two are indistinguishable: byte-identical renders, ``to_dict`` JSON and
 checkpoint files, equal semantic counters, and checkpoints that resume
 on the other engine.  The Lemma 8 tests also compare the intermediate
 constraints ``verify_lemma8_direct`` computes, which its boolean verdict
-alone would not reveal.
+alone would not reveal, and the case analysis's report field by field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -21,8 +22,8 @@ from benchmarks.bench_lemma6_speedup import SWEEP as LEMMA6_SWEEP
 from repro.lowerbound import lemma8
 from repro.lowerbound.certificate import build_certificate
 from repro.lowerbound.lemma6 import compute_r_of_family, verify_lemma6
-from repro.lowerbound.lemma8 import verify_lemma8_direct
-from repro.lowerbound.sequence import run_chain
+from repro.lowerbound.lemma8 import verify_lemma8_argument, verify_lemma8_direct
+from repro.lowerbound.sequence import lemma13_chain, run_chain
 from repro.observability.metrics import diff_semantic_profiles, semantic_profile
 from repro.observability.trace import Tracer, tracing
 from repro.robustness.checkpointing import CheckpointStore
@@ -32,6 +33,20 @@ from tests.faults import InjectedFault, tripping_budget
 ENGINES = {"kernel": True, "reference": False}
 CERTIFICATE_POINTS = [(delta, k) for delta in (3, 4, 5, 8) for k in (0, 1)]
 LEMMA8_DIRECT_POINTS = [(3, 2, 0), (4, 3, 1), (5, 3, 1)]
+#: The certificate's representative step at Delta = 8: the first chain
+#: step inside Lemma 8's range x + 2 <= a <= Delta.
+DELTA8_REPRESENTATIVE = next(
+    (step.delta, step.a, step.x)
+    for step in lemma13_chain(8, 0)
+    if step.x + 2 <= step.a <= step.delta
+)
+#: Every (Delta, a, x) of Lemma 8's range for Delta <= 6, plus that step.
+LEMMA8_ARGUMENT_POINTS = [
+    (delta, a, x)
+    for delta in (3, 4, 5, 6)
+    for a in range(2, delta + 1)
+    for x in range(a - 1)
+] + [DELTA8_REPRESENTATIVE]
 
 
 def store_bytes(store: CheckpointStore) -> dict[str, bytes]:
@@ -155,6 +170,18 @@ def test_lemma8_direct_parity_across_engines(monkeypatch, delta, a, x):
     assert set(reference) == set(LEMMA8_OPERATORS)
     for base in LEMMA8_OPERATORS:
         assert kernel[f"{base}_kernel"] == reference[base], base
+
+
+@pytest.mark.parametrize("delta,a,x", LEMMA8_ARGUMENT_POINTS)
+def test_lemma8_argument_parity_across_engines(delta, a, x):
+    """The kernel's strength relation and the reference ``Diagram``
+    answer every fact of the case analysis alike."""
+    kernel = verify_lemma8_argument(delta, a, x, use_kernel=True)
+    reference = verify_lemma8_argument(delta, a, x, use_kernel=False)
+    for field in dataclasses.fields(reference):
+        assert getattr(kernel, field.name) == getattr(reference, field.name), (
+            field.name
+        )
 
 
 @pytest.mark.parametrize("delta,a,x", LEMMA8_DIRECT_POINTS)

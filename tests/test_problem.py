@@ -1,10 +1,14 @@
 """Unit tests for the Problem triple (Sigma, N, E)."""
 
+from collections import Counter
+
 import pytest
 
-from repro.core.configurations import Configuration
+from repro.core.configurations import CondensedConfiguration, Configuration
 from repro.core.problem import Problem
+from repro.lowerbound.lemma6 import expected_r_of_family
 from repro.problems.mis import mis_problem
+from repro.robustness.errors import InvalidProblem
 
 
 class TestConstruction:
@@ -32,6 +36,44 @@ class TestConstruction:
                 Constraint.from_condensed(["M^2"]),
                 Constraint.from_condensed(["M Z"]),
             )
+
+
+class TestFromTextExpansion:
+    @pytest.mark.parametrize("delta,a,x", [(3, 2, 0), (5, 3, 1), (8, 8, 0)])
+    def test_lemma6_normal_form_expands_each_line_once(
+        self, monkeypatch, delta, a, x
+    ):
+        expanded = Counter()
+        original = CondensedConfiguration.expand
+
+        def counting_expand(self):
+            expanded[self.render()] += 1
+            return original(self)
+
+        monkeypatch.setattr(CondensedConfiguration, "expand", counting_expand)
+        expected_r_of_family(delta, a, x)
+        # Three node lines and the four edge lines X Q, O B, A U, P M.
+        assert len(expanded) == 7
+        assert set(expanded.values()) == {1}
+
+    # ``M X^2`` vs ``X^2 M`` and the repeated ``X^3`` line are pinned in
+    # tests/test_robustness.py; these pin the unexpanded skip's boundary.
+    @pytest.mark.parametrize(
+        "node_lines", [["[M] X^2", "X^2 M"], ["X M X", "M X^2"]]
+    )
+    def test_distinct_simple_lines_for_one_configuration_rejected(
+        self, node_lines
+    ):
+        with pytest.raises(InvalidProblem) as excinfo:
+            Problem.from_text(node_lines, ["M X", "X X"])
+        assert excinfo.value.context["configuration"] == "M X^2"
+
+    @pytest.mark.parametrize(
+        "node_lines", [["M X^2", "[MX] X^2"], ["[MX]^3", "[MX]^3", "M^3"]]
+    )
+    def test_disjunction_overlaps_tolerated(self, node_lines):
+        problem = Problem.from_text(node_lines, ["M X", "X X"])
+        assert problem.delta == 3
 
 
 class TestQueries:

@@ -1,18 +1,20 @@
-"""The reference engine's ordering fast paths against the literal code.
+"""The engines' ordering fast paths against the literal code.
 
-The reference engine renders each label once per operator call and
-orders by dictionary lookup: ``insert_canonical`` grows the DFS
-frontiers, ``Configuration._presorted`` builds expanded and existential
-configurations, and ``Diagram`` runs the replacement test over item
-tuples.  Each fast path must equal the literal version kept here —
-``sorted(..., key=render_label)``, ``Configuration(...)`` built from
-scratch, and the paper's ``replace_one(weak, strong) in constraint``.
+Both engines render each label once per operator call and order by
+lookup: ``insert_canonical`` grows the DFS frontiers,
+``Configuration._presorted`` builds expanded, existential (reference
+and kernel) and renamed configurations, and ``Diagram`` runs the
+replacement test over item tuples.  Each fast path must equal the
+literal version kept here — ``sorted(..., key=render_label)``,
+``Configuration(...)`` built from scratch, and the paper's
+``replace_one(weak, strong) in constraint``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,10 @@ from repro.core.configurations import (
     parse_condensed,
     render_map,
 )
+from repro.core.cache import _set_sort_key
+from repro.core.constraints import Constraint
 from repro.core.diagram import Diagram
+from repro.core.kernel.engine import existential_constraint_kernel
 from repro.core.labels import render_label
 from repro.core.round_elimination import (
     R,
@@ -166,6 +171,81 @@ def test_expand_matches_literal_on_existential_forms():
             continue
         for configuration in problem.node_constraint.configurations:
             assert_expands_literally(existential_condensed(configuration, sigma))
+
+
+# ---------------------------------------------------------------------------
+# Kernel existential materialization and constraint renaming
+# ---------------------------------------------------------------------------
+
+def literal_existential(old, new_labels, arity) -> set[Configuration]:
+    """The existential step spelled out: every multiset of new labels,
+    drawn in the kernel's label order, with some allowed choice, built
+    by ``Configuration(...)`` from scratch."""
+    labels = sorted(set(new_labels), key=_set_sort_key)
+    allowed = [Counter(configuration.items) for configuration in old.configurations]
+    return {
+        Configuration(labels[index] for index in combo)
+        for combo in itertools.combinations_with_replacement(range(len(labels)), arity)
+        if any(
+            Counter(choice) in allowed
+            for choice in itertools.product(*(labels[index] for index in combo))
+        )
+    }
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_existential_matches_literal_on_ties(arity, data):
+    pool = TIE_FREE[:3] + TIES
+    old = Constraint(
+        Configuration(configuration)
+        for configuration in data.draw(
+            st.lists(
+                st.lists(st.sampled_from(pool), min_size=arity, max_size=arity),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    new_labels = data.draw(
+        st.lists(
+            st.frozensets(st.sampled_from(pool), min_size=1, max_size=3),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    literal = literal_existential(old, new_labels, arity)
+    if not literal:
+        with pytest.raises(InvalidProblem):
+            existential_constraint_kernel(old, new_labels, arity)
+        return
+    fast = existential_constraint_kernel(old, new_labels, arity)
+    assert {c.items for c in fast} == {c.items for c in literal}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rename_matches_replace_all_into_ties(data):
+    source = ("A", "B", "M", "MX", frozenset({"A"}))
+    constraint = Constraint(
+        Configuration(configuration)
+        for configuration in data.draw(
+            st.lists(
+                st.lists(st.sampled_from(source), min_size=3, max_size=3),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    renamed = data.draw(st.integers(min_value=1, max_value=len(source)))
+    mapping = dict(zip(source[:renamed], data.draw(st.permutations(TIES))))
+    fast = constraint.rename(mapping)
+    literal = Constraint(
+        configuration.replace_all(mapping)
+        for configuration in constraint.configurations
+    )
+    assert {c.items for c in fast} == {c.items for c in literal}
 
 
 # ---------------------------------------------------------------------------
