@@ -1,36 +1,38 @@
 """RE-CACHE: cold/warm benchmarks of the content-addressed operator cache.
 
 Running this file as a script measures the Delta=4 and Delta=5 MIS
-round-elimination chains (kernel engine) three ways — uncached, cold
-cache (fresh on-disk store), warm cache (same store, second run) — and
-appends one ``"mode": "operator-cache"`` entry per chain to
-``BENCH_kernel.json``:
+round-elimination chains (kernel engine) under the cache — cold (a
+fresh on-disk store) against warm (the same store, second run) — and
+appends one ``"mode": "operator-cache"`` row per chain to
+``BENCH_kernel.json``.  The timings come from
+``bench_kernel.measure_pairs`` with a fixed order: warm must follow
+cold in the same store, so these pairs cannot alternate, and each pair
+opens its own fresh store.
 
 * ``PYTHONPATH=src python benchmarks/bench_cache.py``
-  measures (best of 3) and *appends* entries to the trajectory.
+  measures ``PAIRS`` pairs and *appends* rows to the trajectory.
 * ``PYTHONPATH=src python benchmarks/bench_cache.py --quick``
-  single measurement, nothing recorded; exit status reflects the
-  correctness gate only.
+  measures ``QUICK_PAIRS`` pairs and records nothing; the exit status
+  reflects the correctness gate only.
 
 Every measurement is correctness-gated by the differential oracle
-before any number is written: the cold-cached, warm-cached, uncached
-kernel, and reference-engine chains must produce the *same problem*,
-and the traced cold-cached run must show zero semantic-counter drift
-against the plain kernel run (``cache.*`` counters are timing-class by
-design; see :mod:`repro.observability.schema`).  Failures exit
-non-zero with a one-line ``error:`` diagnostic and record nothing.
+before any number is written: every cold and warm run, the uncached
+kernel chain and one reference-engine chain must produce the *same
+problem*, and the traced cold-cached run must show zero
+semantic-counter drift against the plain kernel run (``cache.*``
+counters are timing-class by design; see
+:mod:`repro.observability.schema`).  Failures exit non-zero with a
+one-line ``error:`` diagnostic and record nothing.
 
-Cache entries deliberately omit ``kernel_seconds`` so the kernel
-regression floor of ``bench_kernel.py --quick`` never compares against
-cache amplification ratios.
+Cache rows carry ``mode: operator-cache``, so the regression floors of
+``bench_kernel.py --quick`` never compare against cache amplification
+ratios.
 """
 
-import json
+import functools
 import os
-import shutil
 import sys
 import tempfile
-import time
 
 from repro.core.cache import OperatorCache, caching
 from repro.core.round_elimination import speedup
@@ -39,11 +41,17 @@ from repro.observability.metrics import (
     semantic_profile,
     total_counters,
 )
-from repro.observability.trace import Tracer, tracing
 from repro.problems.mis import mis_problem
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_kernel import TRAJECTORY_PATH, load_trajectory
+from bench_kernel import (
+    PAIRS,
+    QUICK_PAIRS,
+    describe,
+    measure_pairs,
+    traced,
+    write_rows,
+)
 
 CHAINS = ((4, 2), (5, 2))
 
@@ -58,12 +66,6 @@ def run_chain(delta: int, steps: int, *, use_kernel: bool = True):
     return problem
 
 
-def _timed(fn) -> tuple[float, object]:
-    started = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - started, result
-
-
 def operator_seconds(records: list[dict]) -> float:
     """Wall-clock spent inside R/Rbar spans (0.0 when all calls hit:
     a cache hit returns before the operator span ever opens)."""
@@ -74,54 +76,15 @@ def operator_seconds(records: list[dict]) -> float:
     )
 
 
-def traced_records(fn) -> list[dict]:
-    tracer = Tracer()
-    with tracing(tracer):
-        fn()
-    return tracer.finish()
-
-
-def measure_chain(delta: int, steps: int, rounds: int) -> dict:
+def measure_chain(delta: int, steps: int, pairs: int) -> dict:
     """Cold/warm timings plus the correctness gate; raises on failure."""
-    uncached = run_chain(delta, steps)
-    reference = run_chain(delta, steps, use_kernel=False)
-    if uncached != reference:
-        raise AssertionError(
-            f"kernel and reference disagree on delta={delta} steps={steps}"
-        )
-
-    cold_best = warm_best = None
-    cold_result = warm_result = None
-    stats = None
-    for _ in range(rounds):
-        directory = tempfile.mkdtemp(prefix="repro-bench-cache-")
-        try:
-            store = OperatorCache(directory)
-            with caching(store):
-                cold_seconds, cold_result = _timed(
-                    lambda: run_chain(delta, steps)
-                )
-                warm_seconds, warm_result = _timed(
-                    lambda: run_chain(delta, steps)
-                )
-            stats = store.stats()
-        finally:
-            shutil.rmtree(directory, ignore_errors=True)
-        cold_best = min(cold_seconds, cold_best or cold_seconds)
-        warm_best = min(warm_seconds, warm_best or warm_seconds)
-    if cold_result != uncached or warm_result != uncached:
-        raise AssertionError(
-            f"cached chain diverged from uncached on delta={delta}"
-        )
-
-    # Traced pair for the drift gate and the operator-time split.  The
-    # traced cached runs use a fresh in-memory store so "cold" and
-    # "warm" are exact, not polluted by the timed runs above.
-    plain_records = traced_records(lambda: run_chain(delta, steps))
-    traced_store = OperatorCache()
-    with caching(traced_store):
-        cold_records = traced_records(lambda: run_chain(delta, steps))
-        warm_records = traced_records(lambda: run_chain(delta, steps))
+    chain = functools.partial(run_chain, delta, steps)
+    # Traced runs for the drift gate and the operator-time split, on a
+    # fresh in-memory store so "cold" and "warm" are exact.
+    plain, plain_records = traced(chain)
+    with caching(OperatorCache()):
+        cold, cold_records = traced(chain)
+        warm, warm_records = traced(chain)
     drift = diff_semantic_profiles(
         semantic_profile(plain_records), semantic_profile(cold_records)
     )
@@ -131,12 +94,34 @@ def measure_chain(delta: int, steps: int, rounds: int) -> dict:
             f"delta={delta}: {drift}"
         )
 
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as root:
+        stores: list[OperatorCache] = []
+
+        def cold_run():
+            # Opening the fresh store is part of a cold run.
+            stores.append(OperatorCache(os.path.join(root, str(len(stores)))))
+            with caching(stores[-1]):
+                return chain()
+
+        def warm_run():
+            with caching(stores[-1]):
+                return chain()
+
+        timing, cached = measure_pairs(
+            ("cold", cold_run), ("warm", warm_run), pairs, alternate=False
+        )
+        stats = stores[-1].stats()
+    reference = run_chain(delta, steps, use_kernel=False)
+    if not (cached == plain == cold == warm == reference):
+        raise AssertionError(
+            f"cached, uncached and reference chains disagree on "
+            f"delta={delta} steps={steps}"
+        )
+
     return {
         "chain": f"mis_delta{delta}_steps{steps}",
         "mode": "operator-cache",
-        "cold_seconds": round(cold_best, 4),
-        "warm_seconds": round(warm_best, 4),
-        "speedup": round(cold_best / max(warm_best, 1e-9), 2),
+        **timing,
         "operator_seconds": {
             "cold": round(operator_seconds(cold_records), 4),
             "warm": round(operator_seconds(warm_records), 4),
@@ -147,15 +132,13 @@ def measure_chain(delta: int, steps: int, rounds: int) -> dict:
             "warm": total_counters(warm_records),
         },
         "semantic_drift": drift,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
 
 def report(entry: dict) -> None:
     ops = entry["operator_seconds"]
     print(
-        f"{entry['chain']}: cold {entry['cold_seconds']}s -> warm "
-        f"{entry['warm_seconds']}s ({entry['speedup']}x); operator time "
+        f"{entry['chain']}: {describe(entry)}; operator time "
         f"cold {ops['cold']}s -> warm {ops['warm']}s; cache {entry['cache']}"
     )
 
@@ -170,7 +153,7 @@ def main(argv: list[str]) -> int:
             return 2
     try:
         entries = [
-            measure_chain(delta, steps, rounds=1 if quick else 3)
+            measure_chain(delta, steps, QUICK_PAIRS if quick else PAIRS)
             for delta, steps in CHAINS
         ]
     except Exception as error:  # measurement failures must exit non-zero
@@ -181,12 +164,7 @@ def main(argv: list[str]) -> int:
     if quick:
         print("PASS (nothing recorded)")
         return 0
-    trajectory = load_trajectory()
-    trajectory.extend(entries)
-    with open(TRAJECTORY_PATH, "w", encoding="utf-8") as handle:
-        json.dump(trajectory, handle, indent=2)
-        handle.write("\n")
-    print(f"trajectory length: {len(trajectory)} ({TRAJECTORY_PATH})")
+    write_rows(entries)
     return 0
 
 

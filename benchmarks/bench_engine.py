@@ -5,14 +5,10 @@ round elimination; these benchmarks measure the engine's R / Rbar cost
 versus Delta and alphabet size, and document the growth the family
 avoids by staying at 5 labels.
 
-Running this file as a script (``PYTHONPATH=src python
-benchmarks/bench_engine.py``) times the Delta=4 MIS round-elimination
-chain on both engines, checks the results are identical, and reports
-the kernel speedup (expected >= 5x; see benchmarks/bench_kernel.py for
-the recorded trajectory).
+``run_mis_chain`` is the Delta=4 MIS chain that
+``benchmarks/bench_kernel.py`` records in ``BENCH_kernel.json``; this
+file has no script mode.
 """
-
-import time
 
 from repro.analysis.tables import Table
 from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
@@ -24,11 +20,11 @@ MIS_CHAIN_DELTA = 4
 MIS_CHAIN_STEPS = 2
 
 
-def run_mis_chain(*, use_kernel: bool, workers: int | None = None):
+def run_mis_chain(*, use_kernel: bool):
     """The Delta=4 MIS chain: two full speedup steps Rbar(R(.))."""
     problem = mis_problem(MIS_CHAIN_DELTA)
     for _ in range(MIS_CHAIN_STEPS):
-        problem = speedup(problem, use_kernel=use_kernel, workers=workers).problem
+        problem = speedup(problem, use_kernel=use_kernel).problem
     return problem
 
 
@@ -112,28 +108,3 @@ def test_kernel_matches_reference_on_chain(once):
     kernel = once(lambda: run_mis_chain(use_kernel=True))
     assert reference == kernel
 
-
-def main() -> None:
-    """Time the Delta=4 MIS chain, reference vs kernel, and report."""
-    # Warm-up pass so import costs and caches don't pollute the timing.
-    run_mis_chain(use_kernel=True)
-    started = time.perf_counter()
-    reference = run_mis_chain(use_kernel=False)
-    reference_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    kernel = run_mis_chain(use_kernel=True)
-    kernel_seconds = time.perf_counter() - started
-    assert reference == kernel, "kernel chain result differs from reference"
-    ratio = reference_seconds / kernel_seconds
-    table = Table(
-        f"MIS Delta={MIS_CHAIN_DELTA} chain ({MIS_CHAIN_STEPS} speedup steps)",
-        ["engine", "seconds"],
-    )
-    table.add_row("reference", f"{reference_seconds:.3f}")
-    table.add_row("kernel", f"{kernel_seconds:.3f}")
-    table.print()
-    print(f"kernel speedup: {ratio:.1f}x (use_kernel=True, identical output)")
-
-
-if __name__ == "__main__":
-    main()

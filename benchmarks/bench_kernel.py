@@ -1,53 +1,60 @@
-"""RE-KERNEL: benchmarks of the interned-bitmask fast path.
+"""RE-KERNEL: benchmarks of the interned-bitmask fast path, and the one
+recorder of ``BENCH_kernel.json``.
 
 Pytest benchmarks time the kernel operators against the reference
-engine; running the file as a script maintains ``BENCH_kernel.json``,
-a committed trajectory of measured speedups on the Delta=4 MIS chain:
+engine.  Run as a script, the file maintains ``BENCH_kernel.json``, a
+committed trajectory of measured speedups.  Every timing in it — from
+this script, ``bench_cache.py`` and ``bench_scenarios.py`` — comes from
+:func:`measure_pairs`: two sides run over pairs of untraced runs,
+alternating which side goes first; each side keeps the median and
+interquartile range of its seconds; ``speedup`` is the ratio of the
+medians; and every run must return the same result.  A row records
+``PAIRS`` pairs; ``--quick`` computes the same statistic over
+``QUICK_PAIRS`` pairs.  :func:`write_rows` stamps every row with the
+commit, Python version, ``os.cpu_count()`` and time, and writes the
+file.
 
 * ``PYTHONPATH=src python benchmarks/bench_kernel.py``
-  measures (best of 3) and *appends* an entry to the trajectory.
+  appends a row for the Delta=4 MIS chain, reference vs kernel.
 * ``PYTHONPATH=src python benchmarks/bench_kernel.py --quick``
-  single measurement, no recording; exits non-zero if the current
-  kernel-vs-reference speedup ratio fell below one third of the best
-  recorded ratio (a >3x regression).  Comparing *ratios* rather than
-  wall-clock seconds keeps the gate meaningful across machines of
-  different speeds; the whole run stays well under a minute.  Rows
+  records nothing.  It exits non-zero if the Delta=4 speedup fell more
+  than ``REGRESSION_FACTOR`` (3x) below the best recorded Delta=4 row,
+  or the hot-path speedup more than ``HOTPATH_REGRESSION_FACTOR``
+  (1.5x) below the best recorded hot-path row.  Comparing *ratios*
+  rather than seconds keeps the gate meaningful across machines.  Rows
   marked ``legacy`` (with a ``legacy_reason``) are kept for the record
-  but set no floor: a ratio only compares against rows measured with
-  the same reference engine.  The
-  quick gate also runs the registry's ``quick`` scenarios (currently
-  the Delta=2 maximal-matching self-reduction — a non-MIS family) on
-  both engines, failing on any expectation drift or cross-engine
-  divergence.
+  but set no floor, and neither do cache, scenario or parallel rows.
+  The gate also fails on semantic-counter drift between the engines,
+  on a cache-transparency violation (:func:`cache_gate`), and on any
+  expectation failure or cross-engine divergence of the registry's
+  ``quick`` scenarios (currently the Delta=2 maximal-matching
+  self-reduction, a non-MIS family).
 * ``PYTHONPATH=src python benchmarks/bench_kernel.py --parallel``
-  records a ``mode: parallel`` trajectory row for the cold Delta=7
-  chain, the one measured workload where ``workers=2`` beats serial:
-  median and interquartile range of both sides over alternating
-  pairs, the shared result fingerprint, and the commit, Python version
-  and ``os.cpu_count()`` of the host.  (The older ``mode: sharded``
-  rows are marked ``legacy``: the scheduler they measured is gone.)
+  appends a ``mode: parallel`` row for the cold Delta=7 chain, serial
+  vs ``workers=2`` (the one measured workload where the fan-out beats
+  serial), with the shared result fingerprint.  (The older
+  ``mode: sharded`` rows are ``legacy``: the scheduler they measured
+  is gone.)
 * ``PYTHONPATH=src python benchmarks/bench_kernel.py --hotpath``
-  records a ``mode: hotpath`` trajectory row for the *cold* Delta=5
-  chain (fresh transport registry, serial kernel): best-of-3 wall
-  clock against the reference engine, the per-op timing/allocation
-  breakdown from one profiled run
-  (:mod:`repro.observability.profiling`), and the profiler's coverage
-  of the traced kernel wall time (must be >= 90%).  ``--quick`` gates
-  against the best recorded hotpath row ratio-wise: a >1.5x speedup
-  regression on the Delta=5 chain fails the gate.  Add
-  ``--trace <path>`` to also write the profiled kernel trace as JSON
-  lines — written before the gate checks, so CI can upload it and run
-  ``tools/trace_report.py hotspots`` over a failing run.
+  appends a ``mode: hotpath`` row for the *cold* Delta=5 chain (fresh
+  transport registry, serial kernel) with the per-op timing and
+  allocation breakdown of one profiled run
+  (:mod:`repro.observability.profiling`) and the profiler's coverage
+  of the traced kernel wall time, which must be >= 90%.
+* ``--trace <path>``, with ``--quick`` or ``--hotpath``, writes that
+  profiled kernel trace as JSON lines before any floor check, so a
+  failing gate leaves its own evidence for
+  ``tools/trace_report.py hotspots``.
 
-Besides timings, every measurement runs the chain once per engine
-under a tracer and records the summed counters: the semantic ones
-(which the two engines must agree on — ``--quick`` fails on any drift)
-plus the kernel's cache behavior, giving the trajectory a
-work-per-second denominator that wall-clock alone cannot provide.
-Failures of any kind exit non-zero with a one-line ``error:``
-diagnostic.
+Before its timed pairs every measurement runs each engine once under a
+tracer (which also warms imports and caches) and records the summed
+counters: the semantic ones, which the two engines must agree on, plus
+the kernel's cache behavior, a work-per-second denominator that wall
+clock alone cannot give.  Failures of any kind exit non-zero with a
+one-line ``error:`` diagnostic.
 """
 
+import functools
 import json
 import os
 import platform
@@ -65,7 +72,7 @@ from repro.observability.metrics import (
     semantic_profile,
     total_counters,
 )
-from repro.observability.profiling import Profiler, profiling
+from repro.observability.profiling import profiling
 from repro.observability.trace import Tracer, tracing
 from repro.problems.family import family_problem
 from repro.problems.mis import mis_problem
@@ -77,12 +84,17 @@ from bench_engine import MIS_CHAIN_DELTA, MIS_CHAIN_STEPS, run_mis_chain
 TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_kernel.json")
 REGRESSION_FACTOR = 3.0
 
+#: Pairs of runs behind every recorded row, and behind each ``--quick``
+#: measurement (median of 3 keeps the gate's spread below a single
+#: run's at a third of a recording's cost).
+PAIRS = 5
+QUICK_PAIRS = 3
+
 #: The parallel row: the smallest MIS chain where the process fan-out
 #: beats the serial kernel on a 2-core host (smaller chains are
 #: dominated by pool start-up and payload shipping).
 PARALLEL_DELTA = 7
 PARALLEL_WORKERS = 2
-PARALLEL_PAIRS = 5
 
 #: The hot-path row: the serial cold Delta=5 chain the engine rewrite
 #: optimizes.  The quick gate tolerates a 1.5x ratio regression against
@@ -111,12 +123,6 @@ def test_kernel_rbar_timing(benchmark):
     assert result == Rbar(intermediate)
 
 
-def test_kernel_chain_timing(once):
-    """The Delta=4 MIS chain on the kernel path, result cross-checked."""
-    kernel = once(lambda: run_mis_chain(use_kernel=True))
-    assert kernel == run_mis_chain(use_kernel=False)
-
-
 def test_parallel_rbar_matches_serial(once):
     """The multiprocessing fan-out is timed and must equal the serial
     kernel result (on single-core CI this measures overhead, not gain)."""
@@ -126,55 +132,95 @@ def test_parallel_rbar_matches_serial(once):
 
 
 # ---------------------------------------------------------------------------
-# Trajectory maintenance (script mode)
+# The recorder: one timing routine, one traced run, one writer
 # ---------------------------------------------------------------------------
 
-def traced_chain_records(use_kernel: bool) -> list[dict]:
-    """One untimed chain run under a tracer; the finished records."""
+def measure_pairs(first, second, pairs: int, *, alternate: bool = True):
+    """Time two sides over ``pairs`` pairs of runs.
+
+    ``first`` and ``second`` are ``(name, fn)``.  Each pair runs both
+    sides once, untraced.  With ``alternate`` the side that goes first
+    swaps every pair, so drift of the host hits both sides alike.  The
+    cold/warm cache rows pass ``alternate=False``: warm must follow
+    cold in the same store, so their pairs run in a fixed order.
+
+    Every run must return a result equal to the first run's, so the
+    timed runs are also the cross-check between the two sides; a
+    mismatch raises ``AssertionError``.
+
+    Returns the row's timing fields and the common result.  The fields
+    are ``pairs``, ``<name>_median_seconds`` and ``<name>_iqr_seconds``
+    for each side, and ``speedup``: the first side's median over the
+    second's.
+    """
+    seconds: dict[str, list[float]] = {first[0]: [], second[0]: []}
+    results = []
+    for index in range(pairs):
+        order = (second, first) if alternate and index % 2 else (first, second)
+        for name, fn in order:
+            started = time.perf_counter()
+            result = fn()
+            seconds[name].append(time.perf_counter() - started)
+            if not results:
+                results.append(result)
+            elif result != results[0]:
+                raise AssertionError(
+                    f"{name} run in pair {index + 1} returned a different "
+                    f"result from the first {first[0]} run"
+                )
+    fields: dict = {"pairs": pairs}
+    for name, samples in seconds.items():
+        quartiles = statistics.quantiles(samples, n=4, method="inclusive")
+        fields[f"{name}_median_seconds"] = round(statistics.median(samples), 4)
+        fields[f"{name}_iqr_seconds"] = round(quartiles[2] - quartiles[0], 4)
+    fields["speedup"] = round(
+        statistics.median(seconds[first[0]])
+        / statistics.median(seconds[second[0]]),
+        2,
+    )
+    return fields, results[0]
+
+
+def describe(fields: dict) -> str:
+    """One line for :func:`measure_pairs` fields."""
+    medians = ", ".join(
+        f"{key.removesuffix('_median_seconds')} {value}s"
+        for key, value in fields.items()
+        if key.endswith("_median_seconds")
+    )
+    return (
+        f"speedup {fields['speedup']}x "
+        f"(medians {medians}; {fields['pairs']} pairs)"
+    )
+
+
+def traced(fn, trace_path: str | None = None) -> tuple[object, list[dict]]:
+    """One untimed run of ``fn`` under a tracer: its result and the
+    finished trace records.  With ``trace_path`` the trace is also
+    written there as JSON lines."""
     tracer = Tracer()
     with tracing(tracer):
-        run_mis_chain(use_kernel=use_kernel)
-    return tracer.finish()
+        result = fn()
+    if trace_path is not None:
+        tracer.write(trace_path)
+    return result, tracer.finish()
 
 
-def measure_chain(rounds: int) -> dict:
-    """Best-of-``rounds`` timings plus counter summaries per engine.
-
-    The timed runs are untraced (the timings gate a <3% tracing
-    overhead budget elsewhere and must not include the tracer); one
-    extra traced run per engine collects the counters.
-    """
-    run_mis_chain(use_kernel=True)  # warm-up (imports, caches)
-    reference_seconds = min(
-        _timed(lambda: run_mis_chain(use_kernel=False)) for _ in range(rounds)
-    )
-    kernel_seconds = min(
-        _timed(lambda: run_mis_chain(use_kernel=True)) for _ in range(rounds)
-    )
-    assert run_mis_chain(use_kernel=False) == run_mis_chain(use_kernel=True)
-    reference_records = traced_chain_records(use_kernel=False)
-    kernel_records = traced_chain_records(use_kernel=True)
-    drift = diff_semantic_profiles(
-        semantic_profile(reference_records), semantic_profile(kernel_records)
-    )
+def engine_counters(
+    reference_records: list[dict], kernel_records: list[dict]
+) -> dict:
+    """The row fields comparing one traced run per engine: summed
+    counters and the semantic drift between them (empty = agree)."""
     return {
-        "chain": f"mis_delta{MIS_CHAIN_DELTA}_steps{MIS_CHAIN_STEPS}",
-        "reference_seconds": round(reference_seconds, 4),
-        "kernel_seconds": round(kernel_seconds, 4),
-        "speedup": round(reference_seconds / kernel_seconds, 2),
         "counters": {
             "reference": total_counters(reference_records),
             "kernel": total_counters(kernel_records),
         },
-        "semantic_drift": drift,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "semantic_drift": diff_semantic_profiles(
+            semantic_profile(reference_records),
+            semantic_profile(kernel_records),
+        ),
     }
-
-
-def _timed(fn) -> float:
-    started = time.perf_counter()
-    fn()
-    return time.perf_counter() - started
 
 
 def load_trajectory() -> list[dict]:
@@ -184,15 +230,120 @@ def load_trajectory() -> list[dict]:
         return json.load(handle)
 
 
-def record() -> None:
-    entry = {**measure_chain(rounds=3), **_provenance()}
+def write_rows(rows: list[dict]) -> None:
+    """Append ``rows`` to the trajectory, each stamped with provenance
+    so rows compare across hosts: the commit (``-dirty`` with local
+    edits), the Python version, ``os.cpu_count()`` and the time."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    stamp = {
+        "commit": commit,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
     trajectory = load_trajectory()
-    trajectory.append(entry)
+    trajectory.extend({**row, **stamp} for row in rows)
     with open(TRAJECTORY_PATH, "w", encoding="utf-8") as handle:
         json.dump(trajectory, handle, indent=2)
         handle.write("\n")
-    print(f"recorded: {entry}")
-    print(f"trajectory length: {len(trajectory)} ({TRAJECTORY_PATH})")
+    print(
+        f"recorded {len(rows)} row(s); trajectory length: "
+        f"{len(trajectory)} ({TRAJECTORY_PATH})"
+    )
+
+
+def floor_gate(
+    trajectory: list[dict],
+    mode: str | None,
+    speedup_now: float,
+    factor: float,
+    what: str,
+) -> int:
+    """Compare a speedup with the best current row of ``mode``; 0 = pass.
+
+    The Delta=4 chain rows carry no ``mode`` (``mode=None``).  Legacy
+    rows set no floor.  A speedup at ``best / factor`` passes; below it
+    fails.  With no row to compare against the gate passes.
+    """
+    best = max(
+        (
+            row["speedup"]
+            for row in trajectory
+            if row.get("mode") == mode and not row.get("legacy")
+        ),
+        default=None,
+    )
+    if best is None:
+        print(f"{what}: no recorded rows - nothing to compare against")
+        return 0
+    floor = best / factor
+    print(
+        f"{what}: best recorded {best}x, regression floor {floor:.2f}x, "
+        f"current {speedup_now}x"
+    )
+    if speedup_now < floor:
+        print(
+            f"error: {what} speedup {speedup_now}x regressed more than "
+            f"{factor}x below the best recorded {best}x",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
+def check_drift(entry: dict, what: str) -> int:
+    """0 when the engines agreed on every semantic counter."""
+    if not entry["semantic_drift"]:
+        return 0
+    for line in entry["semantic_drift"]:
+        print(f"  {line}")
+    print(
+        f"error: {what} drifted semantically between reference and kernel",
+        file=sys.stderr,
+    )
+    return 1
+
+
+# ---------------------------------------------------------------------------
+# Trajectory maintenance (script mode)
+# ---------------------------------------------------------------------------
+
+def measure_chain(pairs: int) -> dict:
+    """The Delta=4 MIS chain, reference vs kernel, over ``pairs`` pairs.
+
+    The timed runs are untraced.  Tracing off is meant to cost under 3%
+    of this chain's kernel time; that budget is a documented target,
+    not gated here (perfbench records the tracing-on cost as
+    ``observability.trace_overhead_ratio``).
+    """
+    reference = functools.partial(run_mis_chain, use_kernel=False)
+    kernel = functools.partial(run_mis_chain, use_kernel=True)
+    _, reference_records = traced(reference)
+    _, kernel_records = traced(kernel)
+    timing, _ = measure_pairs(("reference", reference), ("kernel", kernel), pairs)
+    return {
+        "chain": f"mis_delta{MIS_CHAIN_DELTA}_steps{MIS_CHAIN_STEPS}",
+        **timing,
+        **engine_counters(reference_records, kernel_records),
+    }
+
+
+def record() -> int:
+    entry = measure_chain(PAIRS)
+    print(f"{entry['chain']}: {describe(entry)}")
+    failed = check_drift(entry, "Delta=4 chain")
+    if not failed:
+        write_rows([entry])
+    return failed
 
 
 def cache_gate() -> int:
@@ -206,11 +357,12 @@ def cache_gate() -> int:
     """
     from repro.core.cache import OperatorCache, caching
 
-    plain = run_mis_chain(use_kernel=True)
+    kernel = functools.partial(run_mis_chain, use_kernel=True)
+    plain = kernel()
     store = OperatorCache()  # in-memory tier only; no disk in CI
     with caching(store):
-        cold = run_mis_chain(use_kernel=True)
-        warm = run_mis_chain(use_kernel=True)
+        cold = kernel()
+        warm = kernel()
     if not (plain == cold == warm):
         print("error: cached chain diverged from uncached", file=sys.stderr)
         return 1
@@ -221,13 +373,10 @@ def cache_gate() -> int:
             file=sys.stderr,
         )
         return 1
-    tracer = Tracer()
-    with tracing(tracer), caching(OperatorCache()):
-        run_mis_chain(use_kernel=True)
-    cached_records = tracer.finish()
+    with caching(OperatorCache()):
+        _, cached_records = traced(kernel)
     drift = diff_semantic_profiles(
-        semantic_profile(traced_chain_records(use_kernel=True)),
-        semantic_profile(cached_records),
+        semantic_profile(traced(kernel)[1]), semantic_profile(cached_records)
     )
     if drift:
         for line in drift:
@@ -247,31 +396,6 @@ def cache_gate() -> int:
     return 0
 
 
-def _provenance() -> dict:
-    """Commit (``-dirty`` with local edits), interpreter and core count,
-    so rows compare across hosts."""
-    try:
-        commit = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        commit = None
-    return {
-        "commit": commit,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def _median_iqr(samples: list[float]) -> tuple[float, float]:
-    quartiles = statistics.quantiles(samples, n=4, method="inclusive")
-    return statistics.median(samples), quartiles[2] - quartiles[0]
-
-
 def run_parallel_chain(workers: int | None):
     """The cold Delta=7 MIS chain, serial or fanned out over ``workers``."""
     transport_registry().clear()
@@ -282,54 +406,22 @@ def run_parallel_chain(workers: int | None):
 
 
 def record_parallel() -> int:
-    """Append a ``mode: parallel`` serial-vs-``workers`` row.
-
-    Runs alternate serial and parallel so host drift hits both sides
-    alike; every parallel result must have the serial fingerprint.  The
-    row keeps the medians and interquartile ranges of both sides.
-    """
-    serial_seconds: list[float] = []
-    parallel_seconds: list[float] = []
-    digests: set[str] = set()
-    run_parallel_chain(None)  # warm-up (imports, bytecode)
-    for _ in range(PARALLEL_PAIRS):
-        for workers, samples in (
-            (None, serial_seconds),
-            (PARALLEL_WORKERS, parallel_seconds),
-        ):
-            started = time.perf_counter()
-            problem = run_parallel_chain(workers)
-            samples.append(time.perf_counter() - started)
-            digests.add(fingerprint(problem))
-    if len(digests) != 1:
-        print(
-            "error: parallel chain diverged from the serial chain",
-            file=sys.stderr,
-        )
-        return 1
-    serial_median, serial_iqr = _median_iqr(serial_seconds)
-    parallel_median, parallel_iqr = _median_iqr(parallel_seconds)
+    """Append a ``mode: parallel`` serial-vs-``workers`` row; every
+    parallel result must equal the serial one."""
+    timing, problem = measure_pairs(
+        ("serial", functools.partial(run_parallel_chain, None)),
+        ("parallel", functools.partial(run_parallel_chain, PARALLEL_WORKERS)),
+        PAIRS,
+    )
     entry = {
         "chain": f"mis_delta{PARALLEL_DELTA}_steps{MIS_CHAIN_STEPS}",
         "mode": "parallel",
         "workers": PARALLEL_WORKERS,
-        "pairs": PARALLEL_PAIRS,
-        "serial_median_seconds": round(serial_median, 4),
-        "serial_iqr_seconds": round(serial_iqr, 4),
-        "parallel_median_seconds": round(parallel_median, 4),
-        "parallel_iqr_seconds": round(parallel_iqr, 4),
-        "speedup": round(serial_median / parallel_median, 2),
-        "fingerprint": digests.pop(),
-        **_provenance(),
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **timing,
+        "fingerprint": fingerprint(problem),
     }
-    trajectory = load_trajectory()
-    trajectory.append(entry)
-    with open(TRAJECTORY_PATH, "w", encoding="utf-8") as handle:
-        json.dump(trajectory, handle, indent=2)
-        handle.write("\n")
-    print(f"recorded: {entry}")
-    print(f"trajectory length: {len(trajectory)} ({TRAJECTORY_PATH})")
+    print(f"{entry['chain']} parallel: {describe(entry)}")
+    write_rows([entry])
     return 0
 
 
@@ -344,42 +436,28 @@ def run_hotpath_chain(*, use_kernel: bool = True):
     return problem
 
 
-def measure_hotpath(rounds: int, trace_path: str | None = None) -> dict:
-    """Best-of-``rounds`` cold Delta=5 timings plus the profiled
+def profiled_hotpath_chain():
+    """The kernel hot-path chain under a fresh profiler, which emits
+    its ``prof.op`` spans into the ambient tracer on exit."""
+    with profiling():
+        return run_hotpath_chain()
+
+
+def measure_hotpath(pairs: int, trace_path: str | None = None) -> dict:
+    """The cold Delta=5 chain over ``pairs`` pairs, plus the profiled
     per-op breakdown.
 
-    Timed runs are untraced and unprofiled; one extra traced run per
-    engine collects the drift-checked counters, and the kernel's
-    traced run is also profiled for the per-op wall/allocation
-    breakdown and its coverage of the traced kernel wall time.  With
-    ``trace_path`` the profiled kernel trace is also written as JSON
-    lines (before any gate checks, so a failing run still leaves the
-    evidence behind — CI uploads it and renders
-    ``tools/trace_report.py hotspots`` over it).
+    The kernel's traced run is also profiled for the per-op
+    wall/allocation breakdown and its coverage of the traced kernel
+    wall time.  With ``trace_path`` that trace is written as JSON
+    lines before any timing or gate check, so a failing run still
+    leaves the evidence behind.
     """
-    run_hotpath_chain()  # warm-up (imports, bytecode)
-    kernel_seconds = min(
-        _timed(run_hotpath_chain) for _ in range(rounds)
-    )
-    started = time.perf_counter()
-    reference_problem = run_hotpath_chain(use_kernel=False)
-    reference_seconds = time.perf_counter() - started
-    if reference_problem != run_hotpath_chain():
-        raise AssertionError(
-            "hot-path kernel chain diverged from the reference engine"
-        )
-    reference_tracer = Tracer()
-    with tracing(reference_tracer):
-        run_hotpath_chain(use_kernel=False)
-    reference_records = reference_tracer.finish()
-    kernel_tracer = Tracer()
-    with tracing(kernel_tracer), profiling(Profiler()):
-        run_hotpath_chain()
-    kernel_records = kernel_tracer.finish()
-    if trace_path is not None:
-        kernel_tracer.write(trace_path)
-    drift = diff_semantic_profiles(
-        semantic_profile(reference_records), semantic_profile(kernel_records)
+    reference = functools.partial(run_hotpath_chain, use_kernel=False)
+    _, reference_records = traced(reference)
+    _, kernel_records = traced(profiled_hotpath_chain, trace_path)
+    timing, _ = measure_pairs(
+        ("reference", reference), ("kernel", run_hotpath_chain), pairs
     )
     profile = hotspot_profile(kernel_records)
     breakdown = {
@@ -397,109 +475,59 @@ def measure_hotpath(rounds: int, trace_path: str | None = None) -> dict:
     return {
         "chain": f"mis_delta{HOTPATH_DELTA}_steps{MIS_CHAIN_STEPS}",
         "mode": "hotpath",
-        "reference_seconds": round(reference_seconds, 4),
-        "kernel_seconds": round(kernel_seconds, 4),
-        "speedup": round(reference_seconds / kernel_seconds, 2),
+        **timing,
         "profile": breakdown,
         "coverage": round(profile["coverage"] or 0.0, 4),
-        "counters": {
-            "reference": total_counters(reference_records),
-            "kernel": total_counters(kernel_records),
-        },
-        "semantic_drift": drift,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **engine_counters(reference_records, kernel_records),
     }
 
 
-def _print_hotpath_entry(entry: dict) -> None:
-    print(
-        f"hotpath: speedup {entry['speedup']}x "
-        f"(reference {entry['reference_seconds']}s, "
-        f"kernel {entry['kernel_seconds']}s, "
-        f"coverage {entry['coverage']:.1%})"
-    )
+def checked_hotpath(pairs: int, trace_path: str | None) -> tuple[dict, int]:
+    """Measure, print and check a hot-path entry (drift and coverage,
+    shared by record and gate modes); the entry and 0 when sound."""
+    entry = measure_hotpath(pairs, trace_path)
+    print(f"hotpath: {describe(entry)}, coverage {entry['coverage']:.1%}")
     for op, totals in entry["profile"].items():
         print(
             f"  {op}: calls={totals['calls']} "
             f"wall_ms={totals['wall_ms']} "
             f"alloc_blocks={totals['alloc_blocks']}"
         )
-
-
-def _check_hotpath_entry(entry: dict) -> int:
-    """Shared validity checks for record and gate modes; 0 = sound."""
-    if entry["semantic_drift"]:
-        for line in entry["semantic_drift"]:
-            print(f"  {line}")
-        print(
-            "error: hot-path run drifted semantically between engines",
-            file=sys.stderr,
-        )
-        return 1
-    if entry["coverage"] < HOTPATH_MIN_COVERAGE:
+    failed = check_drift(entry, "hot-path run")
+    if not failed and entry["coverage"] < HOTPATH_MIN_COVERAGE:
         print(
             f"error: profiled sections cover {entry['coverage']:.1%} of "
             f"kernel wall time, below required "
             f"{HOTPATH_MIN_COVERAGE:.0%}",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        failed = 1
+    return entry, failed
 
 
 def record_hotpath(trace_path: str | None = None) -> int:
     """Append a ``mode: hotpath`` row to the trajectory."""
-    entry = measure_hotpath(rounds=3, trace_path=trace_path)
-    _print_hotpath_entry(entry)
-    failed = _check_hotpath_entry(entry)
-    if failed:
-        return failed
-    entry.update(_provenance())
-    trajectory = load_trajectory()
-    trajectory.append(entry)
-    with open(TRAJECTORY_PATH, "w", encoding="utf-8") as handle:
-        json.dump(trajectory, handle, indent=2)
-        handle.write("\n")
-    print(f"trajectory length: {len(trajectory)} ({TRAJECTORY_PATH})")
-    return 0
+    entry, failed = checked_hotpath(PAIRS, trace_path)
+    if not failed:
+        write_rows([entry])
+    return failed
 
 
-def hotpath_gate() -> int:
-    """Single Delta=5 measurement vs. the best hotpath row; 0 = pass.
+def hotpath_gate(trace_path: str | None = None) -> int:
+    """The Delta=5 hot path against the best hot-path row; 0 = pass.
 
-    Ratio-based like the Delta=4 floor — wall-clock seconds do not
-    transfer between machines, kernel-vs-reference speedup ratios do —
-    but with the tighter ``HOTPATH_REGRESSION_FACTOR``, since the
-    single optimized chain shape is far less noisy than the whole
-    suite.  Skips silently when no hotpath row has been recorded yet.
+    Ratio-based like the Delta=4 floor, but with the tighter
+    ``HOTPATH_REGRESSION_FACTOR``, since the single optimized chain
+    shape is far less noisy than the whole suite.
     """
-    rows = [
-        item
-        for item in load_trajectory()
-        if item.get("mode") == "hotpath" and not item.get("legacy")
-    ]
-    if not rows:
-        print("no recorded hotpath rows - nothing to compare against")
-        return 0
-    entry = measure_hotpath(rounds=1)
-    _print_hotpath_entry(entry)
-    failed = _check_hotpath_entry(entry)
-    if failed:
-        return failed
-    best = max(row["speedup"] for row in rows)
-    floor = best / HOTPATH_REGRESSION_FACTOR
-    print(
-        f"hotpath best recorded: {best}x, regression floor: {floor:.2f}x"
+    entry, failed = checked_hotpath(QUICK_PAIRS, trace_path)
+    return failed or floor_gate(
+        load_trajectory(),
+        "hotpath",
+        entry["speedup"],
+        HOTPATH_REGRESSION_FACTOR,
+        "hot path",
     )
-    if entry["speedup"] < floor:
-        print(
-            f"error: hot-path speedup regressed more than "
-            f"{HOTPATH_REGRESSION_FACTOR}x below the best recorded "
-            f"hotpath row",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def scenario_gate() -> int:
@@ -544,70 +572,37 @@ def scenario_gate() -> int:
     return 0
 
 
-def quick_gate() -> int:
-    """Single measurement vs. the best recorded ratio; 0 = pass.
+def quick_gate(trace_path: str | None = None) -> int:
+    """Every gate, nothing recorded; 0 = pass.
 
-    Also fails on any semantic-counter drift between the engines —
-    the differential contract checked for free while we have the
-    traced runs in hand — and on any cache-transparency violation
-    (see :func:`cache_gate`).
+    The Delta=4 chain over ``QUICK_PAIRS`` pairs (semantic drift, then
+    its floor, checked last), the cache-transparency gate, the quick
+    scenarios and the hot-path gate.
     """
-    entry = measure_chain(rounds=1)
-    trajectory = load_trajectory()
-    print(
-        f"current: speedup {entry['speedup']}x "
-        f"(reference {entry['reference_seconds']}s, "
-        f"kernel {entry['kernel_seconds']}s)"
-    )
+    entry = measure_chain(QUICK_PAIRS)
+    print(f"current: {describe(entry)}")
     for engine in ("reference", "kernel"):
         counters = " ".join(
             f"{counter}={value}"
             for counter, value in entry["counters"][engine].items()
         )
         print(f"{engine} counters: {counters}")
-    if entry["semantic_drift"]:
-        for line in entry["semantic_drift"]:
-            print(f"  {line}")
-        print(
-            "error: semantic counters drifted between reference and kernel",
-            file=sys.stderr,
+    failed = (
+        check_drift(entry, "Delta=4 chain")
+        or cache_gate()
+        or scenario_gate()
+        or hotpath_gate(trace_path)
+        or floor_gate(
+            load_trajectory(),
+            None,
+            entry["speedup"],
+            REGRESSION_FACTOR,
+            "Delta=4 chain",
         )
-        return 1
-    failed = cache_gate()
-    if failed:
-        return failed
-    failed = scenario_gate()
-    if failed:
-        return failed
-    failed = hotpath_gate()
-    if failed:
-        return failed
-    # The trajectory also holds cold/warm cache entries (bench_cache.py)
-    # and per-scenario rows (bench_scenarios.py) whose "speedup" does
-    # not measure the Delta=4 MIS chain — only plain kernel
-    # measurements set the regression floor.
-    kernel_entries = [
-        item["speedup"]
-        for item in trajectory
-        if "kernel_seconds" in item
-        and "mode" not in item
-        and not item.get("legacy")
-    ]
-    if not kernel_entries:
-        print("no recorded trajectory - nothing to compare against")
-        return 0
-    best = max(kernel_entries)
-    floor = best / REGRESSION_FACTOR
-    print(f"best recorded: {best}x, regression floor: {floor:.2f}x")
-    if entry["speedup"] < floor:
-        print(
-            f"error: kernel speedup regressed more than "
-            f"{REGRESSION_FACTOR}x below the best recorded ratio",
-            file=sys.stderr,
-        )
-        return 1
-    print("PASS")
-    return 0
+    )
+    if not failed:
+        print("PASS")
+    return failed
 
 
 def main(argv: list[str]) -> int:
@@ -634,18 +629,20 @@ def main(argv: list[str]) -> int:
         else:
             print(f"error: unknown option {argument}", file=sys.stderr)
             return 2
-    if trace_path is not None and not hotpath:
-        print("error: --trace only applies to --hotpath", file=sys.stderr)
+    if trace_path is not None and not (quick or hotpath):
+        print(
+            "error: --trace only applies to --quick and --hotpath",
+            file=sys.stderr,
+        )
         return 2
     try:
         if quick:
-            return quick_gate()
+            return quick_gate(trace_path)
         if parallel:
             return record_parallel()
         if hotpath:
             return record_hotpath(trace_path)
-        record()
-        return 0
+        return record()
     except Exception as error:  # any measurement failure must exit non-zero
         print(f"error: benchmark failed: {error}", file=sys.stderr)
         return 1

@@ -7,39 +7,41 @@ a trajectory row alongside the Delta=4 MIS chain that
 ``bench_kernel.py`` maintains:
 
 * ``PYTHONPATH=src python benchmarks/bench_scenarios.py``
-  measures every scenario (best of 3) on both engines, cross-checks
-  that the chains agree and meet their declared expectations, and
-  *appends* one ``mode: scenario`` row per scenario to
-  ``BENCH_kernel.json``.
+  measures every scenario on both engines over ``PAIRS`` alternating
+  pairs (``bench_kernel.measure_pairs``: medians, IQRs, and a speedup
+  that is the ratio of the medians), cross-checks that every run's
+  chain agrees and meets its declared expectations, and *appends* one
+  ``mode: scenario`` row per scenario to ``BENCH_kernel.json``.
 * ``PYTHONPATH=src python benchmarks/bench_scenarios.py --check``
-  single measurement, no recording; exits non-zero on any expectation
-  failure, cross-engine divergence, or semantic-counter drift.
+  the same over ``QUICK_PAIRS`` pairs, no recording; exits non-zero
+  on any expectation failure, cross-engine divergence, or
+  semantic-counter drift.
 
 Scenario rows carry ``mode: scenario`` so the kernel quick gate's
-regression floor (which compares Delta=4 MIS chain ratios only) never
-mixes them in.  Failures of any kind exit non-zero with a one-line
-``error:`` diagnostic.
+regression floors never mix them in.  Failures of any kind exit
+non-zero with a one-line ``error:`` diagnostic.
 """
 
-import json
+import functools
 import os
 import sys
-import time
 
-from repro.observability.metrics import (
-    diff_semantic_profiles,
-    semantic_profile,
-    total_counters,
+from repro.scenarios import load_registry, run_scenario
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from bench_kernel import (
+    PAIRS,
+    QUICK_PAIRS,
+    describe,
+    engine_counters,
+    measure_pairs,
+    traced,
+    write_rows,
 )
-from repro.observability.trace import Tracer, tracing
-from repro.scenarios import ScenarioRun, load_registry, run_scenario
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_kernel.json")
 
 USAGE = (
     "usage: bench_scenarios.py            (measure + append trajectory rows)\n"
-    "       bench_scenarios.py --check    (single measurement, no recording)\n"
+    "       bench_scenarios.py --check    (quick pairs, no recording)\n"
     "\n"
     "Exit status (unified across repro tooling):\n"
     "    0  success: every scenario met its expectations on both engines\n"
@@ -77,112 +79,64 @@ def test_every_scenario_meets_expectations(once):
 # Trajectory maintenance (script mode)
 # ---------------------------------------------------------------------------
 
-def _timed(fn) -> float:
-    started = time.perf_counter()
-    fn()
-    return time.perf_counter() - started
-
-
-def _traced_run(spec, *, use_kernel: bool) -> tuple[ScenarioRun, list[dict]]:
-    """One untimed scenario run under a tracer; run + finished records."""
-    tracer = Tracer()
-    with tracing(tracer):
-        run = run_scenario(spec, use_kernel=use_kernel)
-    return run, tracer.finish()
-
-
-def measure_scenario(spec, rounds: int) -> tuple[dict, list[str]]:
-    """Best-of-``rounds`` timings per engine plus the checked outcome.
+def measure_scenario(spec, pairs: int) -> tuple[dict, list[str]]:
+    """One scenario, reference vs kernel, over ``pairs`` pairs.
 
     Returns the trajectory row and a list of problems (expectation
-    failures, cross-engine divergence, semantic drift); an empty list
-    means the row is good to record.
+    failures, semantic drift); an empty list means the row is good to
+    record.  A divergence between the engines raises, from
+    ``measure_pairs``.
     """
-    run_scenario(spec, use_kernel=True)  # warm-up (imports, caches)
-    reference_seconds = min(
-        _timed(lambda: run_scenario(spec, use_kernel=False))
-        for _ in range(rounds)
-    )
-    kernel_seconds = min(
-        _timed(lambda: run_scenario(spec, use_kernel=True))
-        for _ in range(rounds)
-    )
-    reference, reference_records = _traced_run(spec, use_kernel=False)
-    kernel, kernel_records = _traced_run(spec, use_kernel=True)
-    problems: list[str] = []
-    for engine, run in (("reference", reference), ("kernel", kernel)):
-        problems.extend(
-            f"{spec.name} [{engine}]: {failure}" for failure in run.failures
-        )
-    if not problems and reference.problems != kernel.problems:
-        problems.append(f"{spec.name}: engines produced different chains")
-    drift = diff_semantic_profiles(
-        semantic_profile(reference_records), semantic_profile(kernel_records)
-    )
-    problems.extend(f"{spec.name}: {line}" for line in drift)
+    reference = functools.partial(run_scenario, spec, use_kernel=False)
+    kernel = functools.partial(run_scenario, spec, use_kernel=True)
+    reference_run, reference_records = traced(reference)
+    kernel_run, kernel_records = traced(kernel)
+    timing, _ = measure_pairs(("reference", reference), ("kernel", kernel), pairs)
     row = {
         "chain": spec.name.replace("-", "_"),
         "mode": "scenario",
         "family": spec.family,
         "operator": spec.operator,
-        "certified_rounds": kernel.certified_rounds,
-        "reference_seconds": round(reference_seconds, 4),
-        "kernel_seconds": round(kernel_seconds, 4),
-        "speedup": round(reference_seconds / kernel_seconds, 2),
-        "counters": {
-            "reference": total_counters(reference_records),
-            "kernel": total_counters(kernel_records),
-        },
-        "semantic_drift": drift,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "certified_rounds": kernel_run.certified_rounds,
+        **timing,
+        **engine_counters(reference_records, kernel_records),
     }
+    problems = [
+        f"{spec.name} [{engine}]: {failure}"
+        for engine, run in (("reference", reference_run), ("kernel", kernel_run))
+        for failure in run.failures
+    ]
+    problems.extend(f"{spec.name}: {line}" for line in row["semantic_drift"])
     return row, problems
 
 
-def measure_registry(rounds: int) -> tuple[list[dict], list[str]]:
+def measure_registry(pairs: int) -> tuple[list[dict], list[str]]:
     rows: list[dict] = []
     problems: list[str] = []
     for _, spec in load_registry():
-        row, failures = measure_scenario(spec, rounds=rounds)
+        row, failures = measure_scenario(spec, pairs)
         rows.append(row)
         problems.extend(failures)
         print(
-            f"{row['chain']}: speedup {row['speedup']}x "
-            f"(reference {row['reference_seconds']}s, "
-            f"kernel {row['kernel_seconds']}s, "
-            f"certified={row['certified_rounds']})"
+            f"{row['chain']}: {describe(row)}, "
+            f"certified={row['certified_rounds']}"
         )
     return rows, problems
 
 
-def load_trajectory() -> list[dict]:
-    if not os.path.exists(TRAJECTORY_PATH):
-        return []
-    with open(TRAJECTORY_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def record() -> int:
-    rows, problems = measure_registry(rounds=3)
+    rows, problems = measure_registry(PAIRS)
     if problems:
         for line in problems:
             print(f"  {line}")
         print("error: scenario measurements failed checks", file=sys.stderr)
         return 1
-    trajectory = load_trajectory()
-    trajectory.extend(rows)
-    with open(TRAJECTORY_PATH, "w", encoding="utf-8") as handle:
-        json.dump(trajectory, handle, indent=2)
-        handle.write("\n")
-    print(
-        f"recorded {len(rows)} scenario rows; trajectory length: "
-        f"{len(trajectory)} ({TRAJECTORY_PATH})"
-    )
+    write_rows(rows)
     return 0
 
 
 def check() -> int:
-    _, problems = measure_registry(rounds=1)
+    _, problems = measure_registry(QUICK_PAIRS)
     if problems:
         for line in problems:
             print(f"  {line}")

@@ -161,14 +161,44 @@ class TestBenchKernel:
         assert completed.returncode == 2
         assert completed.stderr.startswith("error:")
 
+    def test_trace_without_a_profiled_mode_exits_2(self):
+        completed = run_script(
+            "benchmarks/bench_kernel.py", "--parallel", "--trace", "t.jsonl"
+        )
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("error: --trace only applies")
+
     @pytest.mark.slow
-    def test_quick_gate_passes_and_prints_counters(self):
-        completed = run_script("benchmarks/bench_kernel.py", "--quick")
+    def test_quick_gate_passes_and_prints_counters(self, tmp_path):
+        trace = tmp_path / "hotpath.jsonl"
+        completed = run_script(
+            "benchmarks/bench_kernel.py", "--quick", "--trace", str(trace)
+        )
         assert completed.returncode == 0, completed.stderr + completed.stdout
         assert "reference counters:" in completed.stdout
         assert "kernel counters:" in completed.stdout
         assert "labels.in=" in completed.stdout
         assert "scenario gate: maximal-matching2-selfreduce" in completed.stdout
+        # The gate's own profiled hot-path trace, for CI's failure report.
+        names = {
+            json.loads(line).get("name")
+            for line in trace.read_text().splitlines()
+        }
+        assert "prof.op" in names
+
+
+class TestBenchCache:
+    def test_unknown_flag_exits_2(self):
+        completed = run_script("benchmarks/bench_cache.py", "--bogus")
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("error:")
+
+    @pytest.mark.slow
+    def test_quick_passes_without_recording(self):
+        completed = run_script("benchmarks/bench_cache.py", "--quick")
+        assert completed.returncode == 0, completed.stderr + completed.stdout
+        assert "mis_delta5_steps2" in completed.stdout
+        assert completed.stdout.rstrip().endswith("PASS (nothing recorded)")
 
 
 class TestBenchScenarios:

@@ -58,7 +58,10 @@ FOOTER = """\
   (``repro.observability``): any run can be re-traced with
   ``--trace out.jsonl`` and inspected or diffed via
   ``tools/trace_report.py``, and ``BENCH_kernel.json`` records the
-  same counter summaries alongside its timings.  Reference and kernel
+  same counter summaries alongside its timings (every row: each side's
+  median and interquartile range over alternating pairs of runs, a
+  speedup that is the ratio of the medians, and the commit, Python
+  version and core count of the host).  Reference and kernel
   engines must agree on every semantic counter — enforced per corpus
   problem in ``tests/test_trace_differential.py``.
 * **SCN** — every row detail is one declarative scenario from
@@ -80,7 +83,8 @@ FOOTER = """\
   *zero* semantic drift against a cold one (gated by
   ``benchmarks/bench_kernel.py --quick``), and the cold/warm timings
   live in ``BENCH_kernel.json`` under ``"mode": "operator-cache"``
-  (``benchmarks/bench_cache.py``).
+  (``benchmarks/bench_cache.py``; cold/warm pairs run in a fixed
+  order, since warm must follow cold in the same store).
 """
 
 
