@@ -85,8 +85,8 @@ TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_kernel.json")
 REGRESSION_FACTOR = 3.0
 
 #: Pairs of runs behind every recorded row, and behind each ``--quick``
-#: measurement (median of 3 keeps the gate's spread below a single
-#: run's at a third of a recording's cost).
+#: measurement.  The median of 3 pairs already spreads less than a
+#: single run, and keeps ``--quick`` under 10 s on a 2-core host.
 PAIRS = 5
 QUICK_PAIRS = 3
 
@@ -170,9 +170,9 @@ def measure_pairs(first, second, pairs: int, *, alternate: bool = True):
                 )
     fields: dict = {"pairs": pairs}
     for name, samples in seconds.items():
-        quartiles = statistics.quantiles(samples, n=4, method="inclusive")
+        q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
         fields[f"{name}_median_seconds"] = round(statistics.median(samples), 4)
-        fields[f"{name}_iqr_seconds"] = round(quartiles[2] - quartiles[0], 4)
+        fields[f"{name}_iqr_seconds"] = round(q3 - q1, 4)
     fields["speedup"] = round(
         statistics.median(seconds[first[0]])
         / statistics.median(seconds[second[0]]),
