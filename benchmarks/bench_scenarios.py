@@ -84,14 +84,19 @@ def measure_scenario(spec, pairs: int) -> tuple[dict, list[str]]:
 
     Returns the trajectory row and a list of problems (expectation
     failures, semantic drift); an empty list means the row is good to
-    record.  A divergence between the engines raises, from
-    ``measure_pairs``.
+    record.  A divergence between the engines raises
+    ``AssertionError`` naming the scenario.
     """
     reference = functools.partial(run_scenario, spec, use_kernel=False)
     kernel = functools.partial(run_scenario, spec, use_kernel=True)
     reference_run, reference_records = traced(reference)
     kernel_run, kernel_records = traced(kernel)
-    timing, _ = measure_pairs(("reference", reference), ("kernel", kernel), pairs)
+    try:
+        timing, _ = measure_pairs(
+            ("reference", reference), ("kernel", kernel), pairs
+        )
+    except AssertionError as error:
+        raise AssertionError(f"{spec.name}: {error}") from error
     row = {
         "chain": spec.name.replace("-", "_"),
         "mode": "scenario",
