@@ -17,8 +17,12 @@ on high-girth graphs.  A chain of ``k`` self-reduction steps whose
 iterates are all zero-round unsolvable therefore certifies ``T >= k``,
 and a nontrivial isomorphism fixed point certifies the
 Omega(log n)-style bound of the fixed-point method (Sec. 1.2 of the
-paper), exactly as :func:`repro.core.simplify.iterate_speedup` does for
-the merge-only trajectory.
+paper).  :func:`self_reduction_chain` drives the steps with
+:func:`repro.core.simplify.iterate_chain`, exactly as
+:func:`repro.core.simplify.iterate_speedup` does for the merge-only
+trajectory, and counts certified rounds with
+:func:`repro.core.solvability.certify_chain`.  :data:`CHAIN_STEPS` is
+the one table of chain operators that run on a problem.
 
 Determinism and caching: every condensation decision (merge
 representatives, removal candidate order) is keyed by the *canonical
@@ -39,11 +43,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
+from functools import partial
 
 from repro.core import cache as _cache
 from repro.core.diagram import Diagram
 from repro.core.problem import Problem
 from repro.core.round_elimination import SpeedupResult, check_workers, speedup
+from repro.core.simplify import iterate_chain
+from repro.core.solvability import ZERO_ROUND_TESTS, ChainOutcome, certify_chain
 from repro.observability import trace as _trace
 from repro.robustness import budget as _budget
 from repro.robustness.errors import EngineMisuse
@@ -223,19 +230,30 @@ def self_reduce(
     )
 
 
-@dataclass(frozen=True)
-class SelfReductionChain:
-    """The iterates of a self-reduction chain and what they certify."""
+def _speedup_step(
+    problem: Problem, *, use_kernel: bool = False, workers: int | None = None
+) -> tuple[Problem, bool]:
+    """One plain ``Rbar(R(.))`` step; a fixed point is an isomorphic image."""
+    result = speedup(problem, use_kernel=use_kernel, workers=workers).problem
+    return result, result.is_isomorphic(problem)
 
-    policy: str                    #: "pn" or "symmetric"
-    problems: list[Problem]        #: [condense(start), step 1, step 2, ...]
-    reached_fixed_point: bool
-    certified_rounds: int          #: leading zero-round-unsolvable iterates
 
-    @property
-    def steps(self) -> int:
-        """Number of self-reduction steps performed."""
-        return len(self.problems) - 1
+def _self_reduce_step(
+    problem: Problem, *, use_kernel: bool = False, workers: int | None = None
+) -> tuple[Problem, bool]:
+    """One budget-checked :func:`self_reduce` step and its fixed-point flag."""
+    _budget.checkpoint(phase="self-reduction")
+    step = self_reduce(problem, use_kernel=use_kernel, workers=workers)
+    return step.problem, step.fixed_point
+
+
+#: Chain operator name -> one step of that chain, as
+#: :func:`repro.core.simplify.iterate_chain` drives it.  ``lemma13`` is
+#: not here: it is parameterized by ``(delta, x)``, not by a problem.
+CHAIN_STEPS: dict[str, Callable[..., tuple[Problem, bool]]] = {
+    "speedup": _speedup_step,
+    "self-reduce": _self_reduce_step,
+}
 
 
 def self_reduction_chain(
@@ -245,7 +263,7 @@ def self_reduction_chain(
     policy: str = "pn",
     use_kernel: bool = False,
     workers: int | None = None,
-) -> SelfReductionChain:
+) -> ChainOutcome:
     """Iterate :func:`self_reduce`, tracking what the chain certifies.
 
     ``certified_rounds`` counts the leading iterates that are zero-round
@@ -256,16 +274,7 @@ def self_reduction_chain(
     point; a nontrivial fixed point upgrades the bound to the
     Omega(log n)-style conclusion of the fixed-point method.
     """
-    from repro.core.solvability import (
-        zero_round_solvable_pn,
-        zero_round_solvable_symmetric,
-    )
-
-    if policy == "pn":
-        solvable = zero_round_solvable_pn
-    elif policy == "symmetric":
-        solvable = zero_round_solvable_symmetric
-    else:
+    if policy not in ZERO_ROUND_TESTS:
         raise EngineMisuse(
             "self-reduction policy must be 'pn' or 'symmetric'", policy=policy
         )
@@ -279,36 +288,21 @@ def self_reduction_chain(
         problem=problem.name,
         policy=policy,
     ) as span:
-        current = condense_problem(problem, use_kernel=use_kernel)
-        problems = [current]
-        reached_fixed_point = False
-        for _ in range(max_steps):
-            _budget.checkpoint(phase="self-reduction")
-            step = self_reduce(current, use_kernel=use_kernel, workers=workers)
-            problems.append(step.problem)
-            if step.fixed_point:
-                reached_fixed_point = True
-                break
-            current = step.problem
-        certified_rounds = 0
-        for iterate in problems:
-            if solvable(iterate, use_kernel=use_kernel):
-                break
-            certified_rounds += 1
-        span.add("selfred.steps", len(problems) - 1)
-        span.add("chain.steps", len(problems) - 1)
-    return SelfReductionChain(
-        policy=policy,
-        problems=problems,
-        reached_fixed_point=reached_fixed_point,
-        certified_rounds=certified_rounds,
-    )
+        trajectory = iterate_chain(
+            condense_problem(problem, use_kernel=use_kernel),
+            partial(_self_reduce_step, use_kernel=use_kernel, workers=workers),
+            max_steps,
+        )
+        outcome = certify_chain(trajectory, policy, use_kernel=use_kernel)
+        span.add("selfred.steps", outcome.steps)
+        span.add("chain.steps", outcome.steps)
+    return outcome
 
 
 __all__ = [
     "condense_problem",
     "SelfReductionStep",
     "self_reduce",
-    "SelfReductionChain",
+    "CHAIN_STEPS",
     "self_reduction_chain",
 ]

@@ -17,15 +17,18 @@ implemented:
   replaced by a stronger one) that keeps the restricted problem *no
   harder* than the original, i.e. the removal loses nothing.
 
-:func:`iterate_speedup` combines the speedup with equivalence merging
-and reports the trajectory — reaching a fixed point certifies an
+:func:`iterate_chain` is the one fixed-point loop behind every problem
+chain (speedup, self-reduction, the scenarios and the service): it
+applies a step ``max_steps`` times or until the step reports a fixed
+point.  :func:`iterate_speedup` runs it with the speedup followed by
+equivalence merging — reaching a fixed point certifies an
 Omega(log n)-style lower bound in the fixed-point method of Sec. 1.2.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
-from collections.abc import Hashable
 
 from repro.core.diagram import Diagram
 from repro.core.problem import Problem
@@ -106,17 +109,38 @@ def is_safe_removal(problem: Problem, weak: Hashable, strong: Hashable) -> bool:
     ) and edge_diagram.at_least_as_strong(strong, weak)
 
 
-@dataclass
-class SpeedupTrajectory:
-    """The problems visited by iterated simplified speedup."""
+@dataclass(frozen=True)
+class Trajectory:
+    """The problems a chain visited, start first, and how it stopped."""
 
     problems: list[Problem]
     reached_fixed_point: bool
 
     @property
     def steps(self) -> int:
-        """Number of speedup steps performed."""
+        """Number of chain steps performed."""
         return len(self.problems) - 1
+
+
+def iterate_chain(
+    start: Problem,
+    step: Callable[[Problem], tuple[Problem, bool]],
+    max_steps: int,
+) -> Trajectory:
+    """Apply ``step`` from ``start`` up to ``max_steps`` times.
+
+    ``step`` returns the next problem and whether it is a fixed point
+    of the chain; each operator decides that for itself.  The chain
+    stops right after the first fixed point, whose result is still
+    recorded as the last iterate.
+    """
+    problems = [start]
+    for _ in range(max_steps):
+        next_problem, fixed_point = step(problems[-1])
+        problems.append(next_problem)
+        if fixed_point:
+            return Trajectory(problems=problems, reached_fixed_point=True)
+    return Trajectory(problems=problems, reached_fixed_point=False)
 
 
 def certified_upper_bound(problem: Problem, max_steps: int = 5) -> int | None:
@@ -139,17 +163,16 @@ def certified_upper_bound(problem: Problem, max_steps: int = 5) -> int | None:
     return None
 
 
-def iterate_speedup(problem: Problem, max_steps: int = 5) -> SpeedupTrajectory:
+def iterate_speedup(problem: Problem, max_steps: int = 5) -> Trajectory:
     """Iterate Rbar(R(.)) with equivalence merging after each step.
 
     Stops early when two consecutive problems are isomorphic (a fixed
     point — the strongest outcome round elimination can certify, as for
     sinkless orientation [14]).
     """
-    problems = [problem]
-    for _ in range(max_steps):
-        next_problem = merge_equivalent_labels(speedup(problems[-1]).problem)
-        problems.append(next_problem)
-        if next_problem.is_isomorphic(problems[-2]):
-            return SpeedupTrajectory(problems=problems, reached_fixed_point=True)
-    return SpeedupTrajectory(problems=problems, reached_fixed_point=False)
+
+    def step(current: Problem) -> tuple[Problem, bool]:
+        next_problem = merge_equivalent_labels(speedup(current).problem)
+        return next_problem, next_problem.is_isomorphic(current)
+
+    return iterate_chain(problem, step, max_steps)

@@ -18,16 +18,24 @@ Two instance families matter:
 For randomized algorithms Lemma 15 turns the same observation into a
 failure-probability bound of ``1 / (|N| * Delta)^2``, which for the
 three-configuration family problems is ``1/(3 Delta)^2 >= 1/Delta^8``.
+
+A chain certifies rounds under one of these two tests, its *policy*:
+:data:`ZERO_ROUND_TESTS` maps each policy name to its test, and
+:func:`certify_chain` counts the leading 0-round-unsolvable iterates
+of a :class:`repro.core.simplify.Trajectory`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.core import cache as _cache
 from repro.core.configurations import Configuration
 from repro.core.problem import Problem
+from repro.core.simplify import Trajectory
 from repro.observability import trace as _trace
 
 
@@ -154,3 +162,50 @@ def lemma15_condition_holds(problem: Problem) -> bool:
     if bound == 0:
         return False
     return bound >= Fraction(1, problem.delta**8)
+
+
+#: Zero-round policy name -> its deterministic 0-round test: the
+#: general port-numbering model, or Lemma 12's symmetric ports.  The
+#: entries call the tests through this module's globals, so rebinding
+#: a test here (a profiler's wrapper, say) reaches every chain.
+ZERO_ROUND_TESTS: dict[str, Callable[..., bool]] = {
+    "pn": lambda problem, *, use_kernel=False: zero_round_solvable_pn(
+        problem, use_kernel=use_kernel
+    ),
+    "symmetric": lambda problem, *, use_kernel=False: (
+        zero_round_solvable_symmetric(problem, use_kernel=use_kernel)
+    ),
+}
+
+#: The zero-round policy names, in their documented order.
+POLICIES = tuple(ZERO_ROUND_TESTS)
+
+
+@dataclass(frozen=True)
+class ChainOutcome(Trajectory):
+    """A chain trajectory plus the rounds it certifies."""
+
+    certified_rounds: int          #: leading zero-round-unsolvable iterates
+
+
+def certify_chain(
+    trajectory: Trajectory, policy: str, *, use_kernel: bool = False
+) -> ChainOutcome:
+    """Count the leading iterates that are 0-round unsolvable under ``policy``.
+
+    Each chain step loses exactly one round (Theorem 3), so ``k``
+    leading unsolvable iterates certify ``T >= k`` for the start
+    problem.  ``policy`` must be a key of :data:`ZERO_ROUND_TESTS`;
+    callers validate it against their own input first.
+    """
+    solvable = ZERO_ROUND_TESTS[policy]
+    certified = 0
+    for iterate in trajectory.problems:
+        if solvable(iterate, use_kernel=use_kernel):
+            break
+        certified += 1
+    return ChainOutcome(
+        problems=trajectory.problems,
+        reached_fixed_point=trajectory.reached_fixed_point,
+        certified_rounds=certified,
+    )

@@ -56,9 +56,13 @@ from repro.lowerbound.lift import (
     theorem1_randomized_bound,
     verify_theorem14_premises,
 )
-from repro.lowerbound.sequence import lemma13_chain, verify_chain_arithmetic
+from repro.lowerbound.sequence import (
+    _append_cache_summary,
+    _append_trace_summary,
+    lemma13_chain,
+    verify_chain_arithmetic,
+)
 from repro.observability import trace as _trace
-from repro.observability.metrics import trace_summary_line
 from repro.robustness.budget import Budget
 from repro.robustness.checkpointing import CheckpointStore
 from repro.robustness.errors import SimplificationFailed
@@ -203,12 +207,8 @@ def build_certificate(
                 and state.get("n") == n
             ):
                 completed = set(state.get("completed", ()))
-                certificate.chain_length = state["chain_length"]
-                certificate.deterministic_bound = state["deterministic_bound"]
-                certificate.randomized_bound = state["randomized_bound"]
-                certificate.checks.update(state.get("checks", {}))
-                certificate.skipped.extend(state.get("skipped", ()))
-                certificate.provenance.extend(state.get("provenance", ()))
+                certificate = LowerBoundCertificate.from_dict(state)
+                checks = certificate.checks
                 if completed:
                     build_span.set_attr("resumed", True)
                     build_span.set_attr(
@@ -327,23 +327,9 @@ def build_certificate(
     # Merged strictly after the final persist, like the trace summary:
     # cache outcomes are observational and must never reach the store.
     certificate.provenance.extend(cache_notes)
-    if cache is not None:
-        certificate.provenance.append(cache.summary_line())
-    _append_trace_summary(certificate)
+    _append_cache_summary(certificate.provenance)
+    _append_trace_summary(certificate.provenance)
     return certificate
-
-
-def _append_trace_summary(certificate: LowerBoundCertificate) -> None:
-    """Record a one-line trace digest in the certificate's provenance.
-
-    Runs only after the final checkpoint write: the digest differs
-    between resumed and uninterrupted runs (counters only cover the
-    replayed work), so it must never be persisted, or resumed
-    checkpoints would stop being byte-identical.
-    """
-    tracer = _trace.active_tracer()
-    if tracer is not None:
-        certificate.provenance.append(trace_summary_line(tracer.records))
 
 
 def _governed_engine_check(

@@ -15,6 +15,7 @@ benchmarks additionally re-verify sampled steps with the full engine.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.core import cache as _cache
@@ -78,34 +79,45 @@ class ChainStep:
         return f"Pi_{self.index} = Pi(delta={self.delta}, a={self.a}, x={self.x})"
 
 
+def _lemma13_steps(
+    delta: int, x: int, *, phase: str, after: ChainStep | None = None
+) -> Iterator[ChainStep]:
+    """Lazily yield the Lemma 13 sequence, or its suffix past ``after``.
+
+    Yields ``Pi_i = Pi_Delta(floor(Delta / 2^(3i)), x + i)`` while the
+    proof's conditions (``a_i >= 4``, ``x_i < a_i / 8``) hold at the
+    previous step and the parameters stay in range.  Each step passes
+    an ambient-budget chain-step check under ``phase`` just before it
+    is yielded.
+    """
+    if delta < 1:
+        raise InvalidProblem("delta must be positive")
+    if x < 0:
+        raise InvalidProblem("x must be non-negative")
+    index = 0 if after is None else after.index + 1
+    while after is None or after.speedup_conditions_hold():
+        a_i = delta // (2 ** (3 * index))
+        x_i = x + index
+        if a_i < 1 or x_i > delta - 1:
+            return
+        _budget.check_chain_step(index, phase=phase, a=a_i, x=x_i)
+        after = ChainStep(index=index, delta=delta, a=a_i, x=x_i)
+        yield after
+        index += 1
+
+
 def lemma13_chain(delta: int, x: int = 0) -> list[ChainStep]:
     """The longest valid prefix of the Lemma 13 sequence.
 
     Starts from ``Pi_0 = Pi_Delta(Delta, x)`` and appends
     ``Pi_(i+1) = Pi_Delta(floor(Delta / 2^(3(i+1))), x + i + 1)`` while
     the proof's conditions (``a_i >= 4``, ``x_i < a_i / 8``) hold at
-    the current step.  Every produced step is checked to be non-0-round
-    solvable (Lemma 12), so the chain length equals the number of valid
-    round-elimination steps.
+    the current step.  Only this arithmetic is checked here; that every
+    step is non-0-round solvable (Lemma 12) is checked by
+    :func:`verify_chain_arithmetic` and by ``run_chain(...,
+    verify_steps=True)``.
     """
-    if delta < 1:
-        raise InvalidProblem("delta must be positive")
-    if x < 0:
-        raise InvalidProblem("x must be non-negative")
-    chain: list[ChainStep] = []
-    index = 0
-    while True:
-        a_i = delta // (2 ** (3 * index))
-        x_i = x + index
-        if a_i < 1 or x_i > delta - 1:
-            break
-        _budget.check_chain_step(index, phase="lemma13-chain", a=a_i, x=x_i)
-        step = ChainStep(index=index, delta=delta, a=a_i, x=x_i)
-        chain.append(step)
-        if not step.speedup_conditions_hold():
-            break
-        index += 1
-    return chain
+    return list(_lemma13_steps(delta, x, phase="lemma13-chain"))
 
 
 @dataclass
@@ -160,10 +172,6 @@ def run_chain(
     appended only after the final checkpoint write, so warm and cold
     runs persist byte-identical state.
     """
-    if delta < 1:
-        raise InvalidProblem("delta must be positive")
-    if x < 0:
-        raise InvalidProblem("x must be non-negative")
     stage = _chain_stage_name(delta, x)
     chain: list[ChainStep] = []
     resumed_from: int | None = None
@@ -219,18 +227,9 @@ def run_chain(
                 + ("kernel engine" if use_kernel else "reference engine")
             )
         with governed(budget):
-            while True:
-                if chain and not chain[-1].speedup_conditions_hold():
-                    break
-                index = len(chain)
-                a_i = delta // (2 ** (3 * index))
-                x_i = x + index
-                if a_i < 1 or x_i > delta - 1:
-                    break
-                _budget.check_chain_step(
-                    index, phase="chain-run", a=a_i, x=x_i
-                )
-                step = ChainStep(index=index, delta=delta, a=a_i, x=x_i)
+            for step in _lemma13_steps(
+                delta, x, phase="chain-run", after=chain[-1] if chain else None
+            ):
                 if verify_steps:
                     hits_before = cache.hits if cache is not None else 0
                     if step_zero_round_solvable(step, use_kernel=use_kernel):
@@ -243,11 +242,11 @@ def run_chain(
                             "hit" if cache.hits > hits_before else "miss"
                         )
                         cache_notes.append(
-                            f"cache: step {index} zero-round {outcome}"
+                            f"cache: step {step.index} zero-round {outcome}"
                         )
                 chain.append(step)
                 chain_span.add("chain.steps")
-                _trace.event("chain.step", index=index, a=a_i, x=x_i)
+                _trace.event("chain.step", index=step.index, a=step.a, x=step.x)
                 persist(complete=False)
         persist(complete=True)
     # Observational notes only after the final persist: cache outcomes,

@@ -20,7 +20,9 @@ explicit defenses.  This package provides them:
     Graceful degradation: when the alphabet budget trips mid-step,
     shrink the problem via the paper's own medicine (equivalence
     merging, label removal — the Lemma 9 motivation) and record every
-    rung as auditable provenance.
+    rung as auditable provenance.  It governs one speedup step at a
+    time (:func:`governed_speedup`, the certificate's governed stage);
+    chains are iterated by :func:`repro.core.simplify.iterate_chain`.
 
 ``errors`` imports nothing at all and is safe to import from anywhere
 — including :mod:`repro.observability.schema`, which sits *below*
@@ -58,12 +60,7 @@ _LAZY = {
     "CheckpointStore": ("repro.robustness.checkpointing", "CheckpointStore"),
     "DegradationEvent": ("repro.robustness.degradation", "DegradationEvent"),
     "GovernedSpeedup": ("repro.robustness.degradation", "GovernedSpeedup"),
-    "GovernedTrajectory": (
-        "repro.robustness.degradation",
-        "GovernedTrajectory",
-    ),
     "governed_speedup": ("repro.robustness.degradation", "governed_speedup"),
-    "governed_iterate": ("repro.robustness.degradation", "governed_iterate"),
     "shrink_once": ("repro.robustness.degradation", "shrink_once"),
 }
 

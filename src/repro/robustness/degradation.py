@@ -207,56 +207,9 @@ def governed_speedup(
             events.append(event)
 
 
-@dataclass
-class GovernedTrajectory:
-    """Iterated governed speedup: the problems visited plus the audit."""
-
-    problems: list[Problem]
-    events: list[DegradationEvent]
-    reached_fixed_point: bool
-
-    @property
-    def steps(self) -> int:
-        return len(self.problems) - 1
-
-
-def governed_iterate(
-    problem: Problem,
-    max_steps: int = 5,
-    budget: Budget | None = None,
-    *,
-    degrade: bool = True,
-) -> GovernedTrajectory:
-    """Budget-governed sibling of :func:`repro.core.simplify.iterate_speedup`.
-
-    Each step is a :func:`governed_speedup` followed by equivalence
-    merging; degradation events from every step accumulate in order.
-    Stops early at an isomorphism fixed point, like the ungoverned
-    version.
-    """
-    problems = [problem]
-    events: list[DegradationEvent] = []
-    for index in range(max_steps):
-        stepped = governed_speedup(
-            problems[-1], budget, degrade=degrade, step=index
-        )
-        events.extend(stepped.events)
-        next_problem = merge_equivalent_labels(stepped.problem)
-        problems.append(next_problem)
-        if next_problem.is_isomorphic(problems[-2]):
-            return GovernedTrajectory(
-                problems=problems, events=events, reached_fixed_point=True
-            )
-    return GovernedTrajectory(
-        problems=problems, events=events, reached_fixed_point=False
-    )
-
-
 __all__ = [
     "DegradationEvent",
     "GovernedSpeedup",
-    "GovernedTrajectory",
     "governed_speedup",
-    "governed_iterate",
     "shrink_once",
 ]

@@ -15,15 +15,14 @@ of them at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.core.problem import Problem
-from repro.core.round_elimination import check_workers, speedup
-from repro.core.self_reduction import self_reduction_chain
-from repro.core.solvability import (
-    zero_round_solvable_pn,
-    zero_round_solvable_symmetric,
-)
+from repro.core.round_elimination import check_workers
+from repro.core.self_reduction import CHAIN_STEPS, self_reduction_chain
+from repro.core.simplify import iterate_chain
+from repro.core.solvability import POLICIES, ChainOutcome, certify_chain
 from repro.problems import (
     coloring_problem,
     family_problem,
@@ -34,7 +33,7 @@ from repro.problems import (
     sinkless_orientation_problem,
 )
 from repro.robustness.errors import InvalidProblem, InvalidScenario
-from repro.scenarios.spec import POLICIES, ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec
 
 
 def _family_chain_start(delta: int, x: int = 0, a: int | None = None) -> Problem:
@@ -79,45 +78,17 @@ def build_problem(spec: ScenarioSpec) -> Problem:
         ) from error
 
 
-@dataclass
-class ScenarioRun:
+@dataclass(frozen=True)
+class ScenarioRun(ChainOutcome):
     """The outcome of one scenario: the chain and every expectation check."""
 
     spec: ScenarioSpec
-    problems: list[Problem]        #: chain iterates, base problem first
-    reached_fixed_point: bool
-    certified_rounds: int
     failures: list[str]            #: empty iff every expectation held
 
     @property
     def ok(self) -> bool:
         """Whether every expectation of the spec held."""
         return not self.failures
-
-    @property
-    def steps(self) -> int:
-        """Chain steps actually performed."""
-        return len(self.problems) - 1
-
-
-def _zero_round_solvable(policy: str) -> Callable[..., bool]:
-    if policy == "pn":
-        return zero_round_solvable_pn
-    return zero_round_solvable_symmetric
-
-
-@dataclass(frozen=True)
-class ChainOutcome:
-    """What iterating a chain operator on one problem produced."""
-
-    problems: list[Problem]        #: chain iterates, base problem first
-    reached_fixed_point: bool
-    certified_rounds: int          #: leading zero-round-unsolvable iterates
-
-    @property
-    def steps(self) -> int:
-        """Chain steps actually performed."""
-        return len(self.problems) - 1
 
 
 def run_problem_chain(
@@ -137,9 +108,10 @@ def run_problem_chain(
     Khoury-Schild chain, ``"speedup"`` iterates plain ``Rbar(R(.))``
     with a fixed-point stop, and either way the leading zero-round
     unsolvable iterates under ``policy`` are counted as certified
-    rounds.  The ``"lemma13"`` operator is *not* accepted here — it is
-    parameterized by ``(delta, x)``, not by a problem, so only spec
-    runs can request it.
+    rounds.  The operators are the keys of
+    :data:`repro.core.self_reduction.CHAIN_STEPS`; the ``"lemma13"``
+    operator is *not* accepted here — it is parameterized by
+    ``(delta, x)``, not by a problem, so only spec runs can request it.
     """
     if policy not in POLICIES:
         raise InvalidScenario(
@@ -148,44 +120,22 @@ def run_problem_chain(
     if steps < 0:
         raise InvalidScenario("chain steps must be non-negative", steps=steps)
     if operator == "self-reduce":
-        chain = self_reduction_chain(
+        return self_reduction_chain(
             problem,
             steps,
             policy=policy,
             use_kernel=use_kernel,
             workers=workers,
         )
-        return ChainOutcome(
-            problems=chain.problems,
-            reached_fixed_point=chain.reached_fixed_point,
-            certified_rounds=chain.certified_rounds,
-        )
-    if operator != "speedup":
+    if operator not in CHAIN_STEPS:
         raise InvalidScenario(
             f"operator {operator!r} cannot run on an inline problem "
-            "(known: speedup, self-reduce)",
+            f"(known: {', '.join(CHAIN_STEPS)})",
             operator=operator,
         )
-    current = problem
-    problems = [current]
-    reached_fixed_point = False
-    for _ in range(steps):
-        result = speedup(current, use_kernel=use_kernel, workers=workers)
-        problems.append(result.problem)
-        if result.problem.is_isomorphic(current):
-            reached_fixed_point = True
-            break
-        current = result.problem
-    solvable = _zero_round_solvable(policy)
-    certified = 0
-    for iterate in problems:
-        if solvable(iterate, use_kernel=use_kernel):
-            break
-        certified += 1
-    return ChainOutcome(
-        problems=problems,
-        reached_fixed_point=reached_fixed_point,
-        certified_rounds=certified,
+    step = partial(CHAIN_STEPS[operator], use_kernel=use_kernel, workers=workers)
+    return certify_chain(
+        iterate_chain(problem, step, steps), policy, use_kernel=use_kernel
     )
 
 
@@ -202,10 +152,8 @@ def run_scenario(
     (the differential tests enforce this).
     """
     check_workers(workers, use_kernel=use_kernel, operator="run_scenario")
-    problems: list[Problem]
-    reached_fixed_point = False
-    certified: int
-    if spec.operator in ("self-reduce", "speedup"):
+    outcome: ChainOutcome
+    if spec.operator in CHAIN_STEPS:
         outcome = run_problem_chain(
             build_problem(spec),
             operator=spec.operator,
@@ -214,9 +162,6 @@ def run_scenario(
             use_kernel=use_kernel,
             workers=workers,
         )
-        problems = outcome.problems
-        reached_fixed_point = outcome.reached_fixed_point
-        certified = outcome.certified_rounds
     else:  # lemma13 (parse_spec admits no other operator)
         from repro.lowerbound.sequence import run_chain
 
@@ -230,29 +175,31 @@ def run_scenario(
                 params=spec.params,
             )
         result = run_chain(delta, x, use_kernel=use_kernel)
-        problems = [step.problem for step in result.chain]
-        certified = result.certified_rounds
+        outcome = ChainOutcome(
+            problems=[step.problem for step in result.chain],
+            reached_fixed_point=False,
+            certified_rounds=result.certified_rounds,
+        )
 
     failures: list[str] = []
-    steps_taken = len(problems) - 1
-    if steps_taken != spec.steps:
+    if outcome.steps != spec.steps:
         failures.append(
-            f"expected {spec.steps} chain steps, performed {steps_taken}"
+            f"expected {spec.steps} chain steps, performed {outcome.steps}"
         )
-    if certified != spec.certified:
+    if outcome.certified_rounds != spec.certified:
         failures.append(
             f"expected certified={spec.certified} rounds under policy "
-            f"{spec.policy!r}, got {certified}"
+            f"{spec.policy!r}, got {outcome.certified_rounds}"
         )
-    if spec.expect == "fixed-point" and not reached_fixed_point:
+    if spec.expect == "fixed-point" and not outcome.reached_fixed_point:
         failures.append("expected an isomorphism fixed point, none reached")
-    if spec.expect == "bounded" and reached_fixed_point:
+    if spec.expect == "bounded" and outcome.reached_fixed_point:
         failures.append("expected a bounded chain, hit a fixed point")
     return ScenarioRun(
+        problems=outcome.problems,
+        reached_fixed_point=outcome.reached_fixed_point,
+        certified_rounds=outcome.certified_rounds,
         spec=spec,
-        problems=problems,
-        reached_fixed_point=reached_fixed_point,
-        certified_rounds=certified,
         failures=failures,
     )
 

@@ -27,17 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.self_reduction import CHAIN_STEPS
+from repro.core.solvability import POLICIES
 from repro.robustness.errors import InvalidScenario
 
-#: Chain operators a spec may name.
-OPERATORS = ("speedup", "self-reduce", "lemma13")
+#: Chain operators a spec may name: the problem chains of
+#: :data:`repro.core.self_reduction.CHAIN_STEPS`, then Lemma 13's.
+OPERATORS = (*CHAIN_STEPS, "lemma13")
 
 #: Expected chain shapes.
 EXPECTATIONS = ("bounded", "fixed-point")
-
-#: Zero-round verification policies (general port-numbering vs the
-#: symmetric-port variant of Lemma 12).
-POLICIES = ("pn", "symmetric")
 
 
 @dataclass(frozen=True)

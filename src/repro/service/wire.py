@@ -32,6 +32,8 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.labels import render_label
 from repro.core.problem import Problem
+from repro.core.self_reduction import CHAIN_STEPS
+from repro.core.solvability import POLICIES
 from repro.robustness.errors import InvalidJobRequest, ReproError
 
 if TYPE_CHECKING:  # circular at runtime: jobs.py imports this module
@@ -39,10 +41,7 @@ if TYPE_CHECKING:  # circular at runtime: jobs.py imports this module
 
 #: Chain operators an inline job may request (``lemma13`` is spec-only:
 #: it is parameterized by ``(delta, x)``, not by a problem).
-INLINE_OPERATORS = ("speedup", "self-reduce")
-
-#: Zero-round verification policies (mirrors the ``.scn`` format).
-POLICIES = ("pn", "symmetric")
+INLINE_OPERATORS = tuple(CHAIN_STEPS)
 
 #: Engines a job may run on.
 ENGINES = ("reference", "kernel")

@@ -2,8 +2,8 @@
 
 The differential suites compare the service and the scenario runner
 against :func:`repro.scenarios.run_problem_chain` itself, so a drift in
-the shared chain driver passes them silently.  This table pins the
-driver's output to hard-coded values instead: for each base problem,
+the shared chain code passes them silently.  This table pins its
+output to hard-coded values instead: for each base problem,
 chain operator and zero-round policy, two kernel steps must visit
 exactly the listed iterates (by the first 16 hex digits of their
 renaming-invariant fingerprint), stop at a fixed point exactly when

@@ -224,3 +224,15 @@ class TestSelfReductionLaws:
             assert diagram.is_right_closed(label), (
                 f"{name}: Rbar label {sorted(label)!r} is not right-closed"
             )
+
+
+def test_formats_share_the_chain_tables():
+    from repro.core.self_reduction import CHAIN_STEPS
+    from repro.core.solvability import POLICIES, ZERO_ROUND_TESTS
+    from repro.scenarios import spec
+    from repro.service import wire
+
+    assert POLICIES == tuple(ZERO_ROUND_TESTS) == ("pn", "symmetric")
+    assert spec.POLICIES is POLICIES and wire.POLICIES is POLICIES
+    assert wire.INLINE_OPERATORS == tuple(CHAIN_STEPS) == ("speedup", "self-reduce")
+    assert spec.OPERATORS == (*CHAIN_STEPS, "lemma13")

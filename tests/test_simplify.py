@@ -6,6 +6,7 @@ from repro.core.problem import Problem
 from repro.core.simplify import (
     equivalent_label_classes,
     is_safe_removal,
+    iterate_chain,
     iterate_speedup,
     merge_equivalent_labels,
     remove_label,
@@ -107,3 +108,21 @@ class TestIteratedSpeedup:
     def test_max_steps_respected(self):
         trajectory = iterate_speedup(mis_problem(3), max_steps=1)
         assert trajectory.steps == 1
+
+
+class TestIterateChain:
+    def test_stops_right_after_the_first_fixed_point(self):
+        start = mis_problem(3)
+        flags = iter([False, True, False])
+        trajectory = iterate_chain(start, lambda p: (p, next(flags)), 5)
+        assert trajectory.problems == [start, start, start]
+        assert trajectory.reached_fixed_point
+        assert trajectory.steps == 2
+
+    def test_zero_steps_never_call_the_step(self):
+        def step(problem):
+            raise AssertionError("step called")
+
+        trajectory = iterate_chain(mis_problem(3), step, 0)
+        assert trajectory.steps == 0
+        assert not trajectory.reached_fixed_point

@@ -41,8 +41,7 @@ sys.path.insert(
 
 from repro.core.io import problem_to_json
 from repro.core.problem import Problem
-from repro.core.round_elimination import speedup
-from repro.core.self_reduction import self_reduce
+from repro.core.self_reduction import CHAIN_STEPS
 from repro.problems.classic import sinkless_orientation_problem
 from repro.problems.family import family_problem
 from repro.problems.mis import mis_problem
@@ -75,7 +74,7 @@ def _scenario_cases() -> dict[str, tuple[Callable[[], Problem], str]]:
 
     cases: dict[str, tuple[Callable[[], Problem], str]] = {}
     for decl, spec in load_registry():
-        if spec.operator not in ("speedup", "self-reduce"):
+        if spec.operator not in CHAIN_STEPS:
             continue
         cases.setdefault(
             decl.golden,
@@ -100,11 +99,9 @@ GOLDEN_CASES = golden_cases()
 def apply_operator(
     factory: Callable[[], Problem], operator: str, *, use_kernel: bool = False
 ) -> Problem:
-    """Run a case's operator on its input problem."""
-    problem = factory()
-    if operator == "self-reduce":
-        return self_reduce(problem, use_kernel=use_kernel).problem
-    return speedup(problem, use_kernel=use_kernel).problem
+    """Run one step of a case's chain operator on its input problem."""
+    problem, _ = CHAIN_STEPS[operator](factory(), use_kernel=use_kernel)
+    return problem
 
 
 def golden_text(factory: Callable[[], Problem], operator: str) -> str:
