@@ -13,8 +13,8 @@ constraint.  With no stdin input, demonstrates on sinkless orientation.
 step, and reports when the chain hits an isomorphism fixed point.
 ``--kernel`` routes the operators through the interned bitmask fast
 path (identical output, measured in benchmarks/bench_kernel.py), and
-``--workers N`` (N >= 1) additionally fans the kernel's DFS work out
-over N processes (output stays byte-identical).  A bad ``--workers``
+``--workers N`` (N >= 1) additionally fans the kernel's node-maximization
+DFS out over N processes (output stays byte-identical).  A bad ``--workers``
 value exits 2.
 ``--trace out.jsonl`` writes the run's span trace as JSON lines and
 ``--metrics`` prints the per-phase counter table after the run.

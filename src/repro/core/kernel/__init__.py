@@ -1,5 +1,6 @@
 """Fast-path round-elimination kernel: interned labels, bitset
-constraints, memoized lattices, and an opt-in parallel maximization DFS.
+constraints, memoized lattices, and an opt-in process fan-out of
+``Rbar``'s node-maximization DFS (:mod:`repro.core.kernel.parallel`).
 
 The reference engine (:mod:`repro.core.round_elimination` and friends)
 stays the semantic source of truth; this package is its performance

@@ -27,9 +27,10 @@ repeatedly pay for the analysis once.
 Budgets: the kernel calls the same ambient-budget checkpoints
 (:mod:`repro.robustness.budget`) with the same phase names as the
 reference engine, so ``governed()`` wall clocks, configuration caps and
-fault-injection probes keep working on the fast path.  In parallel mode
-the checkpoints fire between top-level DFS chunks (workers themselves
-run unbudgeted); see :mod:`repro.core.kernel.parallel`.
+fault-injection probes keep working on the fast path.  When ``Rbar``'s
+maximization DFS fans out, the checkpoints fire between returned shards
+(workers themselves run unbudgeted); see
+:mod:`repro.core.kernel.parallel`.
 """
 
 from __future__ import annotations
@@ -67,9 +68,7 @@ if TYPE_CHECKING:
 def partner_mask(compat: tuple[int, ...] | list[int], full: int, mask: int) -> int:
     """``f(A) = {b : ab allowed for all a in A}`` from raw compat masks.
 
-    The one shared Galois-image loop: :meth:`KernelProblem.partner`
-    wraps it with the memo, and :func:`edge_pairing_chunk` calls it
-    directly inside workers (which have no :class:`KernelProblem`).
+    The Galois-image loop behind the memo of :meth:`KernelProblem.partner`.
     """
     if mask == 0:
         return 0
@@ -554,64 +553,19 @@ def _transported_view(
 # Maximization steps
 # ---------------------------------------------------------------------------
 
-def edge_pairing_chunk(
-    compat: tuple[int, ...],
-    closed_sets: tuple[int, ...],
-    low: int,
-    high: int,
-) -> list[tuple[int, int]]:
-    """Galois-pair the closed sets in ``closed_sets[low:high]``.
-
-    Each closed set is tested independently (``A`` is kept with its
-    partner ``f(A)`` iff ``f(f(A)) == A``), so the serial pairing loop
-    is exactly the concatenation of contiguous slices — the unit of
-    work the parallel fan-out distributes.  Uses the shared
-    :func:`partner_mask` on the raw compatibility masks since workers
-    have no :class:`KernelProblem` memo.
-    """
-    full = (1 << len(compat)) - 1
-    pairs: list[tuple[int, int]] = []
-    for left in closed_sets[low:high]:
-        right = partner_mask(compat, full, left)
-        if right and partner_mask(compat, full, right) == left:
-            pairs.append((left, right))
-    return pairs
-
-
-def maximize_edge_constraint_kernel(
-    problem: Problem, *, pool: KernelPool | None = None
-) -> Constraint:
-    """Kernel twin of :func:`repro.core.round_elimination.maximize_edge_constraint`.
-
-    The closed-set lattice is always built serially (it is inherently
-    sequential and budget-checked); with a usable ``pool`` the pairing
-    loop over the lattice fans out as contiguous slices.
-    """
+def maximize_edge_constraint_kernel(problem: Problem) -> Constraint:
+    """Kernel twin of :func:`repro.core.round_elimination.maximize_edge_constraint`."""
     kernel = KernelProblem.of(problem)
     interner = kernel.interner
     with _prof_section("edge_max.lattice"):
         closed_sets = kernel.galois_closed_sets()
     _trace.add("edge.closed_sets", len(closed_sets))
-    pairs: list[tuple[int, int]] | None = None
+    pairs: list[tuple[int, int]] = []
     with _prof_section("edge_max.pairing"):
-        if pool is not None and len(closed_sets) > 1:
-            # One closed set per unit; the pool groups units into
-            # contiguous shards and merges them back in index order,
-            # so the pair list equals the serial loop.
-            chunks = pool.map_chunks(
-                "edge-pair",
-                (tuple(kernel.compat), closed_sets),
-                len(closed_sets),
-                phase="edge-maximization",
-            )
-            if chunks is not None:
-                pairs = [pair for chunk in chunks for pair in chunk]
-        if pairs is None:
-            pairs = []
-            for left in closed_sets:
-                right = kernel.partner(left)
-                if right and kernel.partner(right) == left:
-                    pairs.append((left, right))
+        for left in closed_sets:
+            right = kernel.partner(left)
+            if right and kernel.partner(right) == left:
+                pairs.append((left, right))
     with _prof_section("edge_max.materialize"):
         configurations: set[Configuration] = {
             Configuration(
@@ -823,7 +777,8 @@ def search_maximization_chunk(
 ) -> list[tuple[int, ...]]:
     """Explore the DFS subtree whose first chosen set is ``candidates[first_index]``.
 
-    This is the unit of work the parallel fan-out distributes: the
+    This is the unit of work :mod:`repro.core.kernel.parallel` fans
+    out: the
     serial search is exactly the concatenation of the chunks for
     ``first_index = 0 .. len(candidates) - 1``, so chunked results are
     order- and content-identical to a single DFS.  ``member_labels``
@@ -881,11 +836,11 @@ def maximize_node_constraint_kernel(
 ) -> Constraint:
     """Kernel twin of :func:`repro.core.round_elimination.maximize_node_constraint`.
 
-    With a ``pool`` the arity-Delta DFS fans out over worker
+    With a usable ``pool`` the arity-Delta DFS fans out over worker
     processes, chunked by the top-level right-closed-set prefix (see
-    :mod:`repro.core.kernel.parallel`); otherwise it runs serially with
-    per-node budget checkpoints exactly like the reference
-    implementation.
+    :mod:`repro.core.kernel.parallel`); otherwise, including when the
+    platform cannot start processes, it runs serially with per-node
+    budget checkpoints exactly like the reference implementation.
     """
     kernel = KernelProblem.of(problem)
     interner = kernel.interner
@@ -899,18 +854,14 @@ def maximize_node_constraint_kernel(
     member_labels = tuple(tuple(bits_list(mask)) for mask in candidates)
     delta = kernel.delta
     with _prof_section("node_max.dfs"):
-        if pool is not None and len(candidates) > 1:
-            from repro.core.kernel.parallel import run_chunks_serial
-
-            payload = (candidates, member_labels, trans, delta)
-            count = len(candidates)
+        chunks = None
+        if pool is not None:
             chunks = pool.map_chunks(
-                "node-max", payload, count, phase="node-maximization"
+                (candidates, member_labels, trans, delta),
+                len(candidates),
+                phase="node-maximization",
             )
-            if chunks is None:
-                chunks = run_chunks_serial(
-                    "node-max", payload, count, phase="node-maximization"
-                )
+        if chunks is not None:
             results = [item for chunk in chunks for item in chunk]
         else:
             results = _maximization_dfs(
@@ -1041,43 +992,12 @@ def _existential_dfs(
     return results
 
 
-# hotpath
-def search_existential_chunk(
-    member_labels: tuple[tuple[int, ...], ...],
-    trans: tuple[tuple[int, ...], ...],
-    arity: int,
-    first_index: int,
-    stats: dict | None = None,
-) -> list[tuple[int, ...]]:
-    """Explore the existential DFS subtree rooted at label ``first_index``.
-
-    Returns label-*index* tuples (the caller owns the label list); the
-    union over ``first_index = 0 .. len(member_labels) - 1`` is exactly
-    the serial search's configuration set, since the serial DFS chooses
-    its first label in the same index order.
-    """
-    return _existential_dfs(
-        member_labels,
-        trans,
-        arity,
-        first_index,
-        first_index + 1,
-        stats=stats,
-    )
-
-
 def existential_constraint_kernel(
     old_constraint: Constraint,
     new_labels: Iterable[frozenset],
     arity: int,
-    *,
-    pool: KernelPool | None = None,
 ) -> Constraint:
-    """Kernel twin of :func:`repro.core.round_elimination.existential_constraint`.
-
-    With a usable ``pool`` the DFS fans out chunked by the first chosen
-    label; the set union of the chunks equals the serial result.
-    """
+    """Kernel twin of :func:`repro.core.round_elimination.existential_constraint`."""
     with _prof_section("exists.closure"):
         labels = sorted(set(new_labels), key=_set_sort_key)
         base: set[Hashable] = set(old_constraint.labels_used())
@@ -1105,27 +1025,14 @@ def existential_constraint_kernel(
                     closure.add(pack_ids(combo, shift))
         _elements, trans = closure_machine(closure, shift, len(interner))
     with _prof_section("exists.dfs"):
-        if pool is not None and len(labels) > 1:
-            from repro.core.kernel.parallel import run_chunks_serial
-
-            payload = (member_labels, trans, arity)
-            chunks = pool.map_chunks(
-                "exists", payload, len(labels), phase="existential"
-            )
-            if chunks is None:
-                chunks = run_chunks_serial(
-                    "exists", payload, len(labels), phase="existential"
-                )
-            index_tuples = [ids for chunk in chunks for ids in chunk]
-        else:
-            index_tuples = _existential_dfs(
-                member_labels,
-                trans,
-                arity,
-                0,
-                len(labels),
-                budget_phase="existential",
-            )
+        index_tuples = _existential_dfs(
+            member_labels,
+            trans,
+            arity,
+            0,
+            len(labels),
+            budget_phase="existential",
+        )
     with _prof_section("exists.materialize"):
         # Equals ``Configuration(labels[index] for index in ids)``: the
         # same stable sort over the same input order, keyed by the same
@@ -1151,23 +1058,19 @@ def existential_constraint_kernel(
 # The R / Rbar operators
 # ---------------------------------------------------------------------------
 
-def kernel_R(problem: Problem, *, pool: KernelPool | None = None) -> Problem:
-    """Kernel twin of :func:`repro.core.round_elimination.R`.
-
-    A ``pool`` (a :class:`~repro.core.kernel.parallel.KernelPool`)
-    fans out both the edge-side pairing and the existential DFS.
-    """
+def kernel_R(problem: Problem) -> Problem:
+    """Kernel twin of :func:`repro.core.round_elimination.R`."""
     with _trace.span(
         "op.R", engine="kernel", problem=problem.name, delta=problem.delta
     ) as span:
         span.add("labels.in", len(problem.alphabet))
-        edge_constraint = maximize_edge_constraint_kernel(problem, pool=pool)
+        edge_constraint = maximize_edge_constraint_kernel(problem)
         sigma = sorted(edge_constraint.labels_used(), key=_set_sort_key)
         _budget.check_alphabet(
             len(sigma), operator="R", alphabet_before=len(problem.alphabet)
         )
         node_constraint = existential_constraint_kernel(
-            problem.node_constraint, sigma, problem.delta, pool=pool
+            problem.node_constraint, sigma, problem.delta
         )
         span.add("labels.out", len(sigma))
         span.add("node.configs.out", len(node_constraint))
@@ -1180,7 +1083,7 @@ def kernel_Rbar(problem: Problem, *, pool: KernelPool | None = None) -> Problem:
     """Kernel twin of :func:`repro.core.round_elimination.Rbar`.
 
     A ``pool`` (a :class:`~repro.core.kernel.parallel.KernelPool`)
-    fans out both the maximization DFS and the existential DFS.
+    fans out the maximization DFS; the existential step stays serial.
     """
     with _trace.span(
         "op.Rbar", engine="kernel", problem=problem.name, delta=problem.delta
@@ -1192,7 +1095,7 @@ def kernel_Rbar(problem: Problem, *, pool: KernelPool | None = None) -> Problem:
             len(sigma), operator="Rbar", alphabet_before=len(problem.alphabet)
         )
         edge_constraint = existential_constraint_kernel(
-            problem.edge_constraint, sigma, 2, pool=pool
+            problem.edge_constraint, sigma, 2
         )
         span.add("labels.out", len(sigma))
         span.add("node.configs.out", len(node_constraint))
@@ -1356,7 +1259,5 @@ __all__ = [
     "partner_mask",
     "closure_machine",
     "search_maximization_chunk",
-    "search_existential_chunk",
-    "edge_pairing_chunk",
     "prune_non_maximal_masks",
 ]

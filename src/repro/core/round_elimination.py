@@ -23,7 +23,6 @@ from collections import Counter
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 
-from contextlib import nullcontext
 
 from repro.core import cache as _cache
 from repro.core.cache import _set_sort_key
@@ -42,10 +41,6 @@ from repro.observability import trace as _trace
 from repro.observability.profiling import section as _prof_section
 from repro.robustness import budget as _budget
 from repro.robustness.errors import EngineMisuse, InvalidProblem
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.core.kernel.parallel import KernelPool
 
 
 # ---------------------------------------------------------------------------
@@ -340,50 +335,27 @@ def check_workers(
         )
 
 
-def R(
-    problem: Problem,
-    *,
-    use_kernel: bool = False,
-    workers: int | None = None,
-    pool: KernelPool | None = None,
-) -> Problem:
+def R(problem: Problem, *, use_kernel: bool = False) -> Problem:
     """One maximization-on-edges step: the problem Pi' of Section 2.3.
 
     With ``use_kernel=True`` the interned bitmask fast path
     (:mod:`repro.core.kernel`) computes the same result; this object
     implementation remains the reference the kernel is differentially
-    tested against.  ``workers`` (or a shared ``pool``) fans the
-    edge-side pairing and the existential DFS out over processes —
-    kernel only.  With an ambient :func:`repro.core.cache.caching`
-    store the whole operator is memoized by the problem's
-    renaming-invariant fingerprint.
+    tested against.  ``R`` always runs in-process: its edge pairing and
+    existential DFS cost less than starting a worker pool.  With an
+    ambient :func:`repro.core.cache.caching` store the whole operator
+    is memoized by the problem's renaming-invariant fingerprint.
     """
-    check_workers(workers, use_kernel=use_kernel, operator="R")
     return _cache.cached_problem_operator(
-        "R",
-        problem,
-        lambda: _R_uncached(
-            problem, use_kernel=use_kernel, workers=workers, pool=pool
-        ),
+        "R", problem, lambda: _R_uncached(problem, use_kernel=use_kernel)
     )
 
 
-def _R_uncached(
-    problem: Problem,
-    *,
-    use_kernel: bool = False,
-    workers: int | None = None,
-    pool: KernelPool | None = None,
-) -> Problem:
+def _R_uncached(problem: Problem, *, use_kernel: bool = False) -> Problem:
     if use_kernel:
         from repro.core.kernel.engine import kernel_R
 
-        if pool is None and workers is not None and workers > 1:
-            from repro.core.kernel.parallel import KernelPool
-
-            with KernelPool(workers) as owned:
-                return kernel_R(problem, pool=owned)
-        return kernel_R(problem, pool=pool)
+        return kernel_R(problem)
     with _trace.span(
         "op.R", engine="reference", problem=problem.name, delta=problem.delta
     ) as span:
@@ -408,27 +380,25 @@ def Rbar(
     *,
     use_kernel: bool = False,
     workers: int | None = None,
-    pool: KernelPool | None = None,
 ) -> Problem:
     """One maximization-on-nodes step: the problem Pi'' of Section 2.3.
 
     With ``use_kernel=True`` the bitmask fast path runs instead; adding
     ``workers=N`` (N > 1) additionally fans the arity-Delta
-    maximization DFS and the existential step out over a process
-    pool, chunked by top-level prefix (a shared ``pool`` from
-    :func:`speedup` is reused instead of spawning one).  ``workers``
-    requires the kernel and must be at least 1; anything else raises
-    :class:`~repro.robustness.errors.EngineMisuse` (a ``ValueError``).  With an ambient :func:`repro.core.cache.caching` store
-    the whole operator is memoized by the problem's renaming-invariant
-    fingerprint.
+    maximization DFS out over a
+    :class:`~repro.core.kernel.parallel.KernelPool` of N processes,
+    chunked by top-level prefix, for the length of this call.
+    ``workers`` requires the kernel and must be at least 1; anything
+    else raises :class:`~repro.robustness.errors.EngineMisuse` (a
+    ``ValueError``).  With an ambient :func:`repro.core.cache.caching`
+    store the whole operator is memoized by the problem's
+    renaming-invariant fingerprint.
     """
     check_workers(workers, use_kernel=use_kernel, operator="Rbar")
     return _cache.cached_problem_operator(
         "Rbar",
         problem,
-        lambda: _Rbar_uncached(
-            problem, use_kernel=use_kernel, workers=workers, pool=pool
-        ),
+        lambda: _Rbar_uncached(problem, use_kernel=use_kernel, workers=workers),
     )
 
 
@@ -437,17 +407,16 @@ def _Rbar_uncached(
     *,
     use_kernel: bool = False,
     workers: int | None = None,
-    pool: KernelPool | None = None,
 ) -> Problem:
     if use_kernel:
         from repro.core.kernel.engine import kernel_Rbar
 
-        if pool is None and workers is not None and workers > 1:
+        if workers is not None and workers > 1:
             from repro.core.kernel.parallel import KernelPool
 
-            with KernelPool(workers) as owned:
-                return kernel_Rbar(problem, pool=owned)
-        return kernel_Rbar(problem, pool=pool)
+            with KernelPool(workers) as pool:
+                return kernel_Rbar(problem, pool=pool)
+        return kernel_Rbar(problem)
     with _trace.span(
         "op.Rbar", engine="reference", problem=problem.name, delta=problem.delta
     ) as span:
@@ -541,9 +510,8 @@ def speedup(
     such as the Delta-edge coloring the paper uses).
 
     ``use_kernel=True`` routes both operators through the interned
-    bitmask fast path; ``workers`` parallelizes the maximization and
-    existential steps of *both* operators over one shared
-    :class:`~repro.core.kernel.parallel.KernelPool` (kernel only).
+    bitmask fast path; ``workers`` is passed to :func:`Rbar`, whose
+    node-maximization DFS is the one step that fans out (kernel only).
     Output is identical either way.  Under an ambient
     :func:`repro.core.cache.caching` store, ``speedup`` is memoized
     through its component ``R`` and ``Rbar`` lookups.
@@ -556,23 +524,14 @@ def speedup(
         delta=problem.delta,
     ) as span:
         span.add("labels.in", len(problem.alphabet))
-        if use_kernel and workers is not None and workers > 1:
-            from repro.core.kernel.parallel import KernelPool
-
-            pool_context = KernelPool(workers)
-        else:
-            pool_context = nullcontext(None)
-        with pool_context as pool:
-            intermediate = R(problem, use_kernel=use_kernel, pool=pool)
-            with _prof_section("speedup.rename"):
-                intermediate_renamed = rename_to_strings(
-                    intermediate, naming=naming
-                )
-            final = Rbar(
-                intermediate_renamed.problem, use_kernel=use_kernel, pool=pool
-            )
-            with _prof_section("speedup.rename"):
-                final_renamed = rename_to_strings(final)
+        intermediate = R(problem, use_kernel=use_kernel)
+        with _prof_section("speedup.rename"):
+            intermediate_renamed = rename_to_strings(intermediate, naming=naming)
+        final = Rbar(
+            intermediate_renamed.problem, use_kernel=use_kernel, workers=workers
+        )
+        with _prof_section("speedup.rename"):
+            final_renamed = rename_to_strings(final)
         span.add("labels.out", len(final.alphabet))
     return SpeedupResult(
         original=problem,

@@ -26,11 +26,9 @@ analysis & typing"); what it handles:
   (the target is marked a thread root when it is a ``Thread``),
   bare references to known functions (registry dicts, callbacks), and
   :class:`~repro.core.kernel.parallel.KernelPool` dispatch — a
-  ``map_chunks``/``run_chunks_serial``/``run_shard_serial`` call whose
-  first argument is a chunk-kind string constant gets an edge to that
-  kind's chunk runner (``"node-max"`` →
-  ``search_maximization_chunk``, and so on), since the runner itself
-  executes in an executor worker the graph cannot follow.
+  ``map_chunks`` call gets an edge to ``search_maximization_chunk``,
+  the one chunk runner, since it executes in an executor worker the
+  graph cannot follow.
 
 Everything else (duck-typed receivers, attributes of call results,
 ``**kwargs`` dispatch) stays unresolved and is surfaced per function
@@ -53,15 +51,9 @@ from dataclasses import dataclass, field
 from repro.lint.rules import FileContext
 from repro.lint.violations import Suppressions
 
-#: ``KernelPool`` dispatch: chunk-kind string -> chunk-runner simple name.
-KERNEL_DISPATCH_KINDS = {
-    "node-max": "search_maximization_chunk",
-    "exists": "search_existential_chunk",
-    "edge-pair": "edge_pairing_chunk",
-}
-
-#: Attribute/function names whose first string argument is a chunk kind.
-_DISPATCH_CALLEES = ("map_chunks", "run_chunks_serial", "run_shard_serial")
+#: ``KernelPool.map_chunks`` runs this chunk runner in executor workers.
+_DISPATCH_CALLEE = "map_chunks"
+_CHUNK_RUNNER = "search_maximization_chunk"
 
 #: Constructors whose ``target=`` argument is a synthetic callee.
 _TARGET_CONSTRUCTORS = ("Thread", "Process")
@@ -122,7 +114,7 @@ class CallEdge:
     ``kind`` is ``"call"`` for a resolved call expression,
     ``"ref"`` for a bare function reference (may-call), ``"target"``
     for a ``Thread``/``Process`` target, ``"dispatch"`` for a
-    synthetic ``KernelPool`` chunk-kind edge, and ``"nested"`` for the
+    synthetic ``KernelPool.map_chunks`` edge, and ``"nested"`` for the
     implicit edge from a function to a ``def`` nested inside it.
     """
 
@@ -394,16 +386,13 @@ class _Resolver:
         self.modules = modules
         self.functions = functions
         self.classes = classes
-        #: chunk-runner simple name -> qualname (unique in the tree).
-        self.chunk_runners: dict[str, str] = {}
-        for simple in KERNEL_DISPATCH_KINDS.values():
-            matches = [
-                qualname
-                for qualname, info in functions.items()
-                if info.name == simple and info.cls is None
-            ]
-            if len(matches) == 1:
-                self.chunk_runners[simple] = matches[0]
+        #: The chunk runner's qualname, when unique in the tree.
+        matches = [
+            qualname
+            for qualname, info in functions.items()
+            if info.name == _CHUNK_RUNNER and info.cls is None
+        ]
+        self.chunk_runner = matches[0] if len(matches) == 1 else None
 
     # -- class lookups ---------------------------------------------------
 
@@ -808,17 +797,11 @@ def _link_call(
                 )
                 if simple == "Thread":
                     thread_roots.add(resolved)
-    # KernelPool dispatch: chunk-kind constant -> chunk runner.
-    if simple in _DISPATCH_CALLEES and node.args:
-        first = node.args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            runner = KERNEL_DISPATCH_KINDS.get(first.value)
-            if runner is not None:
-                qualname = resolver.chunk_runners.get(runner)
-                if qualname is not None:
-                    edges.append(
-                        CallEdge(info.qualname, qualname, node.lineno, "dispatch")
-                    )
+    # KernelPool dispatch: map_chunks -> the chunk runner.
+    if simple == _DISPATCH_CALLEE and resolver.chunk_runner is not None:
+        edges.append(
+            CallEdge(info.qualname, resolver.chunk_runner, node.lineno, "dispatch")
+        )
 
 
 def _link_reference(
@@ -839,7 +822,6 @@ __all__ = [
     "CallGraph",
     "ClassInfo",
     "FunctionInfo",
-    "KERNEL_DISPATCH_KINDS",
     "ModuleInfo",
     "build_call_graph",
     "module_name_of",

@@ -86,7 +86,7 @@ class ZeroRoundExperiment:
 
 def monte_carlo_zero_round_failure(
     problem: Problem,
-    strategy: UniformStrategy | AdversarialStrategy | None = None,
+    strategy: UniformStrategy | GreedyStrategy | None = None,
     trials: int = 200,
     seed: int = 0,
 ) -> ZeroRoundExperiment:

@@ -120,12 +120,7 @@ class Tracer:
     and :meth:`write` saves it.
     """
 
-    def __init__(self, *, trace_checkpoints: bool = False) -> None:
-        #: Emit one event per cooperative budget checkpoint.  Default
-        #: off: checkpoints fire per DFS node and would dominate the
-        #: trace; the aggregate lands in the ``budget.checkpoints``
-        #: counter either way.
-        self.trace_checkpoints = trace_checkpoints
+    def __init__(self) -> None:
         self.records: list[dict] = []
         self._next_id = 0
         self._stack: list[SpanHandle] = []

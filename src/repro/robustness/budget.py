@@ -15,12 +15,8 @@ context dict, letting the test harness (``tests/faults.py``) raise at
 the Nth checkpoint to simulate a kill mid-run.
 
 Observability: every checkpoint increments the ambient trace counter
-``budget.checkpoints`` (a no-op without a tracer), every budget trip
-emits a ``budget.trip`` span event before raising, and a tracer
-constructed with ``trace_checkpoints=True`` additionally gets one
-``budget.checkpoint`` event per cooperative checkpoint — off by
-default because checkpoints fire per DFS node and would dominate the
-trace.
+``budget.checkpoints`` (a no-op without a tracer), and every budget
+trip emits a ``budget.trip`` span event before raising.
 """
 
 from __future__ import annotations
@@ -92,11 +88,7 @@ class Budget:
         when the clock has run out.
         """
         self._checkpoints += 1
-        tracer = _trace.active_tracer()
-        if tracer is not None:
-            tracer.add("budget.checkpoints")
-            if tracer.trace_checkpoints:
-                tracer.event("budget.checkpoint", **context)
+        _trace.add("budget.checkpoints")
         if self.probe is not None:
             probe_context = dict(context)
             probe_context.setdefault("checkpoint", self._checkpoints)

@@ -76,11 +76,9 @@ class StreamingTracer(Tracer):
     ``GET /v1/jobs/<id>/events`` endpoint streams while the job runs.
     """
 
-    def __init__(
-        self, sink: Callable[[dict], None], *, trace_checkpoints: bool = False
-    ) -> None:
+    def __init__(self, sink: Callable[[dict], None]) -> None:
         self._sink = sink
-        super().__init__(trace_checkpoints=trace_checkpoints)
+        super().__init__()
 
     def _close_span(
         self, handle: SpanHandle, status: str, error: str | None = None

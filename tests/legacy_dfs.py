@@ -99,7 +99,7 @@ def legacy_existential_chunk(
     first_index: int,
     counter: list[int],
 ) -> list[tuple[int, ...]]:
-    """The pre-rewrite ``search_existential_chunk``, with grow counting."""
+    """The pre-rewrite existential DFS of one first-label subtree, with grow counting."""
     results: list[tuple[int, ...]] = []
     initial = grow_frontier_exists(
         frozenset([0]), member_steps[first_index], closure, counter

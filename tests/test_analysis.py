@@ -338,8 +338,9 @@ def test_semantic_counters_are_engine_symmetric(real_tree):
 
 
 def test_kernel_dispatch_edges_reach_the_chunk_runners(real_tree):
-    """Chunk-kind dispatch links the engine to each runner, and all
-    three stay reachable from the pool through its executor entry."""
+    """``map_chunks`` dispatch links the engine to the one chunk
+    runner, which stays reachable from the pool through its executor
+    entry."""
     graph, _ = real_tree
     engine = "repro.core.kernel.engine"
     dispatched = {
@@ -347,11 +348,7 @@ def test_kernel_dispatch_edges_reach_the_chunk_runners(real_tree):
         for edge in graph.edges
         if edge.kind == "dispatch" and edge.caller.startswith(engine)
     }
-    assert dispatched == {
-        f"{engine}.search_maximization_chunk",
-        f"{engine}.search_existential_chunk",
-        f"{engine}.edge_pairing_chunk",
-    }
+    assert dispatched == {f"{engine}.search_maximization_chunk"}
     pool = "repro.core.kernel.parallel.KernelPool.map_chunks"
     assert dispatched <= graph.reachable([pool])
 

@@ -16,7 +16,7 @@ Four contracts, each tested here:
   middle of a disk write leaves no partial entry behind.
 * **Typed misuse** — requesting ``workers`` without ``use_kernel``, or
   ``workers < 1``, raises :class:`EngineMisuse` (still a
-  ``ValueError``) from R, Rbar, speedup and self_reduce.
+  ``ValueError``) from Rbar, speedup and self_reduce.
 """
 
 import random
@@ -108,7 +108,7 @@ class TestFingerprint:
 # ---------------------------------------------------------------------------
 
 class TestEngineMisuse:
-    @pytest.mark.parametrize("operator", [R, Rbar, speedup, self_reduce])
+    @pytest.mark.parametrize("operator", [Rbar, speedup, self_reduce])
     def test_workers_without_kernel_is_typed(self, operator):
         problem = mis_problem(3)
         with pytest.raises(EngineMisuse) as caught:

@@ -24,11 +24,11 @@ import pytest
 from repro.core.kernel.bitops import iter_bits
 from repro.core.kernel.engine import (
     KernelProblem,
+    _existential_dfs,
     _set_sort_key,
     closure_machine,
     maximize_edge_constraint_kernel,
     pack_ids,
-    search_existential_chunk,
     search_maximization_chunk,
 )
 from repro.core.kernel.interning import LabelInterner
@@ -139,8 +139,9 @@ def _assert_exists_chunks_match(old_constraint, new_labels, arity, name):
             member_steps, closure, arity, first_index, counter
         )
         stats: dict = {}
-        current = search_existential_chunk(
-            member_labels, trans, arity, first_index, stats=stats
+        current = _existential_dfs(
+            member_labels, trans, arity, first_index, first_index + 1,
+            stats=stats,
         )
         assert current == legacy, (
             f"existential chunk {first_index} diverges on {name}"

@@ -231,29 +231,28 @@ class TestGrafting:
         assert parallel == Rbar(intermediate, use_kernel=True)
         totals = total_counters(records)
         assert totals.get("mp.chunks", 0) > 0
-        # With a real pool the workers' chunk spans are grafted in; in
-        # pool-less environments the serial fallback still counts chunks.
+        # The workers' chunk spans are grafted in under op.Rbar.
         chunk_spans = [r for r in records if r.get("name") == "kernel.chunk"]
-        if chunk_spans:
-            rbar_span = next(
-                r for r in records
-                if r["type"] == "span" and r["name"] == "op.Rbar"
-            )
-            spans_by_id = {
-                r["id"]: r for r in records if r["type"] == "span"
-            }
-            for chunk in chunk_spans:
-                # Walk up: every chunk span must live under op.Rbar.
-                current = chunk
-                seen = {chunk["id"]}
-                while current["parent"] is not None:
-                    current = spans_by_id[current["parent"]]
-                    assert current["id"] not in seen  # no cycles
-                    seen.add(current["id"])
-                    if current["id"] == rbar_span["id"]:
-                        break
-                assert current["id"] == rbar_span["id"]
-                assert chunk["counters"]["mp.chunk_results"] >= 0
+        assert chunk_spans
+        rbar_span = next(
+            r for r in records
+            if r["type"] == "span" and r["name"] == "op.Rbar"
+        )
+        spans_by_id = {
+            r["id"]: r for r in records if r["type"] == "span"
+        }
+        for chunk in chunk_spans:
+            # Walk up: every chunk span must live under op.Rbar.
+            current = chunk
+            seen = {chunk["id"]}
+            while current["parent"] is not None:
+                current = spans_by_id[current["parent"]]
+                assert current["id"] not in seen  # no cycles
+                seen.add(current["id"])
+                if current["id"] == rbar_span["id"]:
+                    break
+            assert current["id"] == rbar_span["id"]
+            assert chunk["counters"]["mp.chunk_results"] >= 0
 
     def test_graft_skips_meta_and_empty(self):
         parent = Tracer()

@@ -25,7 +25,7 @@ import repro.core.kernel.parallel as parallel
 from repro.core.cache import fingerprint
 from repro.core.io import problem_to_json
 from repro.core.kernel.bitops import bits_list
-from repro.core.kernel.engine import KernelProblem
+from repro.core.kernel.engine import KernelProblem, _maximization_dfs
 from repro.core.kernel.parallel import KernelPool, plan_shards
 from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
 from repro.observability.metrics import (
@@ -81,6 +81,15 @@ def intermediate(problem):
     return rename_to_strings(R(problem, use_kernel=True)).problem
 
 
+def dfs_payload(problem):
+    """``map_chunks``' payload for ``problem``'s maximization DFS."""
+    kernel = KernelProblem.of(problem)
+    candidates = kernel.node_right_closed_sets()
+    _elements, trans = kernel.node_dfs_machine()
+    members = tuple(tuple(bits_list(mask)) for mask in candidates)
+    return candidates, members, trans, kernel.delta
+
+
 # ---------------------------------------------------------------------------
 # Shard planning
 # ---------------------------------------------------------------------------
@@ -89,11 +98,10 @@ class TestPlanning:
     @given(
         count=st.integers(min_value=1, max_value=60),
         parts=st.integers(min_value=1, max_value=40),
-        kind=st.sampled_from(["node-max", "exists", "edge-pair"]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_plan_tiles_the_range(self, count, parts, kind):
-        shards = plan_shards(kind, count, parts)
+    def test_plan_tiles_the_range(self, count, parts):
+        shards = plan_shards(count, parts)
         # Contiguous, ordered, non-empty, exactly tiling [0, count).
         assert shards[0][0] == 0 and shards[-1][1] == count
         for (_, left_hi), (right_lo, _) in zip(shards, shards[1:]):
@@ -104,13 +112,8 @@ class TestPlanning:
 
     def test_dfs_units_are_weighted_by_suffix(self):
         # DFS unit i touches candidates >= i: early shards are narrow.
-        dfs = plan_shards("node-max", 40, 8)
-        widths = [hi - lo for lo, hi in dfs]
+        widths = [hi - lo for lo, hi in plan_shards(40, 8)]
         assert widths[0] < widths[-1]
-        assert plan_shards("exists", 40, 8) == dfs
-        # Pairing units are uniform: equal-width slices.
-        pairing = plan_shards("edge-pair", 40, 8)
-        assert [hi - lo for lo, hi in pairing] == [5] * 8
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +122,13 @@ class TestPlanning:
 
 class TestKernelPoolFacade:
     def test_single_unit_or_serial_pool_returns_none(self):
+        payload = dfs_payload(intermediate(mis_problem(3)))
         with KernelPool(None) as pool:
-            assert pool.map_chunks("edge-pair", ((), ()), 0, phase="x") is None
+            assert pool.map_chunks(payload, 0, phase="x") is None
         with KernelPool(1) as pool:
             assert not pool.usable()
         with KernelPool(4) as pool:
-            assert (
-                pool.map_chunks("edge-pair", ((3,), (1,)), 1, phase="x")
-                is None
-            )
+            assert pool.map_chunks(payload, 1, phase="x") is None
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +139,13 @@ class TestOutputIdentity:
     def test_map_chunks_merges_in_index_order(self):
         # Final constraints are sets, so only the raw chunk lists can
         # show a merge-order slip.
-        kernel = KernelProblem.of(intermediate(mis_problem(4)))
-        candidates = kernel.node_right_closed_sets()
-        _elements, trans = kernel.node_dfs_machine()
-        members = tuple(tuple(bits_list(mask)) for mask in candidates)
-        closed_sets = kernel.galois_closed_sets()
-        for kind, payload, count in (
-            ("node-max", (candidates, members, trans, kernel.delta),
-             len(candidates)),
-            ("edge-pair", (tuple(kernel.compat), closed_sets),
-             len(closed_sets)),
-        ):
-            with KernelPool(2) as pool:
-                chunks = pool.map_chunks(kind, payload, count, phase="x")
-            assert chunks is not None and len(chunks) > 1
-            flat = [item for chunk in chunks for item in chunk]
-            assert flat == parallel.run_shard_serial(kind, payload, 0, count)
+        payload = dfs_payload(intermediate(mis_problem(4)))
+        count = len(payload[0])
+        with KernelPool(2) as pool:
+            chunks = pool.map_chunks(payload, count, phase="x")
+        assert chunks is not None and len(chunks) > 1
+        flat = [item for chunk in chunks for item in chunk]
+        assert flat == _maximization_dfs(*payload, 0, count)
 
     @pytest.mark.parametrize("delta", [4, 5])
     def test_mis_chain_matches_serial(self, delta):
@@ -191,17 +183,30 @@ class TestBudgetInParent:
             if context.get("parallel_workers") == 2
         ]
         phases = {context["phase"] for context in parallel_contexts}
-        assert phases == {"node-maximization", "existential"}
+        assert phases == {"node-maximization"}
         # One checkpoint per shard, at the shard's first unit.
-        for phase in phases:
-            chunks = [
-                context["chunk"]
-                for context in parallel_contexts
-                if context["phase"] == phase
-            ]
-            assert chunks[0] == 0
-            assert chunks == sorted(chunks)
-            assert len(chunks) <= 2 * 2 * parallel.SHARDS_PER_WORKER
+        chunks = [context["chunk"] for context in parallel_contexts]
+        assert chunks[0] == 0
+        assert chunks == sorted(chunks)
+        assert len(chunks) <= 2 * 2 * parallel.SHARDS_PER_WORKER
+
+    def test_refused_pool_runs_the_serial_dfs(self, monkeypatch):
+        """A platform that cannot start processes gets the ordinary
+        serial DFS: same result, same checkpoints, per DFS node."""
+
+        def refuse(*_args, **_kwargs):
+            raise OSError("no processes")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+        problem = intermediate(mis_problem(4))
+        Rbar(problem, use_kernel=True)  # warm the per-problem memos
+        runs = []
+        for workers in (None, 2):
+            injector = FaultInjector()
+            with governed(Budget(probe=injector)):
+                result = Rbar(problem, use_kernel=True, workers=workers)
+            runs.append((result, injector.contexts))
+        assert runs[1] == runs[0]
 
     def test_budget_trip_tears_the_pool_down(self):
         def trip_on_second_shard(context):
@@ -224,24 +229,24 @@ class TestBudgetInParent:
 _serial_shard = parallel.run_shard_serial
 
 
-def _kill_on_shard_zero(kind, payload, lo, hi):
+def _kill_on_shard_zero(payload, lo, hi):
     if lo == 0 and multiprocessing.parent_process() is not None:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _serial_shard(kind, payload, lo, hi)
+    return _serial_shard(payload, lo, hi)
 
 
-def _raise_typed_on_shard_zero(kind, payload, lo, hi):
+def _raise_typed_on_shard_zero(payload, lo, hi):
     if lo == 0 and multiprocessing.parent_process() is not None:
         raise InjectedFault("typed fault in worker", lo=lo)
-    return _serial_shard(kind, payload, lo, hi)
+    return _serial_shard(payload, lo, hi)
 
 
-def _raise_typed_on_shard_zero_others_slow(kind, payload, lo, hi):
+def _raise_typed_on_shard_zero_others_slow(payload, lo, hi):
     """Shard 0 fails at once while the others are still queued or
     running, so ``Executor.map`` has pending futures to cancel."""
     if multiprocessing.parent_process() is not None and lo != 0:
         time.sleep(0.05)
-    return _raise_typed_on_shard_zero(kind, payload, lo, hi)
+    return _raise_typed_on_shard_zero(payload, lo, hi)
 
 
 class TestFailures:
@@ -310,7 +315,7 @@ class TestGrafting:
         "name,problem",
         [(name, problem) for name, problem in classic_corpus()[:4]],
     )
-    def test_counters_match_serial_twin(self, name, problem, monkeypatch):
+    def test_counters_match_serial_twin(self, name, problem):
         renamed = intermediate(problem)
         fanned, fanned_records = self.traced_rbar(renamed, 2)
         serial, serial_records = self.traced_rbar(renamed, None)
@@ -319,29 +324,21 @@ class TestGrafting:
         assert not diff_semantic_profiles(
             semantic_profile(serial_records), semantic_profile(fanned_records)
         )
-
-        def refuse(*_args, **_kwargs):
-            raise OSError("no processes")
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
-        # No processes: the pool falls back to its in-process twin.
-        twin, twin_records = self.traced_rbar(renamed, 2)
-        assert twin == serial, name
-        # Grafted shard counters sum to exactly the in-process twin's.
+        # Grafted shard counters cover every top-level unit and every
+        # configuration the serial DFS emits.
+        payload = dfs_payload(renamed)
+        count = len(payload[0])
         grafted = total_counters(fanned_records)
-        counted = total_counters(twin_records)
-        assert grafted.get("mp.chunks") == counted.get("mp.chunks")
-        assert grafted.get("mp.chunk_results") == counted.get(
-            "mp.chunk_results"
+        assert grafted.get("mp.chunks") == count
+        assert grafted.get("mp.chunk_results") == len(
+            _maximization_dfs(*payload, 0, count)
         )
 
     def test_one_chunk_span_per_shard(self):
         _, records = self.traced_rbar(intermediate(mis_problem(4)), 2)
         validate_trace(records)
         chunk_spans = [r for r in records if r.get("name") == "kernel.chunk"]
-        starts = [
-            (r["attrs"]["kind"], r["attrs"]["first_index"]) for r in chunk_spans
-        ]
+        starts = [r["attrs"]["first_index"] for r in chunk_spans]
         assert starts
         assert len(starts) == len(set(starts))
 

@@ -1,5 +1,7 @@
 """Monte-Carlo zero-round experiments (the empirical side of Lemma 15)."""
 
+import typing
+
 from repro.core.solvability import randomized_zero_round_failure_bound
 from repro.lowerbound.zero_round import (
     GreedyStrategy,
@@ -11,6 +13,10 @@ from repro.problems.mis import mis_problem
 
 
 class TestMonteCarlo:
+    def test_signature_annotations_resolve(self):
+        hints = typing.get_type_hints(monte_carlo_zero_round_failure)
+        assert hints["strategy"] == UniformStrategy | GreedyStrategy | None
+
     def test_uniform_strategy_fails_at_least_the_bound(self):
         problem = family_problem(3, 2, 1)
         experiment = monte_carlo_zero_round_failure(problem, trials=100, seed=1)

@@ -16,7 +16,7 @@ zero-round policy, fixed-point shape.  ``--all`` runs every registered
 scenario in registry order.  ``--kernel`` routes the chain through the
 interned bitmask engine; the outcome must be identical (the
 differential tests enforce this), and ``--workers`` additionally
-parallelizes the kernel operators.
+fans ``Rbar``'s node-maximization DFS out over processes.
 """
 
 from __future__ import annotations
