@@ -1,7 +1,7 @@
 """Run the whole lower-bound proof for chosen parameters.
 
 Run:  python examples/full_certificate.py [delta] [k]
-          [--checkpoint DIR] [--max-alphabet N] [--wall-clock S]
+          [--checkpoint DIR] [--wall-clock S]
           [--trace out.jsonl] [--metrics]
 
 Produces a :class:`LowerBoundCertificate`: the Section 2.4 roadmap
@@ -12,10 +12,8 @@ the Lemma 5 witness — with the Theorem 1 numbers at the end.
 
 With ``--checkpoint DIR`` the build is restartable stage by stage: a
 killed run resumes from the last completed stage and renders a
-certificate byte-identical to an uninterrupted run.  With
-``--max-alphabet N`` the engine check runs under an alphabet budget
-and, when it trips, degrades the problem via automatic simplification
-— every degradation rung appears in the certificate's provenance.
+certificate byte-identical to an uninterrupted run.  ``--wall-clock S``
+stops the build at the first stage boundary after ``S`` seconds.
 ``--trace`` writes the run's span trace as JSON lines; ``--metrics``
 prints the per-phase counter table at the end.
 """
@@ -37,7 +35,6 @@ def _flag_value(argv: list[str], index: int) -> str:
 def parse_arguments(argv: list[str]):
     positional = []
     checkpoint_dir = None
-    max_alphabet = None
     wall_clock = None
     trace_path = None
     metrics = False
@@ -46,9 +43,6 @@ def parse_arguments(argv: list[str]):
         argument = argv[index]
         if argument == "--checkpoint":
             checkpoint_dir = _flag_value(argv, index)
-            index += 1
-        elif argument == "--max-alphabet":
-            max_alphabet = int(_flag_value(argv, index))
             index += 1
         elif argument == "--wall-clock":
             wall_clock = float(_flag_value(argv, index))
@@ -65,28 +59,20 @@ def parse_arguments(argv: list[str]):
         index += 1
     delta = int(positional[0]) if positional else 8
     k = int(positional[1]) if len(positional) > 1 else 0
-    return delta, k, checkpoint_dir, max_alphabet, wall_clock, trace_path, metrics
+    return delta, k, checkpoint_dir, wall_clock, trace_path, metrics
 
 
 def main() -> None:
-    (
-        delta, k, checkpoint_dir, max_alphabet, wall_clock,
-        trace_path, metrics,
-    ) = parse_arguments(sys.argv[1:])
+    delta, k, checkpoint_dir, wall_clock, trace_path, metrics = (
+        parse_arguments(sys.argv[1:])
+    )
     store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
     budget = None
-    if max_alphabet is not None or wall_clock is not None:
-        budget = Budget(
-            max_alphabet=max_alphabet, wall_clock_seconds=wall_clock
-        )
+    if wall_clock is not None:
+        budget = Budget(wall_clock_seconds=wall_clock)
     with cli_tracing(trace_path, metrics):
         certificate = build_certificate(delta, k, store=store, budget=budget)
     print(certificate.render())
-    if certificate.degraded:
-        print(
-            "note: some checks ran in a budget-degraded form; "
-            "see the provenance lines above"
-        )
     if not certificate.ok:
         raise SystemExit("certificate FAILED")
 

@@ -20,8 +20,7 @@ Subpackages
     Numeric bound formulas and the table builders behind EXPERIMENTS.md.
 ``repro.robustness``
     Resource governance: budgets with cooperative checkpoints, typed
-    failures, checkpoint/resume stores, and graceful degradation via
-    simplification.
+    failures, and checkpoint/resume stores.
 """
 
 __version__ = "1.0.0"

@@ -2,20 +2,13 @@
 
 Iterated round elimination blows problem descriptions up doubly
 exponentially (paper, Sec. 1.2); *simplifications* shrink them without
-making them too easy.  Two sound, fully mechanical simplifications are
-implemented:
-
-* :func:`merge_equivalent_labels` — labels mutually at-least-as-strong
-  w.r.t. both constraints are interchangeable, so keeping one of them
-  preserves the problem up to 0-round relabelings.
-
-* :func:`remove_label` — dropping a label (restricting both
-  constraints) can only make a problem *harder or equal*: every
-  solution of the restricted problem is a solution of the original.
-  This is the direction used in lower-bound sequences.
-  :func:`is_safe_removal` checks the converse relabeling (weak label
-  replaced by a stronger one) that keeps the restricted problem *no
-  harder* than the original, i.e. the removal loses nothing.
+making them too easy.  The one implemented here is
+:func:`merge_equivalent_labels`: labels mutually at-least-as-strong
+w.r.t. both constraints are interchangeable, so keeping one of them
+preserves the problem up to 0-round relabelings.  Dropping labels
+dominated in both diagrams as well is the exact condensation of the
+self-reduction operator
+(:func:`repro.core.self_reduction.condense_problem`).
 
 :func:`iterate_chain` is the one fixed-point loop behind every problem
 chain (speedup, self-reduction, the scenarios and the service): it
@@ -27,13 +20,12 @@ Omega(log n)-style lower bound in the fixed-point method of Sec. 1.2.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.core.diagram import Diagram
 from repro.core.problem import Problem
 from repro.core.round_elimination import speedup
-from repro.robustness.errors import SimplificationFailed
 
 
 def equivalent_label_classes(problem: Problem) -> list[frozenset]:
@@ -74,39 +66,6 @@ def merge_equivalent_labels(problem: Problem) -> Problem:
     node_constraint = problem.node_constraint.rename(mapping)
     edge_constraint = problem.edge_constraint.rename(mapping)
     return Problem(kept, node_constraint, edge_constraint, name=problem.name)
-
-
-def remove_label(problem: Problem, label: Hashable) -> Problem:
-    """Restrict both constraints to the alphabet without ``label``.
-
-    The restricted problem is at least as hard as the original (its
-    solutions are solutions of the original); use
-    :func:`is_safe_removal` to certify it is also no harder.
-    """
-    remaining = [other for other in problem.alphabet if other != label]
-    if not remaining:
-        raise SimplificationFailed("cannot remove the last label")
-    return Problem(
-        remaining,
-        problem.node_constraint.restrict_to(remaining),
-        problem.edge_constraint.restrict_to(remaining),
-        name=problem.name,
-    )
-
-
-def is_safe_removal(problem: Problem, weak: Hashable, strong: Hashable) -> bool:
-    """Whether rewriting ``weak`` as ``strong`` never breaks a solution.
-
-    True when ``strong`` is at least as strong as ``weak`` w.r.t. both
-    constraints — then any solution of the original converts, in 0
-    rounds, into a solution avoiding ``weak``, so removing ``weak``
-    keeps the problem's complexity unchanged.
-    """
-    node_diagram = Diagram(problem.node_constraint, problem.alphabet)
-    edge_diagram = Diagram(problem.edge_constraint, problem.alphabet)
-    return node_diagram.at_least_as_strong(
-        strong, weak
-    ) and edge_diagram.at_least_as_strong(strong, weak)
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,7 @@ The builder is *resource-governed*: pass a
 :class:`~repro.robustness.checkpointing.CheckpointStore` to make it
 restartable.  Each named stage is checkpointed as it completes, so a
 run killed mid-certificate resumes from the last completed stage and
-renders a certificate byte-identical to an uninterrupted run.  When a
-tight alphabet budget trips inside the governed engine check, the
-builder falls back to the paper's own medicine — simplification via
-:mod:`repro.robustness.degradation` — and records every degradation
-rung in the certificate's ``provenance``, so the result is auditably
-weaker rather than silently wrong.
+renders a certificate byte-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -65,7 +60,6 @@ from repro.lowerbound.sequence import (
 from repro.observability import trace as _trace
 from repro.robustness.budget import Budget
 from repro.robustness.checkpointing import CheckpointStore
-from repro.robustness.errors import SimplificationFailed
 from repro.sim.generators import colored_port_cayley_graph, complete_bipartite_graph
 
 #: Direct Rbar(R(.)) computation is exponential in Delta; cap it here.
@@ -74,9 +68,6 @@ DIRECT_VERIFICATION_LIMIT = 5
 ARGUMENT_VERIFICATION_LIMIT = 14
 #: Witness instances grow as 2^Delta (Cayley); cap the instance checks.
 INSTANCE_LIMIT = 8
-#: The governed engine check runs on a family member clamped to this
-#: Delta, keeping the degradation demonstration cheap at any scale.
-GOVERNED_CHECK_DELTA = 4
 
 
 @dataclass
@@ -97,11 +88,6 @@ class LowerBoundCertificate:
     def ok(self) -> bool:
         """All executed checks passed."""
         return all(self.checks.values())
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any check ran in a budget-degraded form."""
-        return any("degradation" in entry for entry in self.provenance)
 
     def render(self) -> str:
         """A human-readable audit trail."""
@@ -163,6 +149,12 @@ def build_certificate(
     check and both Lemma 8 checks, so one value picks the engine for
     all of them: the kernel by default, the reference engine with
     ``use_kernel=False``.  Both render and checkpoint byte-identically.
+
+    ``budget`` is checked between stages only, via
+    :meth:`~repro.robustness.budget.Budget.checkpoint` (its probe and
+    wall clock).  It is not installed around the engine calls, so its
+    alphabet and configuration caps do not apply, and a trip always
+    stops the build at a stage boundary.
 
     All proof checks are raise-free: failures are recorded in
     ``checks`` so the certificate can report exactly which step broke.
@@ -287,14 +279,6 @@ def build_certificate(
                 _note_stage("lemma8-direct", marks)
                 persist("lemma8-direct")
 
-            if "governed-speedup" not in completed:
-                marks = _cache_marks()
-                if budget is not None and budget.max_alphabet is not None:
-                    budget.checkpoint(stage="governed-speedup")
-                    _governed_engine_check(certificate, budget, delta, a, x)
-                _note_stage("governed-speedup", marks)
-                persist("governed-speedup")
-
             if "lemma9" not in completed:
                 if budget is not None:
                     budget.checkpoint(stage="lemma9")
@@ -330,41 +314,6 @@ def build_certificate(
     _append_cache_summary(certificate.provenance)
     _append_trace_summary(certificate.provenance)
     return certificate
-
-
-def _governed_engine_check(
-    certificate: LowerBoundCertificate,
-    budget: Budget,
-    delta: int,
-    a: int,
-    x: int,
-) -> None:
-    """One speedup step under the alphabet budget, degrading as needed.
-
-    Runs on a family member clamped to :data:`GOVERNED_CHECK_DELTA` so
-    the demonstration stays cheap at any Delta.  Degradation rungs land
-    in ``provenance``; running out of medicine records a failed check
-    instead of raising, keeping the certificate's raise-free contract
-    for proof-level problems.
-    """
-    from repro.problems.family import family_problem
-    from repro.robustness.degradation import governed_speedup
-
-    clamped_delta = min(delta, GOVERNED_CHECK_DELTA)
-    clamped_a = min(a, clamped_delta)
-    clamped_x = min(x, max(clamped_a - 2, 0))
-    problem = family_problem(clamped_delta, clamped_a, clamped_x)
-    try:
-        stepped = governed_speedup(problem, budget, degrade=True, step=0)
-    except SimplificationFailed as failure:
-        certificate.checks["governed speedup under budget"] = False
-        certificate.provenance.append(
-            f"degradation exhausted on {problem.name}: {failure.message}"
-        )
-        return
-    certificate.checks["governed speedup under budget"] = True
-    for event in stepped.events:
-        certificate.provenance.append(event.provenance())
 
 
 def _lemma9_witness(delta: int, a: int, x: int) -> bool:

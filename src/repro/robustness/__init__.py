@@ -16,13 +16,6 @@ explicit defenses.  This package provides them:
 ``repro.robustness.checkpointing``
     :class:`CheckpointStore` — atomic, integrity-sealed JSON stages on
     disk, so killed runs resume from the last completed step.
-``repro.robustness.degradation``
-    Graceful degradation: when the alphabet budget trips mid-step,
-    shrink the problem via the paper's own medicine (equivalence
-    merging, label removal — the Lemma 9 motivation) and record every
-    rung as auditable provenance.  It governs one speedup step at a
-    time (:func:`governed_speedup`, the certificate's governed stage);
-    chains are iterated by :func:`repro.core.simplify.iterate_chain`.
 
 ``errors`` imports nothing at all and is safe to import from anywhere
 — including :mod:`repro.observability.schema`, which sits *below*
@@ -42,7 +35,6 @@ from repro.robustness.errors import (
     InvalidTrace,
     ReproError,
     RetryExhausted,
-    SimplificationFailed,
     WorkerCrashed,
 )
 
@@ -58,10 +50,6 @@ _LAZY = {
     ),
     "check_chain_step": ("repro.robustness.budget", "check_chain_step"),
     "CheckpointStore": ("repro.robustness.checkpointing", "CheckpointStore"),
-    "DegradationEvent": ("repro.robustness.degradation", "DegradationEvent"),
-    "GovernedSpeedup": ("repro.robustness.degradation", "GovernedSpeedup"),
-    "governed_speedup": ("repro.robustness.degradation", "governed_speedup"),
-    "shrink_once": ("repro.robustness.degradation", "shrink_once"),
 }
 
 
@@ -80,7 +68,6 @@ def __getattr__(name: str) -> object:
 __all__ = [
     "ReproError",
     "InvalidProblem",
-    "SimplificationFailed",
     "BudgetExceeded",
     "AlphabetExplosion",
     "CheckpointCorrupt",

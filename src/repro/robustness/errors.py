@@ -20,9 +20,6 @@ working:
   description is malformed or degenerate: labels outside the alphabet,
   mismatched arities, duplicated configurations, or a constraint that
   admits no maximal configuration.
-* :class:`SimplificationFailed` (also a ``ValueError``) — the graceful
-  degradation ladder (equivalence merging, label removal, the Lemma 9
-  style relaxations) ran out of medicine before meeting the budget.
 * :class:`BudgetExceeded` (also a ``RuntimeError``) — a cooperative
   :meth:`~repro.robustness.budget.Budget.checkpoint` found a resource
   budget (wall clock, configurations, chain steps) exhausted.
@@ -88,10 +85,6 @@ class InvalidProblem(ReproError, ValueError):
     """A problem description is malformed or degenerate."""
 
 
-class SimplificationFailed(ReproError, ValueError):
-    """Graceful degradation could not shrink a problem far enough."""
-
-
 class BudgetExceeded(ReproError, RuntimeError):
     """A cooperative checkpoint found a resource budget exhausted."""
 
@@ -154,7 +147,6 @@ class InvalidJobRequest(ReproError, ValueError):
 __all__ = [
     "ReproError",
     "InvalidProblem",
-    "SimplificationFailed",
     "BudgetExceeded",
     "AlphabetExplosion",
     "CheckpointCorrupt",

@@ -17,7 +17,6 @@ from repro.lowerbound.certificate import build_certificate
 from repro.lowerbound.sequence import lemma13_chain, run_chain
 from repro.observability.schema import validate_trace
 from repro.observability.trace import Tracer, tracing
-from repro.robustness.budget import Budget
 from repro.robustness.checkpointing import CheckpointStore
 from repro.robustness.errors import BudgetExceeded, CheckpointCorrupt
 
@@ -25,6 +24,7 @@ from tests.faults import (
     InjectedFault,
     budget_tripping_budget,
     corrupt_checkpoint,
+    counting_budget,
     tripping_budget,
 )
 
@@ -187,23 +187,72 @@ class TestCertificateResume:
         assert resumed.render() == baseline
         assert resumed.ok
 
-    def test_degraded_certificate_resumes_identically(self, tmp_path):
-        # Same budget shape in both runs: a tight alphabet cap that
-        # forces the governed stage to degrade via simplification.
-        baseline = build_certificate(
-            4, 0, budget=Budget(max_alphabet=4)
-        ).render()
+    def test_checkpoint_listing_the_retired_governed_stage_resumes(
+        self, tmp_path
+    ):
+        # An older checkpoint whose ``completed`` still lists the
+        # retired governed-speedup stage; the build stopped after
+        # lemma8-direct.  Old checkpoints must keep resuming.
         store = CheckpointStore(tmp_path)
-        budget, injector = tripping_budget(trip_at=2, max_alphabet=4)
-        with pytest.raises(InjectedFault):
-            build_certificate(4, 0, store=store, budget=budget)
-        resumed = build_certificate(
-            4, 0, store=store, budget=Budget(max_alphabet=4)
+        store.save(
+            "certificate-delta4-k0",
+            {
+                "chain_length": 0,
+                "checks": {
+                    "lemma13 chain arithmetic": True,
+                    "lemma6 normal form": True,
+                    "lemma8 case analysis": True,
+                    "lemma8 direct Rbar": True,
+                    "theorem14 premises": True,
+                },
+                "completed": [
+                    "chain", "governed-speedup", "lemma6-8", "lemma8-direct",
+                ],
+                "delta": 4,
+                "deterministic_bound": 0,
+                "k": 0,
+                "n": 2**64,
+                "provenance": [],
+                "randomized_bound": 0,
+                "skipped": [],
+            },
         )
-        assert resumed.render() == baseline
-        assert resumed.ok
-        assert resumed.degraded
-        assert any("LOSSY" in entry for entry in resumed.provenance)
+        fresh = build_certificate(4, 0)
+        budget, injector = counting_budget()
+        resumed = build_certificate(4, 0, store=store, budget=budget)
+        # Only the two stages left (lemma9, lemma5) reached a checkpoint.
+        assert injector.calls == 2
+        assert resumed.render() == fresh.render()
+        assert resumed.to_dict() == fresh.to_dict()
+
+    def test_corrupt_checkpoint_is_deleted_and_recomputed(
+        self, tmp_path, monkeypatch
+    ):
+        cold = build_certificate(4, 0)
+        cold_store = CheckpointStore(tmp_path / "cold")
+        build_certificate(4, 0, store=cold_store)
+        store = CheckpointStore(tmp_path / "damaged")
+        build_certificate(4, 0, store=store)
+        (stage,) = store.stages()
+        corrupt_checkpoint(store.path_for(stage))
+
+        deleted = []
+        delete = store.delete
+
+        def recording_delete(name: str) -> None:
+            deleted.append(name)
+            delete(name)
+
+        monkeypatch.setattr(store, "delete", recording_delete)
+        budget, injector = counting_budget()
+        rebuilt = build_certificate(4, 0, store=store, budget=budget)
+        assert deleted == [stage]
+        assert injector.calls == 5  # every stage recomputed
+        assert rebuilt.render() == cold.render()
+        assert (
+            store.path_for(stage).read_bytes()
+            == cold_store.path_for(stage).read_bytes()
+        )
 
     def test_mismatched_parameters_do_not_resume(self, tmp_path):
         store = CheckpointStore(tmp_path)

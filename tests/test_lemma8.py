@@ -20,7 +20,6 @@ class TestDirectVerification:
     def test_all_configurations_relax_into_pi_rel(self, delta, a, x):
         assert verify_lemma8_direct(delta, a, x)
 
-    @pytest.mark.slow
     def test_delta_five(self):
         assert verify_lemma8_direct(5, 3, 1)
 

@@ -1,5 +1,5 @@
-"""Tests for the resource-governance subsystem (budgets, typed errors,
-degradation) and its integration into the engine's hot loops."""
+"""Tests for the resource-governance subsystem (budgets, typed errors)
+and its integration into the engine's hot loops."""
 
 import pytest
 
@@ -14,14 +14,12 @@ from repro.robustness.budget import (
     current_budget,
     governed,
 )
-from repro.robustness.degradation import governed_speedup, shrink_once
 from repro.robustness.errors import (
     AlphabetExplosion,
     BudgetExceeded,
     CheckpointCorrupt,
     InvalidProblem,
     ReproError,
-    SimplificationFailed,
 )
 from repro.sim.brute_force import uniform_algorithm_exists
 from repro.sim.generators import cycle_graph
@@ -35,9 +33,6 @@ class TestErrorHierarchy:
     def test_invalid_problem_is_a_value_error(self):
         assert issubclass(InvalidProblem, ValueError)
         assert issubclass(InvalidProblem, ReproError)
-
-    def test_simplification_failed_is_a_value_error(self):
-        assert issubclass(SimplificationFailed, ValueError)
 
     def test_budget_exceeded_is_a_runtime_error(self):
         assert issubclass(BudgetExceeded, RuntimeError)
@@ -204,48 +199,6 @@ class TestProblemValidation:
     def test_still_catchable_as_value_error(self):
         with pytest.raises(ValueError):
             Problem.from_text(["M X^2", "P O"], ["M X"])
-
-
-class TestDegradation:
-    def test_shrink_once_reduces_the_alphabet(self):
-        problem = family_problem(4, 4, 0)
-        shrunk, event = shrink_once(problem, step=0)
-        assert len(shrunk.alphabet) < len(problem.alphabet)
-        assert event.alphabet_after == len(shrunk.alphabet)
-        assert "degradation" in event.provenance()
-
-    def test_governed_speedup_without_pressure_is_clean(self):
-        problem = family_problem(4, 4, 0)
-        stepped = governed_speedup(problem, Budget(max_alphabet=64))
-        assert not stepped.degraded
-        assert stepped.events == []
-        assert stepped.problem == speedup(problem).problem
-
-    def test_governed_speedup_degrades_under_pressure(self):
-        problem = family_problem(4, 4, 0)
-        stepped = governed_speedup(problem, Budget(max_alphabet=4))
-        assert stepped.degraded
-        assert stepped.events
-        assert len(stepped.problem_used.alphabet) < len(problem.alphabet)
-        for event in stepped.events:
-            assert "degradation" in event.provenance()
-
-    def test_degradation_events_roundtrip_through_dicts(self):
-        problem = family_problem(4, 4, 0)
-        stepped = governed_speedup(problem, Budget(max_alphabet=4))
-        for event in stepped.events:
-            clone = type(event).from_dict(event.to_dict())
-            assert clone == event
-
-    def test_exhausted_ladder_raises_simplification_failed(self):
-        problem = family_problem(4, 4, 0)
-        with pytest.raises(SimplificationFailed):
-            governed_speedup(problem, Budget(max_alphabet=1))
-
-    def test_degradation_can_be_disabled(self):
-        problem = family_problem(4, 4, 0)
-        with pytest.raises(AlphabetExplosion):
-            governed_speedup(problem, Budget(max_alphabet=4), degrade=False)
 
 
 class TestRunChainEquivalence:

@@ -1,15 +1,11 @@
 """Tests for problem simplifications and iterated speedup."""
 
-import pytest
-
 from repro.core.problem import Problem
 from repro.core.simplify import (
     equivalent_label_classes,
-    is_safe_removal,
     iterate_chain,
     iterate_speedup,
     merge_equivalent_labels,
-    remove_label,
 )
 from repro.problems.classic import sinkless_orientation_problem
 from repro.problems.family import family_problem
@@ -41,31 +37,6 @@ class TestEquivalenceMerging:
     def test_merge_is_idempotent(self):
         merged = merge_equivalent_labels(problem_with_twin_labels())
         assert merge_equivalent_labels(merged) == merged
-
-
-class TestLabelRemoval:
-    def test_remove_label_restricts(self):
-        problem = family_problem(4, 2, 1)
-        without_a = remove_label(problem, "A")
-        assert "A" not in set(without_a.alphabet)
-        assert all(
-            "A" not in config.support()
-            for config in without_a.node_constraint.configurations
-        )
-
-    def test_cannot_remove_last_label(self):
-        problem = Problem.from_text(["A^2"], ["A A"])
-        with pytest.raises(ValueError):
-            remove_label(problem, "A")
-
-    def test_safe_removal_weak_into_strong(self):
-        # In the family, X is at least as strong as M on edges; but on
-        # nodes M and X are not interchangeable, so removal of M is NOT
-        # safe — while removing a twin label is.
-        problem = problem_with_twin_labels()
-        assert is_safe_removal(problem, "Z", "O")
-        family = family_problem(4, 2, 1)
-        assert not is_safe_removal(family, "M", "X")
 
 
 class TestCertifiedUpperBound:
