@@ -45,7 +45,6 @@ from repro.core.constraints import Constraint
 from repro.core.kernel.bitops import (
     bit,
     bits_list,
-    is_strict_subset,
     is_subset,
     iter_bits,
     mask_from_ids,
@@ -103,8 +102,8 @@ def closure_machine(
     the element's count sum is at least the capacity, which is at
     least the search arity, while frontiers are only ever grown at
     depth strictly below the arity — so the guard changes no live
-    behavior (the parity suite pins this against the pre-machine
-    recursion, which used the raw carrying add).
+    behavior (the parity suite checks both searches against the
+    pre-machine recursion, which used the raw carrying add).
     """
     elements = tuple(sorted(closure))
     index = {element: position for position, element in enumerate(elements)}
@@ -331,14 +330,23 @@ class KernelProblem:
         (:func:`pack_ids`), so extending a partial configuration by one
         label is a single integer add instead of a tuple sort — the
         profiled hot spot of the maximization DFS.
+
+        Built downward, one size level at a time: every element of the
+        next level down is an element of this level with one label
+        removed (one subtract per occupied count field), so each
+        sub-multiset is produced from its parents rather than from all
+        ``2**delta`` sub-combinations of every configuration.
         """
         if self._node_prefix_closure is not None:
             return self._node_prefix_closure
         shift = self.delta.bit_length()
-        closure: set[int] = set()
+        field = (1 << shift) - 1
+        level = [pack_ids(configuration, shift) for configuration in self.node_configs]
+        closure: set[int] = set(level)
         checked = 0
-        for configuration in self.node_configs:
-            for size in range(len(configuration) + 1):
+        while level:
+            below: list[int] = []
+            for packed in level:
                 # Stride the probe: small closures stay silent, runaway
                 # growth is caught within 64 packed prefixes.
                 if len(closure) - checked >= 64:
@@ -346,8 +354,17 @@ class KernelProblem:
                     _budget.check_configurations(
                         len(closure), phase="node-prefix-closure"
                     )
-                for combo in itertools.combinations(configuration, size):
-                    closure.add(pack_ids(combo, shift))
+                remaining = packed
+                step = 1
+                while remaining:
+                    if remaining & field:
+                        smaller = packed - step
+                        if smaller not in closure:
+                            closure.add(smaller)
+                            below.append(smaller)
+                    remaining >>= shift
+                    step <<= shift
+            level = below
         self._node_prefix_closure = frozenset(closure)
         return self._node_prefix_closure
 
@@ -652,38 +669,76 @@ def _maximization_dfs(
     lo: int,
     hi: int,
     budget_phase: str | None = None,
-    stats: dict | None = None,
 ) -> list[tuple[int, ...]]:
     """The iterative all-or-nothing DFS over the closure machine.
 
     One explicit-stack loop serves both the serial search
     (``lo=0, hi=len(candidates)``, budgeted) and a parallel chunk
     (``lo=first_index, hi=first_index+1``, unbudgeted): frames are
-    ``[cursor, limit, frontier_mask]`` plus a parallel ``chosen`` list
-    of candidate indices, and frontier growth is memoized per candidate
-    keyed on the frontier bitmask.  Emission order, failure conditions,
-    and candidate-level grow counts (``stats['grow_calls']``) are
-    pinned 1:1 to the old recursive search by the property tests.
+    ``[cursor, limit, frontier_mask, members, key]`` plus a parallel
+    ``chosen`` list of candidate indices, and frontier growth is
+    memoized per candidate keyed on the frontier bitmask.
+
+    The search stops at depth ``arity - 1`` and closes the last
+    coordinate instead of searching it.  A prefix with frontier ``F``
+    admits a last set ``S`` exactly when ``S`` is inside ``best(F)``,
+    the labels whose every transition from ``F`` stays in the closure
+    (one AND per label).  ``best(F)`` is right-closed — validity
+    survives strengthening a label — hence a candidate, and every other
+    completion is dominated by it, so the prefix emits the one leaf
+    ``(prefix, best(F))`` when ``best(F)`` is non-empty and not before
+    the prefix's last set in candidate order.  Every maximal
+    configuration is emitted this way, in the order the full search
+    listed it.
+
+    A leaf is maximal iff each coordinate equals ``best`` of the
+    others.  The complement of a coordinate ``i >= 1`` keeps the first
+    set, so it is a depth-``arity - 1`` prefix of this very range: those
+    coordinates are checked here against the per-prefix memo (candidate
+    index of ``best``, ``-1`` for none, keyed by the prefix's indices
+    packed ``width`` bits apiece).  Coordinate 0 is left to
+    :func:`close_first_coordinate`, which the caller runs once on the
+    serial and fanned-out results alike.  The timing counters
+    ``node_max.frames`` (prefixes opened, closed ones included) and
+    ``node_max.leaves`` (leaves emitted before any filter) go to the
+    open span once per call.
     """
     results: list[tuple[int, ...]] = []
     count = len(candidates)
     element_count = len(trans[0]) if trans else 1
     element_range = range(element_count)
-    # Per-label memos, built on first touch: ``label_valid[lab]`` is
-    # the element mask from which ``lab`` can extend, ``label_image``
-    # the per-element image bit.  Per-candidate: ``invalid[c]`` (any
-    # frontier bit in it fails the all-or-nothing test in one AND) and
-    # ``rows[c]`` (aggregated image row; success is one lookup + OR
-    # per frontier element).
-    label_valid: dict[int, int] = {}
+    position = {mask: index for index, mask in enumerate(candidates)}
+    width = max(count.bit_length(), 1)
+    # Per-label memos: ``label_invalid[lab]`` has a bit for every
+    # element ``lab`` cannot extend from (all labels, for ``best``),
+    # ``label_image`` the per-element image bit (built on first touch).
+    # Per-candidate: ``invalid[c]`` (any frontier bit in it fails the
+    # all-or-nothing test in one AND) and ``rows[c]`` (aggregated image
+    # row; success is one lookup + OR per frontier element).
+    label_invalid: list[int] = []
+    for transitions in trans:
+        label_mask = 0
+        for element in element_range:
+            if transitions[element] >= 0:
+                label_mask |= 1 << element
+        label_invalid.append(~label_mask)
     label_image: dict[int, list[int]] = {}
     invalid: list[int | None] = [None] * count
     rows: list[list[int] | None] = [None] * count
-    grow_calls = 0
+    best_index: dict[int, int] = {}
+    leaf_keys: list[int] = []
+    frames = 0
+    last = arity - 1
     if budget_phase is not None:
         _budget.check_configurations(0, phase=budget_phase, depth=0)
     chosen: list[int] = []
-    stack: list[list] = [[lo, hi, 1, None]]
+    stack: list[list] = []
+    if last == 0:
+        closing = _closing_set(1, label_invalid)
+        if closing and lo <= position[closing] < hi:
+            results.append((closing,))
+    else:
+        stack.append([lo, hi, 1, None, 0])
     while stack:
         frame = stack[-1]
         cursor = frame[0]
@@ -693,22 +748,12 @@ def _maximization_dfs(
                 chosen.pop()
             continue
         frame[0] = cursor + 1
-        grow_calls += 1
         frontier = frame[2]
         bad = invalid[cursor]
         if bad is None:
-            valid = -1
+            bad = 0
             for label_id in member_labels[cursor]:
-                label_mask = label_valid.get(label_id)
-                if label_mask is None:
-                    transitions = trans[label_id]
-                    label_mask = 0
-                    for element in element_range:
-                        if transitions[element] >= 0:
-                            label_mask |= 1 << element
-                    label_valid[label_id] = label_mask
-                valid &= label_mask
-            bad = ~valid
+                bad |= label_invalid[label_id]
             invalid[cursor] = bad
         if frontier & bad:
             continue
@@ -746,24 +791,59 @@ def _maximization_dfs(
         grown = 0
         for element in members:
             grown |= row[element]
-        chosen.append(cursor)
+        frames += 1
         depth = len(chosen)
-        if depth == arity:
-            if budget_phase is not None:
-                _budget.check_configurations(
-                    len(results), phase=budget_phase, depth=depth
-                )
-            results.append(tuple(candidates[index] for index in chosen))
-            chosen.pop()
-            continue
+        key = frame[4] | (cursor << (width * depth))
+        chosen.append(cursor)
+        depth += 1
         if budget_phase is not None:
             _budget.check_configurations(
                 len(results), phase=budget_phase, depth=depth
             )
-        stack.append([cursor, count, grown, None])
-    if stats is not None:
-        stats["grow_calls"] = stats.get("grow_calls", 0) + grow_calls
-    return results
+        if depth < last:
+            stack.append([cursor, count, grown, None, key])
+            continue
+        closing = _closing_set(grown, label_invalid)
+        index = position[closing] if closing else -1
+        best_index[key] = index
+        if index >= cursor:
+            if budget_phase is not None:
+                _budget.check_configurations(
+                    len(results), phase=budget_phase, depth=arity
+                )
+            results.append(
+                tuple(candidates[chosen_index] for chosen_index in chosen)
+                + (closing,)
+            )
+            leaf_keys.append(key | (index << (width * depth)))
+        chosen.pop()
+    _trace.add("node_max.frames", frames)
+    _trace.add("node_max.leaves", len(results))
+    if last < 2:
+        return results
+    field = (1 << width) - 1
+    kept: list[tuple[int, ...]] = []
+    for sets, key in zip(results, leaf_keys):
+        for coordinate in range(1, last):
+            below = width * coordinate
+            complement = (key & ((1 << below) - 1)) | (
+                (key >> (below + width)) << below
+            )
+            if best_index[complement] != (key >> below) & field:
+                break
+        else:
+            kept.append(sets)
+    return kept
+
+
+# hotpath
+def _closing_set(frontier: int, label_invalid: list[int]) -> int:
+    """``best(F)``: the labels every element of ``frontier`` extends by."""
+    closing = 0
+    for label_id, bad in enumerate(label_invalid):
+        if not frontier & bad:
+            closing |= 1 << label_id
+    return closing
 
 
 # hotpath
@@ -773,17 +853,16 @@ def search_maximization_chunk(
     trans: tuple[tuple[int, ...], ...],
     arity: int,
     first_index: int,
-    stats: dict | None = None,
 ) -> list[tuple[int, ...]]:
     """Explore the DFS subtree whose first chosen set is ``candidates[first_index]``.
 
     This is the unit of work :mod:`repro.core.kernel.parallel` fans
-    out: the
-    serial search is exactly the concatenation of the chunks for
-    ``first_index = 0 .. len(candidates) - 1``, so chunked results are
-    order- and content-identical to a single DFS.  ``member_labels``
-    holds each candidate's member label ids and ``trans`` is the
-    closure machine of :func:`closure_machine`.
+    out: the serial search is exactly the concatenation of the chunks
+    for ``first_index = 0 .. len(candidates) - 1``, so chunked results
+    are order- and content-identical to a single DFS.  Both still await
+    :func:`close_first_coordinate`.  ``member_labels`` holds each
+    candidate's member label ids and ``trans`` is the closure machine
+    of :func:`closure_machine`.
     """
     return _maximization_dfs(
         candidates,
@@ -792,43 +871,49 @@ def search_maximization_chunk(
         arity,
         first_index,
         first_index + 1,
-        stats=stats,
     )
 
 
 # hotpath
-def prune_non_maximal_masks(
-    configurations: list[tuple[int, ...]], candidate_sets: Iterable[int]
+def close_first_coordinate(
+    leaves: list[tuple[int, ...]], trans: tuple[tuple[int, ...], ...]
 ) -> list[tuple[int, ...]]:
-    """Mask twin of the reference ``_prune_non_maximal`` (same near-linear
-    single-coordinate-enlargement argument, with int-subset tests).
+    """The last maximality check: keep a DFS leaf iff its first set is
+    ``best`` of its other sets.
 
-    Membership structures are dicts rather than sets so the hot loop
-    allocates nothing set-shaped (AN001); insertion order is irrelevant
-    because only key lookups are performed.
+    :func:`_maximization_dfs` has checked every other coordinate; the
+    complement of coordinate 0 starts in another chunk, so its frontier
+    is walked here from the empty multiset (once per distinct
+    complement).  A leaf whose first two sets coincide shares that
+    complement with coordinate 1 and passes as is.
     """
-    candidates = list(candidate_sets)
-    passing = dict.fromkeys(tuple(sorted(sets)) for sets in configurations)
-    supersets: dict[int, list[int]] = {
-        mask: [other for other in candidates if is_strict_subset(mask, other)]
-        for mask in candidates
-    }
-    keep: list[tuple[int, ...]] = []
-    for sets in configurations:
-        dominated = False
-        unique_positions = {mask: index for index, mask in enumerate(sets)}
-        for mask, index in unique_positions.items():
-            for bigger in supersets[mask]:
-                enlarged = list(sets)
-                enlarged[index] = bigger
-                if tuple(sorted(enlarged)) in passing:
-                    dominated = True
-                    break
-            if dominated:
-                break
-        if not dominated:
-            keep.append(sets)
-    return keep
+    label_range = range(len(trans))
+    closing_of: dict[tuple[int, ...], int] = {}
+    kept: list[tuple[int, ...]] = []
+    for sets in leaves:
+        if len(sets) < 2 or sets[0] == sets[1]:
+            kept.append(sets)
+            continue
+        rest = sets[1:]
+        closing = closing_of.get(rest)
+        if closing is None:
+            elements: dict[int, None] = {0: None}
+            for mask in rest:
+                labels = bits_list(mask)
+                elements = {
+                    trans[label_id][element]: None
+                    for element in elements
+                    for label_id in labels
+                }
+            closing = 0
+            for label_id in label_range:
+                transitions = trans[label_id]
+                if all(transitions[element] >= 0 for element in elements):
+                    closing |= 1 << label_id
+            closing_of[rest] = closing
+        if closing == sets[0]:
+            kept.append(sets)
+    return kept
 
 
 def maximize_node_constraint_kernel(
@@ -841,6 +926,8 @@ def maximize_node_constraint_kernel(
     :mod:`repro.core.kernel.parallel`); otherwise, including when the
     platform cannot start processes, it runs serially with per-node
     budget checkpoints exactly like the reference implementation.
+    Either way :func:`close_first_coordinate` then runs once on the
+    merged leaves.
     """
     kernel = KernelProblem.of(problem)
     interner = kernel.interner
@@ -862,9 +949,9 @@ def maximize_node_constraint_kernel(
                 phase="node-maximization",
             )
         if chunks is not None:
-            results = [item for chunk in chunks for item in chunk]
+            leaves = [item for chunk in chunks for item in chunk]
         else:
-            results = _maximization_dfs(
+            leaves = _maximization_dfs(
                 candidates,
                 member_labels,
                 trans,
@@ -873,8 +960,8 @@ def maximize_node_constraint_kernel(
                 len(candidates),
                 budget_phase="node-maximization",
             )
-    with _prof_section("node_max.prune"):
-        maximal = prune_non_maximal_masks(results, candidates)
+    with _prof_section("node_max.filter"):
+        maximal = close_first_coordinate(leaves, trans)
     if not maximal:
         raise InvalidProblem(
             "node constraint admits no maximal configuration",
@@ -906,11 +993,11 @@ def _existential_dfs(
 ) -> list[tuple[int, ...]]:
     """The iterative keep-survivors DFS over the closure machine.
 
-    Same frame shape as :func:`_maximization_dfs`; the grow step ORs
-    the surviving transitions instead of failing on the first invalid
-    one, and an empty grown frontier (mask ``0``, impossible after a
-    successful step since element 0 is never re-entered) prunes the
-    branch.  Emits label-*index* tuples; the caller owns the label
+    Frames as in :func:`_maximization_dfs` minus the prefix key, and
+    the search runs to full depth; the grow step ORs the surviving
+    transitions instead of failing on the first invalid one, and an
+    empty grown frontier (mask ``0``, impossible after a successful
+    step since element 0 is never re-entered) prunes the branch.  Emits label-*index* tuples; the caller owns the label
     list.
     """
     results: list[tuple[int, ...]] = []
@@ -1259,5 +1346,5 @@ __all__ = [
     "partner_mask",
     "closure_machine",
     "search_maximization_chunk",
-    "prune_non_maximal_masks",
+    "close_first_coordinate",
 ]

@@ -2,11 +2,16 @@
 
 The arity-Delta maximization DFS chunks cleanly by its top-level
 right-closed-set prefix: the subtree whose first chosen set is
-``candidates[k]`` touches only indices ``>= k``, so the serial result
-is exactly the in-order concatenation of per-unit results.  That DFS is
-the one piece of work fanned out; every other kernel step (the
-existential DFS, the edge-side Galois pairing) is cheaper than starting
-the executor and always runs serially.
+``candidates[k]`` touches only indices ``>= k``, and the maximality
+checks it runs itself (every coordinate but the first) only look up
+prefixes of that subtree, so the serial result is exactly the in-order
+concatenation of per-unit results.  The first coordinate's check spans
+units; the parent runs it once on the merged leaves
+(:func:`~repro.core.kernel.engine.close_first_coordinate`), as it does
+on the serial ones.  That DFS is the one piece of work fanned out;
+every other kernel step (the existential DFS, the edge-side Galois
+pairing) is cheaper than starting the executor and always runs
+serially.
 
 A :class:`KernelPool` wraps one
 :class:`~concurrent.futures.ProcessPoolExecutor` that lives for one

@@ -36,6 +36,13 @@ construction (two runs of the same workload differ in every one), as
 is ``kernel.intern.transported``, which counts interned-artifact
 bundles transported through a relabeling instead of recomputed.
 
+``node_max.frames`` and ``node_max.leaves`` measure the kernel's
+node-maximization DFS (:func:`repro.core.kernel.engine._maximization_dfs`),
+added once per search: the prefixes it opened and the leaves it emitted
+before the maximality filter.  The reference engine runs a different
+search, so they are timing-class; on a fanned-out ``Rbar`` they arrive
+through the grafted chunk spans.
+
 The ``service.*`` counters are emitted by the job orchestrator
 (:mod:`repro.service.orchestrator`), one span per job: ``service.jobs``
 (jobs executed), ``service.dedup`` (jobs served by replaying an
@@ -86,6 +93,8 @@ TIMING_COUNTERS = (
     "mp.chunks",
     "mp.chunk_results",
     "kernel.intern.transported",
+    "node_max.frames",
+    "node_max.leaves",
     "prof.calls",
     "prof.wall_ns",
     "prof.alloc_blocks",

@@ -4,16 +4,27 @@ This module preserves, verbatim in shape, the recursive closure-based
 search the kernel shipped before the iterative machine rewrite: packed
 frontiers live in ``frozenset[int]``, growth re-tests every extension
 against the closure set, and recursion depth equals configuration
-arity.  It exists only so the parity tests can pin the optimized
-iterative drivers to the old semantics — identical outputs in
-identical order, and identical candidate-level grow counts (every
-``grow_frontier`` / ``grow_frontier_exists`` invocation here must
-correspond 1:1 to a ``grow_calls`` tick in the machine drivers' stats).
+arity.  It also keeps the enumerate-then-prune maximality filter
+(:func:`prune_non_maximal_masks`) the kernel ran on the full node
+search before it learned to close the last coordinate.  It exists only
+so the parity tests can pin the optimized drivers to the old
+semantics:
+
+* the existential search: identical outputs in identical order, and
+  identical candidate-level grow counts (every
+  ``grow_frontier_exists`` invocation here must correspond 1:1 to a
+  ``grow_calls`` tick in the machine driver's stats);
+* the node maximization: the recursion's full enumeration, pruned
+  here, must equal the kernel's maximal list element for element.
 
 Do not "improve" this code; its value is that it does not change.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
+
+from repro.core.kernel.bitops import is_strict_subset
 
 
 def grow_frontier(
@@ -127,3 +138,33 @@ def legacy_existential_chunk(
 
     extend(first_index, [first_index], initial)
     return results
+
+
+def prune_non_maximal_masks(
+    configurations: list[tuple[int, ...]], candidate_sets: Iterable[int]
+) -> list[tuple[int, ...]]:
+    """The kernel's former maximality filter over a full enumeration:
+    drop every configuration with a single-coordinate enlargement in
+    ``configurations`` (mask twin of the reference ``_prune_non_maximal``)."""
+    candidates = list(candidate_sets)
+    passing = dict.fromkeys(tuple(sorted(sets)) for sets in configurations)
+    supersets: dict[int, list[int]] = {
+        mask: [other for other in candidates if is_strict_subset(mask, other)]
+        for mask in candidates
+    }
+    keep: list[tuple[int, ...]] = []
+    for sets in configurations:
+        dominated = False
+        unique_positions = {mask: index for index, mask in enumerate(sets)}
+        for mask, index in unique_positions.items():
+            for bigger in supersets[mask]:
+                enlarged = list(sets)
+                enlarged[index] = bigger
+                if tuple(sorted(enlarged)) in passing:
+                    dominated = True
+                    break
+            if dominated:
+                break
+        if not dominated:
+            keep.append(sets)
+    return keep

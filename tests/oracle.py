@@ -92,8 +92,16 @@ def scenario_corpus() -> list[tuple[str, Problem]]:
     ]
 
 
-def random_problem(rng: random.Random, *, max_labels: int = 4) -> Problem:
-    """A random small constraint system (string labels, delta 2 or 3).
+def random_problem(
+    rng: random.Random,
+    *,
+    max_labels: int = 4,
+    deltas: tuple[int, int] = (2, 3),
+    max_configurations: int = 5,
+) -> Problem:
+    """A random small constraint system (string labels, delta drawn
+    from the inclusive range ``deltas``, at most ``max_configurations``
+    node configurations).
 
     Draws a label alphabet, a non-empty random edge relation over it,
     and a non-empty set of random node configurations.  Everything the
@@ -104,7 +112,7 @@ def random_problem(rng: random.Random, *, max_labels: int = 4) -> Problem:
     """
     label_count = rng.randint(2, max_labels)
     labels = [chr(ord("A") + index) for index in range(label_count)]
-    delta = rng.randint(2, 3)
+    delta = rng.randint(*deltas)
     edge_pairs = set()
     for left in labels:
         for right in labels:
@@ -113,7 +121,7 @@ def random_problem(rng: random.Random, *, max_labels: int = 4) -> Problem:
     if not edge_pairs:
         edge_pairs.add(Configuration((rng.choice(labels), rng.choice(labels))))
     node_configurations = set()
-    for _ in range(rng.randint(1, 5)):
+    for _ in range(rng.randint(1, max_configurations)):
         node_configurations.add(
             Configuration(rng.choice(labels) for _ in range(delta))
         )

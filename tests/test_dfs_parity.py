@@ -1,19 +1,27 @@
-"""Parity pins: iterative machine DFS == frozen recursive reference.
+"""Parity pins: the optimized searches == frozen recursive references.
 
 The engine's maximization and existential searches were rewritten from
 recursive closures over ``frozenset[int]`` frontiers to iterative
-explicit-stack drivers over closure-machine bitmasks.  These tests pin
-the rewrite to the preserved pre-rewrite implementations in
-:mod:`tests.legacy_dfs`, chunk by chunk, over the classic corpus and a
-seeded stream of random problems:
+explicit-stack drivers over closure-machine bitmasks, and the node
+maximization then stopped enumerating every valid configuration: it
+closes the last coordinate of each prefix and filters the leaves for
+maximality.  These tests pin the rewrites to the preserved
+implementations in :mod:`tests.legacy_dfs`, over the classic corpus and
+seeded streams of random problems:
 
-* identical result lists — same tuples, same order, per chunk; and
-* identical visit counts — every candidate-level grow of the iterative
-  driver (its ``grow_calls`` stat) corresponds 1:1 to one
-  ``grow_frontier`` / ``grow_frontier_exists`` call of the recursion.
+* existential search, chunk by chunk: identical result lists (same
+  tuples, same order) and identical visit counts — every
+  candidate-level grow of the iterative driver (its ``grow_calls``
+  stat) corresponds 1:1 to one ``grow_frontier_exists`` call of the
+  recursion;
+* node maximization: the kernel's maximal list (serial, and the chunk
+  concatenation the parallel path merges) equals the recursion's full
+  enumeration pruned by the former filter, element for element and in
+  order.
 
-The Δ=5 second chain step (the size the optimization targets) is
-included explicitly alongside the small classics.
+The Δ=5 second chain step (the size the optimization targets) and a
+generated corpus of Δ 4–5 chain steps are included alongside the small
+classics.
 """
 
 import itertools
@@ -25,20 +33,23 @@ from repro.core.kernel.bitops import iter_bits
 from repro.core.kernel.engine import (
     KernelProblem,
     _existential_dfs,
+    _maximization_dfs,
     _set_sort_key,
+    close_first_coordinate,
     closure_machine,
     maximize_edge_constraint_kernel,
     pack_ids,
     search_maximization_chunk,
 )
 from repro.core.kernel.interning import LabelInterner
-from repro.core.round_elimination import R, rename_to_strings, speedup
+from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
 from repro.problems.mis import mis_problem
 from repro.robustness.errors import InvalidProblem
 
 from tests.legacy_dfs import (
     legacy_existential_chunk,
     legacy_maximization_chunk,
+    prune_non_maximal_masks,
 )
 from tests.oracle import classic_corpus, random_problem
 
@@ -60,7 +71,8 @@ def _node_search_inputs(problem):
     return kernel, candidates, member_steps, closure, member_labels, trans
 
 
-def _assert_node_chunks_match(problem):
+def _assert_node_maximal_matches(problem):
+    """The kernel's maximal list equals the pruned legacy enumeration."""
     (
         kernel,
         candidates,
@@ -69,25 +81,33 @@ def _assert_node_chunks_match(problem):
         member_labels,
         trans,
     ) = _node_search_inputs(problem)
+    enumerated = []
+    chunked = []
     for first_index in range(len(candidates)):
-        counter = [0]
-        legacy = legacy_maximization_chunk(
-            candidates, member_steps, closure, kernel.delta, first_index, counter
+        enumerated.extend(
+            legacy_maximization_chunk(
+                candidates, member_steps, closure, kernel.delta, first_index,
+                [0],
+            )
         )
-        stats: dict = {}
-        current = search_maximization_chunk(
-            candidates, member_labels, trans, kernel.delta, first_index,
-            stats=stats,
+        chunked.extend(
+            search_maximization_chunk(
+                candidates, member_labels, trans, kernel.delta, first_index
+            )
         )
-        assert current == legacy, (
-            f"maximization chunk {first_index} diverges on "
-            f"{problem.name or problem!r}"
-        )
-        assert stats.get("grow_calls", 0) == counter[0], (
-            f"maximization chunk {first_index} visit counts diverge on "
-            f"{problem.name or problem!r}: "
-            f"iterative={stats.get('grow_calls')} recursive={counter[0]}"
-        )
+    expected = prune_non_maximal_masks(enumerated, candidates)
+    serial = _maximization_dfs(
+        candidates, member_labels, trans, kernel.delta, 0, len(candidates)
+    )
+    assert chunked == serial, (
+        f"chunk concatenation diverges from the serial DFS on "
+        f"{problem.name or problem!r}"
+    )
+    current = close_first_coordinate(serial, trans)
+    assert current == expected, (
+        f"maximal list diverges from the pruned recursion on "
+        f"{problem.name or problem!r}"
+    )
 
 
 def _exists_search_inputs(old_constraint, new_labels, arity):
@@ -159,9 +179,10 @@ CLASSIC_IDS = [name for name, _ in CLASSICS]
 
 @pytest.mark.parametrize("name, problem", CLASSICS, ids=CLASSIC_IDS)
 def test_maximization_parity_classics(name, problem):
-    """Node-max chunks match the recursion on every classic's Rbar input."""
+    """Node maximization matches the pruned recursion on every classic's
+    Rbar input."""
     renamed = rename_to_strings(R(problem, use_kernel=True)).problem
-    _assert_node_chunks_match(renamed)
+    _assert_node_maximal_matches(renamed)
 
 
 @pytest.mark.parametrize("name, problem", CLASSICS, ids=CLASSIC_IDS)
@@ -175,7 +196,8 @@ def test_existential_parity_classics(name, problem):
 
 
 def test_maximization_parity_random():
-    """Node-max chunks match the recursion on seeded random problems."""
+    """Node maximization matches the pruned recursion on seeded random
+    problems."""
     rng = random.Random(SEED)
     checked = 0
     attempts = 0
@@ -186,7 +208,7 @@ def test_maximization_parity_random():
             renamed = rename_to_strings(R(problem, use_kernel=True)).problem
         except InvalidProblem:
             continue
-        _assert_node_chunks_match(renamed)
+        _assert_node_maximal_matches(renamed)
         checked += 1
     assert checked == 8, "random corpus dried up before 8 instances"
 
@@ -211,9 +233,75 @@ def test_existential_parity_random():
     assert checked == 8, "random corpus dried up before 8 instances"
 
 
+def test_maximization_parity_delta1():
+    """Degree 1, where the DFS closes the root prefix itself, matches
+    the pruned recursion on seeded random problems."""
+    rng = random.Random(SEED + 3)
+    checked = 0
+    attempts = 0
+    while checked < 8 and attempts < 40:
+        attempts += 1
+        problem = random_problem(rng, deltas=(1, 1))
+        try:
+            renamed = rename_to_strings(R(problem, use_kernel=True)).problem
+        except InvalidProblem:
+            continue
+        _assert_node_maximal_matches(renamed)
+        checked += 1
+    assert checked == 8, "random corpus dried up before 8 instances"
+
+
 def test_maximization_parity_delta5_second_step():
     """The Δ=5 second chain step — the exact shape the rewrite targets
-    (~20 candidates, ~1200 closure elements) — matches the recursion."""
+    (~20 candidates, ~1200 closure elements) — matches the pruned
+    recursion."""
     step_one = speedup(mis_problem(5), use_kernel=True).problem
     intermediate = rename_to_strings(R(step_one, use_kernel=True)).problem
-    _assert_node_chunks_match(intermediate)
+    _assert_node_maximal_matches(intermediate)
+
+
+#: Largest R(Π) alphabet the generated corpus feeds to the recursion.
+WIDE_MAX_LABELS = 10
+#: Most right-closed sets it feeds to the recursion, whose enumeration
+#: grows with their count to the power Δ (63 sets at Δ=4 is 720,720
+#: configurations and about 10 s).
+WIDE_MAX_SETS = 32
+
+
+def _wide_rbar_inputs(rng):
+    """The first and second chain step's Rbar input of one generated
+    Δ 4–5 problem.  A step whose R(Π) alphabet is too wide (counted on
+    the cheap edge side, before R's node step) or that raises
+    :class:`InvalidProblem` ends the chain; an input with too many
+    right-closed sets is skipped."""
+    problem = random_problem(
+        rng, max_labels=5, deltas=(4, 5), max_configurations=8
+    )
+    inputs = []
+    for _step in range(2):
+        try:
+            edge_constraint = maximize_edge_constraint_kernel(problem)
+            if len(edge_constraint.labels_used()) > WIDE_MAX_LABELS:
+                break
+            renamed = rename_to_strings(R(problem, use_kernel=True)).problem
+            sets = KernelProblem.of(renamed).node_right_closed_sets()
+            if len(sets) <= WIDE_MAX_SETS:
+                inputs.append(renamed)
+            problem = Rbar(renamed, use_kernel=True)
+        except InvalidProblem:
+            break
+    return inputs
+
+
+def test_maximization_parity_generated_wide():
+    """Node maximization matches the pruned recursion on the first and
+    second chain step of seeded random Δ 4–5 problems."""
+    rng = random.Random(SEED + 2)
+    checked = 0
+    attempts = 0
+    while checked < 40 and attempts < 200:
+        attempts += 1
+        for renamed in _wide_rbar_inputs(rng):
+            _assert_node_maximal_matches(renamed)
+            checked += 1
+    assert checked >= 40, "generated corpus dried up before 40 inputs"

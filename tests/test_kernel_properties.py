@@ -220,10 +220,8 @@ def test_chunk_concatenation_equals_serial(name, problem):
         assert sets[0] in candidates
     # Pruning the concatenation reproduces the engine's serial answer.
     from repro.core.configurations import Configuration
-    from repro.core.kernel.engine import (
-        maximize_node_constraint_kernel,
-        prune_non_maximal_masks,
-    )
+    from repro.core.kernel.engine import maximize_node_constraint_kernel
+    from tests.legacy_dfs import prune_non_maximal_masks
 
     maximal = prune_non_maximal_masks(serial, candidates)
     rebuilt = {
