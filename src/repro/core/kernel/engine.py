@@ -102,8 +102,9 @@ def closure_machine(
     the element's count sum is at least the capacity, which is at
     least the search arity, while frontiers are only ever grown at
     depth strictly below the arity — so the guard changes no live
-    behavior (the parity suite checks both searches against the
-    pre-machine recursion, which used the raw carrying add).
+    behavior (``tests/test_kernel_properties.py::
+    test_closure_machine_guard_changes_no_live_transition`` checks it
+    over the generated corpus).
     """
     elements = tuple(sorted(closure))
     index = {element: position for position, element in enumerate(elements)}
@@ -610,56 +611,6 @@ def pack_ids(ids: Iterable[int], shift: int) -> int:
     return packed
 
 
-def unpack_ids(packed: int, shift: int) -> tuple[int, ...]:
-    """Invert :func:`pack_ids`, yielding the sorted id tuple."""
-    ids: list[int] = []
-    field = (1 << shift) - 1
-    label_id = 0
-    while packed:
-        count = packed & field
-        ids.extend([label_id] * count)
-        packed >>= shift
-        label_id += 1
-    return tuple(ids)
-
-
-def grow_frontier(
-    frontier: frozenset[int],
-    member_steps: tuple[int, ...],
-    closure: frozenset[int],
-) -> frozenset[int] | None:
-    """Packed-int twin of the reference ``_grow_frontier`` (all-or-nothing).
-
-    ``member_steps`` holds ``1 << (shift * label_id)`` per member of the
-    candidate set, so each extension is one add plus one set lookup.
-    """
-    grown: set[int] = set()
-    add = grown.add
-    for partial in frontier:
-        for step in member_steps:
-            extended = partial + step
-            if extended not in closure:
-                return None
-            add(extended)
-    return frozenset(grown)
-
-
-def grow_frontier_exists(
-    frontier: frozenset[int],
-    member_steps: tuple[int, ...],
-    closure: frozenset[int],
-) -> frozenset[int]:
-    """Packed-int twin of ``_grow_frontier_exists`` (keep survivors)."""
-    grown: set[int] = set()
-    add = grown.add
-    for partial in frontier:
-        for step in member_steps:
-            extended = partial + step
-            if extended in closure:
-                add(extended)
-    return frozenset(grown)
-
-
 # hotpath
 def _maximization_dfs(
     candidates: tuple[int, ...],
@@ -986,18 +937,15 @@ def _existential_dfs(
     member_labels: tuple[tuple[int, ...], ...],
     trans: tuple[tuple[int, ...], ...],
     arity: int,
-    lo: int,
-    hi: int,
-    budget_phase: str | None = None,
-    stats: dict | None = None,
 ) -> list[tuple[int, ...]]:
     """The iterative keep-survivors DFS over the closure machine.
 
     Frames as in :func:`_maximization_dfs` minus the prefix key, and
-    the search runs to full depth; the grow step ORs the surviving
-    transitions instead of failing on the first invalid one, and an
-    empty grown frontier (mask ``0``, impossible after a successful
-    step since element 0 is never re-entered) prunes the branch.  Emits label-*index* tuples; the caller owns the label
+    the search runs to full depth over every label.  The grow step ORs
+    the surviving transitions instead of failing on the first invalid
+    one, and an empty grown frontier (mask ``0``, impossible after a
+    successful step since element 0 is never re-entered) prunes the
+    branch.  Emits label-*index* tuples; the caller owns the label
     list.
     """
     results: list[tuple[int, ...]] = []
@@ -1010,11 +958,9 @@ def _existential_dfs(
     # grown frontier comes out empty.
     label_image: dict[int, list[int]] = {}
     rows: list[list[int] | None] = [None] * count
-    grow_calls = 0
-    if budget_phase is not None:
-        _budget.check_configurations(0, phase=budget_phase, depth=0)
+    _budget.check_configurations(0, phase="existential", depth=0)
     chosen: list[int] = []
-    stack: list[list] = [[lo, hi, 1, None]]
+    stack: list[list] = [[0, count, 1, None]]
     while stack:
         frame = stack[-1]
         cursor = frame[0]
@@ -1024,7 +970,6 @@ def _existential_dfs(
                 chosen.pop()
             continue
         frame[0] = cursor + 1
-        grow_calls += 1
         frontier = frame[2]
         row = rows[cursor]
         if row is None:
@@ -1061,21 +1006,14 @@ def _existential_dfs(
             continue
         chosen.append(cursor)
         depth = len(chosen)
+        _budget.check_configurations(
+            len(results), phase="existential", depth=depth
+        )
         if depth == arity:
-            if budget_phase is not None:
-                _budget.check_configurations(
-                    len(results), phase=budget_phase, depth=depth
-                )
             results.append(tuple(chosen))
             chosen.pop()
             continue
-        if budget_phase is not None:
-            _budget.check_configurations(
-                len(results), phase=budget_phase, depth=depth
-            )
         stack.append([cursor, count, grown, None])
-    if stats is not None:
-        stats["grow_calls"] = stats.get("grow_calls", 0) + grow_calls
     return results
 
 
@@ -1112,14 +1050,7 @@ def existential_constraint_kernel(
                     closure.add(pack_ids(combo, shift))
         _elements, trans = closure_machine(closure, shift, len(interner))
     with _prof_section("exists.dfs"):
-        index_tuples = _existential_dfs(
-            member_labels,
-            trans,
-            arity,
-            0,
-            len(labels),
-            budget_phase="existential",
-        )
+        index_tuples = _existential_dfs(member_labels, trans, arity)
     with _prof_section("exists.materialize"):
         # Equals ``Configuration(labels[index] for index in ids)``: the
         # same stable sort over the same input order, keyed by the same
@@ -1339,10 +1270,7 @@ __all__ = [
     "find_label_relabeling_kernel",
     "zero_round_solvable_pn_kernel",
     "zero_round_solvable_symmetric_kernel",
-    "grow_frontier",
-    "grow_frontier_exists",
     "pack_ids",
-    "unpack_ids",
     "partner_mask",
     "closure_machine",
     "search_maximization_chunk",

@@ -17,7 +17,7 @@ Endpoints (all under ``/v1``):
 ``GET  /v1/jobs/<id>/events``  JSON-lines live trace/event stream
 =========================  ======================================
 
-Error mapping: a malformed body or an invalid request
+Error mapping: a malformed body or ``Content-Length`` or an invalid request
 (:class:`~repro.robustness.errors.InvalidJobRequest`,
 ``InvalidScenario``, ``InvalidProblem``) is a ``400`` whose body is the
 structured :func:`repro.service.wire.render_error` document; an unknown
@@ -132,7 +132,16 @@ class _Handler(BaseHTTPRequestHandler):
             pass
 
     def _submit_job(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            # The body's extent is unknown, so the connection cannot be
+            # reused after the reply.
+            self.close_connection = True
+            self._send_error_body(
+                400, InvalidJobRequest(f"bad Content-Length {header!r}")
+            )
+            return
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else None

@@ -9,9 +9,20 @@ helpers the differential tests run over:
 * a corpus of classic problems, small :math:`\\Pi_\\Delta(a, x)` family
   instances, base problems of registered scenarios
   (:mod:`repro.scenarios`), and seeded random constraint systems;
+* a seeded generated corpus (:func:`generated_corpus`) of random
+  problems of degree 1 to 5 and their second chain steps, each run
+  through every operator on both engines by
+  :func:`differential_engines`;
 * ``differential_*`` checks that run reference and kernel side by side
   and assert agreement, including agreement on *failure* (both raise
-  :class:`InvalidProblem`, or neither does).
+  the same :class:`ReproError` with the same message, or neither
+  does).
+
+The reference engine's node side enumerates every configuration and
+then prunes to the maximal ones, so it is the oracle the kernel's
+closed-last-coordinate search is pinned to; the brute-force maximality
+checks in ``tests/test_round_elimination.py`` pin the reference in
+turn.
 
 The corpus is parameterized by the scenario registry: registering a
 scenario whose ``oracle_corpus`` names a fresh entry adds its base
@@ -27,17 +38,21 @@ validates any returned witness independently.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from repro.core.constraints import Constraint
 from repro.core.configurations import Configuration
+from repro.core.kernel.engine import KernelProblem, maximize_edge_constraint_kernel
 from repro.core.problem import Problem
 from repro.core.relaxation import find_label_relabeling
-from repro.core.round_elimination import R, Rbar, rename_to_strings
-from repro.core.self_reduction import self_reduce
+from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
+from repro.core.self_reduction import condense_problem, self_reduce
 from repro.core.solvability import (
     zero_round_solvable_pn,
     zero_round_solvable_symmetric,
 )
+from repro.observability.metrics import diff_semantic_profiles, semantic_profile
+from repro.observability.trace import Tracer, tracing
 from repro.problems.classic import (
     coloring_problem,
     perfect_matching_problem,
@@ -45,7 +60,8 @@ from repro.problems.classic import (
 )
 from repro.problems.family import family_problem
 from repro.problems.mis import mis_problem
-from repro.robustness.errors import InvalidProblem
+from repro.robustness.budget import Budget, governed
+from repro.robustness.errors import InvalidProblem, ReproError
 
 
 # ---------------------------------------------------------------------------
@@ -149,34 +165,123 @@ def full_corpus(seed: int = 20210726, random_count: int = 12) -> list[tuple[str,
     return classic_corpus() + scenario_corpus() + random_corpus(seed, random_count)
 
 
+#: Seed of the generated reference-vs-kernel corpus.
+GENERATED_SEED = 2026
+#: Caps that bound the *reference* engine's cost on one generated
+#: input: the width of R(P)'s alphabet (counted on the edge side,
+#: before R's node step) and the number of right-closed sets of the
+#: Rbar input, whose reference enumeration grows with that count to
+#: the power Delta.
+GENERATED_MAX_LABELS = 10
+GENERATED_MAX_SETS = 12
+#: The alphabet budget every generated input's ``R`` also runs under.
+ALPHABET_CAP = 4
+
+
+@dataclass(frozen=True)
+class GeneratedInput:
+    """One input of the generated corpus."""
+
+    name: str
+    problem: Problem
+    r_alphabet: int | None  #: size of R(P)'s alphabet; None if R fails
+
+
+def _within_caps(problem: Problem) -> tuple[bool, int | None]:
+    """Whether both engines can afford ``problem``, and R's alphabet size.
+
+    Measured on the kernel.  A problem whose R fails is affordable: the
+    failure is an outcome the engines must agree on.
+    """
+    try:
+        width = len(maximize_edge_constraint_kernel(problem).labels_used())
+        if width > GENERATED_MAX_LABELS:
+            return False, width
+        renamed = rename_to_strings(R(problem, use_kernel=True)).problem
+    except InvalidProblem:
+        return True, None
+    sets = KernelProblem.of(renamed).node_right_closed_sets()
+    return len(sets) <= GENERATED_MAX_SETS, width
+
+
+def generated_corpus(
+    seed: int = GENERATED_SEED, count: int = 80
+) -> list[GeneratedInput]:
+    """``count`` seeded random problems of degree 1 to 5, each followed
+    by its renamed second chain step while that stays within the caps.
+
+    A draw whose first step is over the caps is dropped; the chain
+    stops at the first step over the caps or at a failing speedup.
+    """
+    rng = random.Random(seed)
+    inputs: list[GeneratedInput] = []
+    draw = 0
+    while len(inputs) < count:
+        problem = random_problem(
+            rng, max_labels=5, deltas=(1, 5), max_configurations=8
+        )
+        for step in (1, 2):
+            affordable, width = _within_caps(problem)
+            if not affordable:
+                break
+            inputs.append(
+                GeneratedInput(f"gen{draw}-step{step}", problem, width)
+            )
+            try:
+                problem = speedup(problem, use_kernel=True).problem
+            except InvalidProblem:
+                break
+        draw += 1
+    return inputs[:count]
+
+
 # ---------------------------------------------------------------------------
 # Differential checks
 # ---------------------------------------------------------------------------
 
-_SENTINEL = object()
+@dataclass(frozen=True)
+class Failure:
+    """A typed failure, reduced to what both engines must agree on.
+
+    The context keeps everything but the budget's wall clock
+    (``elapsed_seconds``), which no two runs share.
+    """
+
+    kind: str
+    message: str
+    context: tuple
 
 
 def _outcome(function, *args, **kwargs):
-    """The function's return value, or the InvalidProblem it raised."""
+    """The function's return value, or the :class:`ReproError` it raised."""
     try:
         return function(*args, **kwargs)
-    except InvalidProblem as error:
-        return ("InvalidProblem", str(error))
+    except ReproError as error:
+        context = tuple(
+            sorted(
+                (key, repr(value))
+                for key, value in error.context.items()
+                if key != "elapsed_seconds"
+            )
+        )
+        return Failure(type(error).__name__, error.message, context)
 
 
 def assert_same_outcome(name: str, reference, kernel) -> None:
-    """Both engines returned equal values, or both failed the same way."""
-    reference_failed = isinstance(reference, tuple) and reference[:1] == ("InvalidProblem",)
-    kernel_failed = isinstance(kernel, tuple) and kernel[:1] == ("InvalidProblem",)
-    assert reference_failed == kernel_failed, (
-        f"{name}: engines disagree on failure: "
-        f"reference={reference!r} kernel={kernel!r}"
+    """Both engines returned equal values, or both failed the same way.
+
+    Two problems must also render byte-identically: same name, same
+    alphabet order, same configurations.
+    """
+    assert reference == kernel, (
+        f"{name}: engines disagree:\n"
+        f"reference: {reference!r}\n"
+        f"kernel:    {kernel!r}"
     )
-    if not reference_failed:
-        assert reference == kernel, (
-            f"{name}: engines disagree:\n"
-            f"reference: {reference!r}\n"
-            f"kernel:    {kernel!r}"
+    if isinstance(reference, Problem):
+        assert reference.render() == kernel.render(), (
+            f"{name}: renders differ:\n{reference.render()}\n"
+            f"---\n{kernel.render()}"
         )
 
 
@@ -185,10 +290,7 @@ def differential_R(name: str, problem: Problem) -> Problem | None:
     reference = _outcome(R, problem)
     kernel = _outcome(R, problem, use_kernel=True)
     assert_same_outcome(f"R({name})", reference, kernel)
-    if isinstance(reference, Problem):
-        assert reference.name == kernel.name
-        return reference
-    return None
+    return reference if isinstance(reference, Problem) else None
 
 
 def differential_Rbar(
@@ -198,10 +300,7 @@ def differential_Rbar(
     reference = _outcome(Rbar, problem)
     kernel = _outcome(Rbar, problem, use_kernel=True, workers=workers)
     assert_same_outcome(f"Rbar({name})", reference, kernel)
-    if isinstance(reference, Problem):
-        assert reference.name == kernel.name
-        return reference
-    return None
+    return reference if isinstance(reference, Problem) else None
 
 
 def differential_speedup(name: str, problem: Problem) -> None:
@@ -213,6 +312,27 @@ def differential_speedup(name: str, problem: Problem) -> None:
     differential_Rbar(f"{name} renamed", renamed)
 
 
+def _self_reduce_outcomes(problem: Problem, *, use_kernel: bool) -> dict:
+    step = _outcome(self_reduce, problem, use_kernel=use_kernel)
+    if isinstance(step, Failure):
+        return {"self_reduce": step}
+    return {
+        "self_reduce.condensed": step.condensed,
+        "self_reduce.problem": step.problem,
+        "self_reduce.fixed_point": step.fixed_point,
+    }
+
+
+def _assert_same_outcomes(name: str, reference: dict, kernel: dict) -> None:
+    """Two engines' named outcomes agree one by one."""
+    assert list(reference) == list(kernel), (
+        f"{name}: engines ran different operators: "
+        f"{list(reference)} vs {list(kernel)}"
+    )
+    for operator, value in reference.items():
+        assert_same_outcome(f"{operator}({name})", value, kernel[operator])
+
+
 def differential_self_reduction(name: str, problem: Problem) -> None:
     """One ``condense(speedup(condense(.)))`` step agrees between engines.
 
@@ -220,23 +340,10 @@ def differential_self_reduction(name: str, problem: Problem) -> None:
     alphabet order — the cache transport depends on it), and the
     fixed-point verdict.
     """
-    reference = _outcome(self_reduce, problem)
-    kernel = _outcome(self_reduce, problem, use_kernel=True)
-    if isinstance(reference, tuple) or isinstance(kernel, tuple):
-        assert_same_outcome(f"self_reduce({name})", reference, kernel)
-        return
-    for stage in ("condensed", "problem"):
-        reference_stage = getattr(reference, stage)
-        kernel_stage = getattr(kernel, stage)
-        assert_same_outcome(
-            f"self_reduce({name}).{stage}", reference_stage, kernel_stage
-        )
-        assert tuple(reference_stage.alphabet) == tuple(kernel_stage.alphabet), (
-            f"self_reduce({name}).{stage}: alphabet order differs: "
-            f"{reference_stage.alphabet!r} vs {kernel_stage.alphabet!r}"
-        )
-    assert reference.fixed_point == kernel.fixed_point, (
-        f"self_reduce({name}): fixed-point verdict disagrees"
+    _assert_same_outcomes(
+        name,
+        _self_reduce_outcomes(problem, use_kernel=False),
+        _self_reduce_outcomes(problem, use_kernel=True),
     )
 
 
@@ -248,6 +355,57 @@ def differential_zero_round(name: str, problem: Problem) -> None:
     assert zero_round_solvable_symmetric(problem) == zero_round_solvable_symmetric(
         problem, use_kernel=True
     ), f"zero_round_solvable_symmetric({name}) disagrees"
+
+
+def _engine_outcomes(
+    problem: Problem, *, use_kernel: bool
+) -> tuple[dict, dict[str, dict[str, int]]]:
+    """Every chain operator on one engine: named outcomes, plus the
+    semantic profile of the run (the budgeted ``R`` runs untraced).
+
+    ``speedup`` calls ``R`` and then ``Rbar`` on the renamed result, so
+    its record yields all three outcomes from one run.
+    """
+    outcomes: dict[str, object] = {}
+    tracer = Tracer()
+    with tracing(tracer):
+        step = _outcome(speedup, problem, use_kernel=use_kernel)
+        if isinstance(step, Failure):
+            outcomes["speedup"] = step
+        else:
+            outcomes["R"] = step.intermediate
+            outcomes["Rbar"] = step.final
+            outcomes["speedup"] = step.problem
+        outcomes["condense_problem"] = _outcome(
+            condense_problem, problem, use_kernel=use_kernel
+        )
+        outcomes.update(_self_reduce_outcomes(problem, use_kernel=use_kernel))
+        outcomes["zero_round_solvable_pn"] = zero_round_solvable_pn(
+            problem, use_kernel=use_kernel
+        )
+        outcomes["zero_round_solvable_symmetric"] = (
+            zero_round_solvable_symmetric(problem, use_kernel=use_kernel)
+        )
+    with governed(Budget(max_alphabet=ALPHABET_CAP)):
+        outcomes["R[max_alphabet]"] = _outcome(R, problem, use_kernel=use_kernel)
+    return outcomes, semantic_profile(tracer.finish())
+
+
+def differential_engines(name: str, problem: Problem) -> dict:
+    """Reference and kernel agree on every chain operator over ``problem``:
+    ``R``, ``Rbar`` of the renamed ``R`` and ``speedup`` (one step),
+    ``condense_problem``, ``self_reduce``, both 0-round tests, and ``R``
+    under an alphabet budget of :data:`ALPHABET_CAP`.  Results must be
+    equal and render byte-identically, failures must share class,
+    message and context, and the semantic counters must not drift.
+    Returns the reference outcomes.
+    """
+    reference, reference_profile = _engine_outcomes(problem, use_kernel=False)
+    kernel, kernel_profile = _engine_outcomes(problem, use_kernel=True)
+    _assert_same_outcomes(name, reference, kernel)
+    drift = diff_semantic_profiles(reference_profile, kernel_profile)
+    assert not drift, f"{name}: semantic counter drift:\n" + "\n".join(drift)
+    return reference
 
 
 def relabeling_is_valid(source: Problem, target: Problem, mapping: dict) -> bool:

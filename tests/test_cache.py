@@ -52,6 +52,7 @@ from repro.robustness.errors import (
 
 from tests.faults import corrupt_checkpoint
 from tests.oracle import (
+    _outcome,
     assert_same_outcome,
     full_corpus,
     relabeling_is_valid,
@@ -283,13 +284,6 @@ class TestCachedDifferential:
             assert warm.problem == plain.problem
             assert cold.problem.render() == plain.problem.render()
             assert warm.problem.render() == plain.problem.render()
-
-
-def _outcome(function, *args, **kwargs):
-    try:
-        return function(*args, **kwargs)
-    except InvalidProblem as error:
-        return ("InvalidProblem", str(error))
 
 
 # ---------------------------------------------------------------------------

@@ -17,22 +17,27 @@ framework, so failures are exactly reproducible by seed):
   are bijective below their per-field capacity.
 """
 
+import itertools
 import random
 
 import pytest
 
+from repro.core.configurations import Configuration
 from repro.core.diagram import Diagram, edge_diagram, node_diagram
 from repro.core.kernel.bitops import iter_bits, mask_from_ids, popcount
 from repro.core.kernel.engine import (
     KernelProblem,
+    close_first_coordinate,
+    closure_machine,
+    maximize_node_constraint_kernel,
     pack_ids,
     search_maximization_chunk,
-    unpack_ids,
 )
 from repro.core.kernel.interning import LabelInterner
 from repro.core.round_elimination import R, Rbar, rename_to_strings
+from repro.robustness.errors import InvalidProblem
 
-from tests.oracle import classic_corpus, random_problem
+from tests.oracle import classic_corpus, generated_corpus, random_problem
 
 SEED = 52
 
@@ -160,7 +165,7 @@ def test_bitmask_frozenset_roundtrip():
 
 
 def test_packed_multiset_roundtrip():
-    """pack_ids / unpack_ids are mutually inverse below field capacity.
+    """pack_ids stores each id's count in its own field below capacity.
 
     The DFS packs a multiset of label ids into one integer with
     ``shift`` bits per count field; the representation is bijective as
@@ -173,7 +178,12 @@ def test_packed_multiset_roundtrip():
         label_count = rng.randint(1, 10)
         ids = sorted(rng.randrange(label_count) for _ in range(arity))
         packed = pack_ids(ids, shift)
-        assert list(unpack_ids(packed, shift)) == ids
+        field = (1 << shift) - 1
+        assert [
+            label_id
+            for label_id in range(label_count)
+            for _ in range((packed >> (shift * label_id)) & field)
+        ] == ids
         # additivity: packing is a sum of single-id steps
         total = 0
         for label_id in ids:
@@ -218,12 +228,8 @@ def test_chunk_concatenation_equals_serial(name, problem):
     assert len(serial) == len(set(serial))
     for sets in serial:
         assert sets[0] in candidates
-    # Pruning the concatenation reproduces the engine's serial answer.
-    from repro.core.configurations import Configuration
-    from repro.core.kernel.engine import maximize_node_constraint_kernel
-    from tests.legacy_dfs import prune_non_maximal_masks
-
-    maximal = prune_non_maximal_masks(serial, candidates)
+    # Filtering the concatenation reproduces the engine's serial answer.
+    maximal = close_first_coordinate(serial, trans)
     rebuilt = {
         Configuration(kernel.interner.labels_of_mask(mask) for mask in sets)
         for sets in maximal
@@ -231,3 +237,64 @@ def test_chunk_concatenation_equals_serial(name, problem):
     assert rebuilt == set(
         maximize_node_constraint_kernel(renamed).configurations
     )
+
+
+# ---------------------------------------------------------------------------
+# The closure machine's capacity guard
+# ---------------------------------------------------------------------------
+
+def _assert_guard_is_dead(closure, shift, label_count, arity, name):
+    """Below the search arity, every guarded transition is the raw one."""
+    elements, trans = closure_machine(closure, shift, label_count)
+    index = {element: position for position, element in enumerate(elements)}
+    field = (1 << shift) - 1
+    live = 0
+    for position, element in enumerate(elements):
+        counts = sum(
+            (element >> (shift * label_id)) & field
+            for label_id in range(label_count)
+        )
+        if counts >= arity:
+            continue
+        for label_id, row in enumerate(trans):
+            raw = index.get(element + (1 << (shift * label_id)), -1)
+            assert row[position] == raw, (
+                f"{name}: guard changed trans[{label_id}][{position}]"
+            )
+            live += 1
+    assert live, f"{name}: no element below the arity"
+
+
+def test_closure_machine_guard_changes_no_live_transition():
+    """``closure_machine`` compiles a full count field to ``-1`` instead
+    of the raw carrying add.  Over the generated corpus, on the node
+    machine of every Rbar input and on the existential machine of every
+    R node step, each element a search can grow (count sum below the
+    arity) has exactly the raw transition for every label."""
+    for item in generated_corpus():
+        problem = item.problem
+        interner = LabelInterner(problem.alphabet)
+        shift = problem.delta.bit_length()
+        closure = {
+            pack_ids(combo, shift)
+            for configuration in problem.node_constraint.configurations
+            for size in range(problem.delta + 1)
+            for combo in itertools.combinations(
+                interner.ids_of(configuration.items), size
+            )
+        }
+        _assert_guard_is_dead(
+            closure, shift, len(interner), problem.delta, f"exists {item.name}"
+        )
+        try:
+            renamed = rename_to_strings(R(problem, use_kernel=True)).problem
+        except InvalidProblem:
+            continue
+        kernel = KernelProblem.of(renamed)
+        _assert_guard_is_dead(
+            kernel.node_prefix_closure(),
+            kernel.delta.bit_length(),
+            kernel.n,
+            kernel.delta,
+            f"node {item.name}",
+        )

@@ -19,11 +19,14 @@ sealed job store.  The four pillars:
 """
 
 import json
+import os
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.core.kernel import parallel
 from repro.service import ReproService, computation_key, parse_job_request
 
 #: The quick-gate scenario — the cheapest registered chain.
@@ -156,6 +159,30 @@ class TestErrorPaths:
         assert caught.value.code == 400
         assert json.loads(caught.value.read())["type"] == "InvalidJobRequest"
 
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, service, length):
+        """A Content-Length that is not a byte count gets a structured
+        400 (not a dropped connection, not a handler blocked on the
+        body), and the server keeps serving."""
+        head = (
+            f"POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=10
+        ) as connection:
+            connection.sendall(head.encode("ascii"))
+            response = b""
+            while chunk := connection.recv(65536):
+                response += chunk
+        status_line, _, rest = response.partition(b"\r\n")
+        assert status_line.split()[1] == b"400"
+        body = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert body["type"] == "InvalidJobRequest"
+        assert "Content-Length" in body["message"]
+        status, _ = get_json(service.url, "/v1/healthz")
+        assert status == 200
+
     def test_unknown_scenario_is_400(self, service):
         status, body = post_json(
             service.url, "/v1/jobs", {"scenario": "no-such"}
@@ -190,6 +217,47 @@ class TestErrorPaths:
         assert document["error"]["type"] == "BudgetExceeded"
         assert "configuration budget" in document["error"]["message"]
         assert document["counters"]["service.errors"] == 1
+
+
+class TestWorkers:
+    def test_worker_count_is_capped_at_the_cores(self, service, monkeypatch):
+        """``workers`` reaches a process pool that starts every worker at
+        its first submit, so a job runs with at most one per core; the
+        stored request keeps the count that was asked for."""
+        asked = []
+
+        class RecordingPool:
+            """Records the worker count; ``None`` chunks run serially."""
+
+            def __init__(self, workers):
+                asked.append(workers)
+
+            def map_chunks(self, payload, count, *, phase):
+                return None
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+        monkeypatch.setattr(parallel, "KernelPool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        _, accepted = post_json(
+            service.url,
+            "/v1/jobs",
+            {
+                "problem": MATCHING,
+                "operator": "speedup",
+                "steps": 1,
+                "engine": "kernel",
+                "workers": 10**6,
+            },
+        )
+        status, document = finish(service, accepted["job_id"])
+        assert (status, document["state"]) == (200, "done")
+        assert asked and set(asked) == {3}
+        assert document["request"]["workers"] == 10**6
 
 
 class TestDedup:
