@@ -38,7 +38,7 @@ file.
   is gone.)
 * ``PYTHONPATH=src python benchmarks/bench_kernel.py --hotpath``
   appends a ``mode: hotpath`` row for the *cold* Delta=5 chain (fresh
-  transport registry, serial kernel) with the per-op timing and
+  problems, serial kernel) with the per-op timing and
   allocation breakdown of one profiled run
   (:mod:`repro.observability.profiling`) and the profiler's coverage
   of the traced kernel wall time, which must be >= 90%.
@@ -65,7 +65,6 @@ import sys
 import time
 
 from repro.core.cache import fingerprint
-from repro.core.kernel.interning import transport_registry
 from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
 from repro.observability.metrics import (
     diff_semantic_profiles,
@@ -399,7 +398,6 @@ def cache_gate() -> int:
 
 def run_parallel_chain(workers: int | None):
     """The cold Delta=7 MIS chain, serial or fanned out over ``workers``."""
-    transport_registry().clear()
     problem = mis_problem(PARALLEL_DELTA)
     for _ in range(MIS_CHAIN_STEPS):
         problem = speedup(problem, use_kernel=True, workers=workers).problem
@@ -427,10 +425,9 @@ def record_parallel() -> int:
 
 
 def run_hotpath_chain(*, use_kernel: bool = True):
-    """The cold serial Delta=5 chain: fresh transport registry, no
-    cross-run interned-artifact reuse — every measurement pays the
-    full interning and search cost the hot path is built to shrink."""
-    transport_registry().clear()
+    """The cold serial Delta=5 chain: every run builds fresh problems,
+    so every measurement pays the full interning and search cost the
+    hot path is built to shrink."""
     problem = mis_problem(HOTPATH_DELTA)
     for _ in range(MIS_CHAIN_STEPS):
         problem = speedup(problem, use_kernel=use_kernel).problem

@@ -140,11 +140,6 @@ def upper_bound_k_degree_ds(n: float, delta: float, k: float) -> float:
     return min(delta, (delta / max(k, 1.0)) ** 2) + log_star(n)
 
 
-def upper_bound_mis_ghaffari(n: float, delta: float) -> float:
-    """Ghaffari [22]: O(log Delta) + 2^O(sqrt(loglog n)) randomized."""
-    return _log2(delta) + 2 ** math.sqrt(max(_log2(_log2(n)), 0.0))
-
-
 def upper_bound_mis_trees_randomized(n: float) -> float:
     """Ghaffari [22] on trees: O(sqrt(log n)) randomized."""
     return math.sqrt(_log2(n))

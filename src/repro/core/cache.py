@@ -196,40 +196,6 @@ def fingerprint(problem: Problem) -> str:
     return canonical_form(problem).digest
 
 
-def cached_fingerprint(problem: Problem) -> str | None:
-    """The fingerprint if the canonical form is already memoized.
-
-    Never computes anything — in particular it fires no
-    canonicalization budget checkpoints — so callers on hot or
-    budget-sensitive paths (the kernel's transport registry) can probe
-    identity for free and fall back to a full build on ``None``.
-    """
-    form = problem._canonical_cache
-    return None if form is None else form.digest
-
-
-def structure_key(problem: Problem) -> tuple:
-    """A cheap renaming-invariant pre-key (necessary, not sufficient).
-
-    Equal fingerprints imply equal structure keys, but not conversely —
-    the key is built from constraint shape counts alone, with no
-    canonicalization.  The kernel's transport registry
-    (:mod:`repro.core.kernel.interning`) uses it as a filter: only when
-    a previously interned problem shares the structure key is the full
-    (block-permuting, hence potentially expensive) :func:`fingerprint`
-    computed to confirm isomorphism.
-    """
-    node_shape = tuple(sorted(
-        (configuration.arity, len(set(configuration.items)))
-        for configuration in problem.node_constraint.configurations
-    ))
-    edge_shape = tuple(sorted(
-        (configuration.arity, len(set(configuration.items)))
-        for configuration in problem.edge_constraint.configurations
-    ))
-    return (len(problem.alphabet), problem.delta, node_shape, edge_shape)
-
-
 # ---------------------------------------------------------------------------
 # Result codecs (canonical coordinates <-> actual labels)
 # ---------------------------------------------------------------------------
@@ -575,8 +541,6 @@ __all__ = [
     "CanonicalForm",
     "canonical_form",
     "fingerprint",
-    "cached_fingerprint",
-    "structure_key",
     "default_cache_dir",
     "OperatorCache",
     "active_cache",

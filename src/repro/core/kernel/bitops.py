@@ -49,30 +49,6 @@ def bits_list(mask: int) -> list[int]:
     return bits
 
 
-def mask_without_below(mask: int, index: int) -> int:
-    """``mask`` with every bit strictly below ``index`` cleared.
-
-    The DFS uses this to restrict a candidate mask to the indices a
-    nondecreasing search is still allowed to choose.
-    """
-    return mask & ~((1 << index) - 1)
-
-
-def iter_submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask``, descending, ending with 0.
-
-    The standard ``sub = (sub - 1) & mask`` enumeration: each step is
-    two int instructions, visiting every subset of the set exactly
-    once (``2**popcount(mask)`` values).
-    """
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def popcount(mask: int) -> int:
     """Number of set bits (the cardinality of the label set)."""
     return mask.bit_count()
@@ -98,8 +74,6 @@ __all__ = [
     "mask_from_ids",
     "iter_bits",
     "bits_list",
-    "mask_without_below",
-    "iter_submasks",
     "popcount",
     "is_subset",
     "is_strict_subset",

@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Hashable, Iterable
 
-from repro.core import cache as _cache
 from repro.core.cache import _set_sort_key
 from repro.core.configurations import Configuration
 from repro.core.constraints import Constraint
@@ -50,7 +49,7 @@ from repro.core.kernel.bitops import (
     mask_from_ids,
     popcount,
 )
-from repro.core.kernel.interning import LabelInterner, transport_registry
+from repro.core.kernel.interning import LabelInterner
 from repro.core.labels import Alphabet, render_label
 from repro.core.problem import Problem
 from repro.observability import trace as _trace
@@ -95,14 +94,13 @@ def closure_machine(
 
     A count field already at capacity (``2**shift - 1``) compiles to
     ``-1`` rather than letting the add carry into the next label's
-    field: the raw add can alias an unrelated valid pack, and the
-    aliasing is not relabeling-equivariant, which would make
-    transported machines (:func:`_transported_view`) differ from fresh
-    builds.  No search ever reads such an entry — a full field means
-    the element's count sum is at least the capacity, which is at
-    least the search arity, while frontiers are only ever grown at
-    depth strictly below the arity — so the guard changes no live
-    behavior (``tests/test_kernel_properties.py::
+    field: the raw add can alias an unrelated valid pack, so a
+    transition is always either exact or ``-1``.  No search ever reads
+    such an entry — a full field means the element's count sum is at
+    least the capacity, which is at least the search arity, while
+    frontiers are only ever grown at depth strictly below the arity —
+    so the guard changes no live behavior
+    (``tests/test_kernel_properties.py::
     test_closure_machine_guard_changes_no_live_transition`` checks it
     over the generated corpus).
     """
@@ -170,28 +168,19 @@ class KernelProblem:
     def of(cls, problem: Problem) -> "KernelProblem":
         """The interned view, memoized on the problem instance.
 
-        A problem that is a relabeling of a recently interned one
-        (confirmed via the renaming-invariant fingerprint of
-        :mod:`repro.core.cache`) receives the source's memoized
-        artifacts transported through the label bijection instead of a
-        from-scratch analysis — ``kernel.intern.transported`` counts
-        these, and neither ``kernel.cache.miss`` nor the Galois
-        ``galois.cache.miss`` counters grow for the transported parts.
+        Work is reused across *isomorphic* problems only by the
+        operator cache (:mod:`repro.core.cache`), which memoizes whole
+        operator results; this memo covers repeat calls on one
+        instance.
         """
         cached = problem._kernel_cache
         if cached is not None:
             _trace.add("kernel.cache.hit")
             return cached
-        registry = transport_registry()
-        cached = _transport_interned(cls, problem, registry)
-        if cached is not None:
-            _trace.add("kernel.intern.transported")
-        else:
-            _trace.add("kernel.cache.miss")
-            with _prof_section("intern.build"):
-                cached = cls(problem)
+        _trace.add("kernel.cache.miss")
+        with _prof_section("intern.build"):
+            cached = cls(problem)
         problem._kernel_cache = cached
-        registry.record(_cache.structure_key(problem), cached)
         return cached
 
     # -- Galois connection of the edge constraint ------------------------
@@ -413,158 +402,6 @@ class KernelProblem:
             is_subset(mask_from_ids(configuration), self_compatible)
             for configuration in self.node_configs
         )
-
-
-# ---------------------------------------------------------------------------
-# Cross-step artifact transport
-# ---------------------------------------------------------------------------
-
-def _permute_mask(mask: int, perm: list[int]) -> int:
-    """The image of a label-set mask under the id bijection ``perm``."""
-    result = 0
-    remaining = mask
-    while remaining:
-        low_bit = remaining & -remaining
-        result |= 1 << perm[low_bit.bit_length() - 1]
-        remaining ^= low_bit
-    return result
-
-
-def _permute_pack(packed: int, shift: int, perm: list[int]) -> int:
-    """The image of a packed count-vector under the id bijection."""
-    field = (1 << shift) - 1
-    result = 0
-    label_id = 0
-    while packed:
-        count = packed & field
-        if count:
-            result += count << (shift * perm[label_id])
-        packed >>= shift
-        label_id += 1
-    return result
-
-
-def _transport_interned(cls, problem: Problem, registry) -> "KernelProblem | None":
-    """A :class:`KernelProblem` for ``problem`` built by relabeling a
-    recorded isomorphic source, or ``None`` when no source matches.
-
-    The registry's structure key is a necessary condition only, so the
-    canonical fingerprint confirms each candidate before the transport
-    runs — but only *already memoized* fingerprints are consulted
-    (:func:`repro.core.cache.cached_fingerprint`), so interning never
-    triggers fresh canonicalization work or its budget checkpoints.
-    Chain drivers that canonicalize anyway (condensation ranks each
-    iterate) get transport for free; plain speedup chains, whose steps
-    are never isomorphic, pay nothing.  Transport is sound because
-    every memoized artifact — compat masks, the Galois lattice and
-    partner cache, the strength preorder, right-closed sets, prefix
-    closure, and the compiled DFS machine — is equivariant under label
-    bijections.
-    """
-    digest = _cache.cached_fingerprint(problem)
-    if digest is None:
-        return None
-    for source in registry.candidates(_cache.structure_key(problem)):
-        if source.problem is problem:
-            continue
-        if _cache.cached_fingerprint(source.problem) != digest:
-            continue
-        with _prof_section("intern.transport"):
-            return _transported_view(cls, problem, source)
-    return None
-
-
-def _transported_view(
-    cls, problem: Problem, source: "KernelProblem"
-) -> "KernelProblem":
-    """Carry every memoized artifact of ``source`` through the label
-    bijection onto ``problem`` (position-wise along canonical orders)."""
-    target: KernelProblem = cls.__new__(cls)
-    target.problem = problem
-    interner = LabelInterner(problem.alphabet)
-    target.interner = interner
-    n = len(interner)
-    target.n = n
-    target.delta = problem.delta
-    source_order = _cache.canonical_form(source.problem).order
-    target_order = _cache.canonical_form(problem).order
-    perm = [0] * n
-    source_id_of = source.interner.id_of
-    for source_label, target_label in zip(source_order, target_order):
-        perm[source_id_of(source_label)] = interner.id_of(target_label)
-    compat = [0] * n
-    for source_id in range(n):
-        compat[perm[source_id]] = _permute_mask(source.compat[source_id], perm)
-    target.compat = compat
-    target.node_configs = tuple(
-        sorted(
-            tuple(sorted(perm[label_id] for label_id in configuration))
-            for configuration in source.node_configs
-        )
-    )
-    target._partner_cache = {
-        _permute_mask(query, perm): _permute_mask(image, perm)
-        for query, image in source._partner_cache.items()
-    }
-    if source._closed_sets is None:
-        target._closed_sets = None
-    else:
-        target._closed_sets = tuple(
-            sorted(_permute_mask(mask, perm) for mask in source._closed_sets)
-        )
-    if source._node_ge is None:
-        target._node_ge = None
-    else:
-        ge = [0] * n
-        for weak in range(n):
-            ge[perm[weak]] = _permute_mask(source._node_ge[weak], perm)
-        target._node_ge = ge
-    if source._node_strict_successors is None:
-        target._node_strict_successors = None
-    else:
-        successors = [0] * n
-        for weak in range(n):
-            successors[perm[weak]] = _permute_mask(
-                source._node_strict_successors[weak], perm
-            )
-        target._node_strict_successors = successors
-    if source._node_right_closed is None:
-        target._node_right_closed = None
-    else:
-        target._node_right_closed = tuple(
-            sorted(
-                (_permute_mask(mask, perm) for mask in source._node_right_closed),
-                key=lambda mask: (popcount(mask), tuple(iter_bits(mask))),
-            )
-        )
-    shift = target.delta.bit_length()
-    if source._node_prefix_closure is None:
-        target._node_prefix_closure = None
-    else:
-        target._node_prefix_closure = frozenset(
-            _permute_pack(packed, shift, perm)
-            for packed in source._node_prefix_closure
-        )
-    if source._node_machine is None:
-        target._node_machine = None
-    else:
-        old_elements, old_trans = source._node_machine
-        mapped = [
-            _permute_pack(element, shift, perm) for element in old_elements
-        ]
-        new_elements = tuple(sorted(mapped))
-        position = {element: slot for slot, element in enumerate(new_elements)}
-        reindex = [position[element] for element in mapped]
-        new_trans: list[tuple[int, ...]] = [()] * n
-        for label_id in range(n):
-            row = old_trans[label_id]
-            new_row = [-1] * len(new_elements)
-            for old_slot, new_slot in enumerate(reindex):
-                step = row[old_slot]
-                new_row[new_slot] = reindex[step] if step >= 0 else -1
-            new_trans[perm[label_id]] = tuple(new_row)
-        target._node_machine = (new_elements, tuple(new_trans))
-    return target
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ reference engine produces.
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from collections.abc import Hashable, Iterable
 
 from repro.core.kernel.bitops import iter_bits
@@ -81,71 +79,27 @@ class LabelInterner:
         """The label set denoted by ``mask``."""
         return frozenset(self._labels[index] for index in iter_bits(mask))
 
-    def labels_of_ids(self, ids: Iterable[int]) -> tuple[Hashable, ...]:
-        """The label multiset denoted by an id tuple."""
-        return tuple(self._labels[index] for index in ids)
 
+class _RetiredRegistry:
+    """The stateless stand-in returned by :func:`transport_registry`."""
 
-class TransportRegistry:
-    """A bounded index of recently interned kernels, for artifact reuse.
-
-    Successive steps of a fixed-point chain differ only by a renaming of
-    labels; re-deriving the Galois lattice and closure machinery for
-    each renamed copy repeats work the previous step already paid for.
-    The registry keeps the last few interned kernels grouped under a
-    cheap renaming-invariant *structure key* (see
-    :func:`repro.core.cache.structure_key`) so :func:`KernelProblem.of`
-    can find a transport source without hashing canonical forms unless
-    two problems actually share the prefilter key.
-
-    Thread-safe: the service layer interns problems from worker threads.
-    The capacity bound keeps memory flat over long chains — eviction is
-    FIFO over *recorded kernels*, not keys.
-    """
-
-    __slots__ = ("_capacity", "_by_key", "_order", "_lock")
-
-    def __init__(self, capacity: int = 32) -> None:
-        self._capacity = capacity
-        self._by_key: dict[tuple, list[object]] = {}
-        self._order: deque[tuple[tuple, object]] = deque()
-        self._lock = threading.Lock()
-
-    def record(self, key: tuple, kernel: object) -> None:
-        """Remember ``kernel`` under ``key``, evicting the oldest entry
-        once the capacity bound is exceeded."""
-        with self._lock:
-            self._by_key.setdefault(key, []).append(kernel)
-            self._order.append((key, kernel))
-            while len(self._order) > self._capacity:
-                old_key, old_kernel = self._order.popleft()
-                bucket = self._by_key.get(old_key)
-                if bucket is not None:
-                    try:
-                        bucket.remove(old_kernel)
-                    except ValueError:
-                        pass
-                    if not bucket:
-                        del self._by_key[old_key]
-
-    def candidates(self, key: tuple) -> list[object]:
-        """Recorded kernels sharing ``key``, newest first."""
-        with self._lock:
-            return list(reversed(self._by_key.get(key, ())))
+    __slots__ = ()
 
     def clear(self) -> None:
-        """Drop every recorded kernel (test isolation hook)."""
-        with self._lock:
-            self._by_key.clear()
-            self._order.clear()
+        """Do nothing: there is no recorded state to drop."""
 
 
-_TRANSPORT_REGISTRY = TransportRegistry()
+def transport_registry() -> _RetiredRegistry:
+    """A no-op handle whose ``clear()`` does nothing.
+
+    The kernel keeps no process-global cache: :meth:`KernelProblem.of
+    <repro.core.kernel.engine.KernelProblem.of>` memoizes on the problem
+    instance only, and reuse across isomorphic problems lives in the
+    operator cache (:mod:`repro.core.cache`).  The handle remains
+    because the benchmark's ``mis-chain-cold`` workload
+    (``perfbench/workloads.py``) clears it before every operation.
+    """
+    return _RetiredRegistry()
 
 
-def transport_registry() -> TransportRegistry:
-    """The process-wide registry consulted by ``KernelProblem.of``."""
-    return _TRANSPORT_REGISTRY
-
-
-__all__ = ["LabelInterner", "TransportRegistry", "transport_registry"]
+__all__ = ["LabelInterner", "transport_registry"]

@@ -68,15 +68,25 @@ def _check_lemma6_range(delta: int, a: int, x: int) -> None:
         )
 
 
+def lemma6_node_lines(delta: int, a: int, x: int) -> list[str]:
+    """The three condensed node lines of Lemma 6's normal form, with
+    every zero-exponent part left out."""
+    _check_lemma6_range(delta, a, x)
+    lines = (
+        (("[MUBQ]", delta - x), ("[XMOUABPQ]", x)),
+        (("[PQ]", 1), ("[OUABPQ]", delta - 1)),
+        (("[ABPQ]", a), ("[XMOUABPQ]", delta - a)),
+    )
+    return [
+        " ".join(f"{token}^{exponent}" for token, exponent in line if exponent)
+        for line in lines
+    ]
+
+
 def expected_r_of_family(delta: int, a: int, x: int) -> Problem:
     """The problem Lemma 6 claims R(Pi_Delta(a, x)) to be (renamed)."""
-    _check_lemma6_range(delta, a, x)
-    node_lines = []
-    node_lines.append(_powered("[MUBQ]", delta - x) + _powered("[XMOUABPQ]", x))
-    node_lines.append(_powered("[PQ]", 1) + _powered("[OUABPQ]", delta - 1))
-    node_lines.append(_powered("[ABPQ]", a) + _powered("[XMOUABPQ]", delta - a))
     return Problem.from_text(
-        node_lines=[line for line in node_lines if line],
+        node_lines=lemma6_node_lines(delta, a, x),
         edge_lines=["X Q", "O B", "A U", "P M"],
         name=f"Lemma6(delta={delta}, a={a}, x={x})",
     )
@@ -130,11 +140,3 @@ def figure5_diagram(delta: int, a: int, x: int) -> Diagram:
     """The node diagram of R(Pi_Delta(a, x)) (Figure 5), computed."""
     problem = expected_r_of_family(delta, a, x)
     return Diagram(problem.node_constraint, problem.alphabet)
-
-
-def _powered(token: str, exponent: int) -> str:
-    if exponent < 0:
-        raise InvalidProblem(f"negative exponent {exponent}")
-    if exponent == 0:
-        return ""
-    return f"{token}^{exponent} "

@@ -27,7 +27,6 @@ The proof has two computational faces, both implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import Counter
 from collections.abc import Callable, Hashable, Iterable
 
 from repro.core.configurations import CondensedConfiguration, parse_condensed
@@ -44,7 +43,11 @@ from repro.core.round_elimination import (
     existential_constraint,
     maximize_node_constraint,
 )
-from repro.lowerbound.lemma6 import compute_r_of_family, expected_r_of_family
+from repro.lowerbound.lemma6 import (
+    compute_r_of_family,
+    expected_r_of_family,
+    lemma6_node_lines,
+)
 from repro.problems.family import pi_rel_problem
 
 
@@ -191,8 +194,7 @@ def _kernel_right_closedness(
 
     The view is built directly rather than through
     :meth:`KernelProblem.of`: ``problem`` is fresh on every call, so the
-    memo could never hit, and recording it in the transport registry
-    would only keep the large normal form alive.
+    memo could never hit.
     """
     kernel = KernelProblem(problem)
     interner = kernel.interner
@@ -212,12 +214,7 @@ def lemma6_condensed_node_constraint(
     delta: int, a: int, x: int
 ) -> list[CondensedConfiguration]:
     """The three condensed node configurations of Lemma 6."""
-    lines = [
-        f"[MUBQ]^{delta - x} [XMOUABPQ]^{x}" if x else f"[MUBQ]^{delta}",
-        f"[PQ] [OUABPQ]^{delta - 1}",
-        f"[ABPQ]^{a} [XMOUABPQ]^{delta - a}" if a < delta else f"[ABPQ]^{delta}",
-    ]
-    return [parse_condensed(line) for line in lines]
+    return [parse_condensed(line) for line in lemma6_node_lines(delta, a, x)]
 
 
 def _node_constraint_admits(
@@ -313,12 +310,3 @@ def _max_flow(capacity: dict[tuple, int], source: tuple, sink: tuple) -> int:
             return total
         total += sent
 
-
-def counting_facts_summary(delta: int, a: int, x: int) -> dict[str, Counter]:
-    """Diagnostic helper: the forbidden count patterns of Lemma 8."""
-    return {
-        "M-P-U pattern": Counter({"M": 1, "P": x + 1, "U": delta - a}),
-        "A-U-B pattern": Counter(
-            {"A": x + 1, "U": delta - a + 1, "B": delta - (x + 1) - (delta - a + 1)}
-        ),
-    }

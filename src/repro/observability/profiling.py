@@ -2,8 +2,8 @@
 
 The kernel's hot path is instrumented with named *ops* — coarse,
 non-overlapping sections that tile the bodies of the kernel operators
-(lattice build, right-closed enumeration, DFS, prune, pairing, intern,
-transport).  With no ambient :class:`Profiler` installed each probe is
+(lattice build, right-closed enumeration, DFS, prune, pairing,
+intern).  With no ambient :class:`Profiler` installed each probe is
 a single context-variable read returning a shared no-op section, so
 the instrumentation rides inside the documented <3% overhead budget.
 

@@ -32,9 +32,7 @@ The ``prof.*`` counters are emitted by the hot-spot profiler
 (:mod:`repro.observability.profiling`) — one ``prof.op`` span per
 sampled operation with its call count, summed wall time in
 nanoseconds, and net allocated-block delta.  They are timing-class by
-construction (two runs of the same workload differ in every one), as
-is ``kernel.intern.transported``, which counts interned-artifact
-bundles transported through a relabeling instead of recomputed.
+construction (two runs of the same workload differ in every one).
 
 ``node_max.frames`` and ``node_max.leaves`` measure the kernel's
 node-maximization DFS (:func:`repro.core.kernel.engine._maximization_dfs`),
@@ -92,7 +90,6 @@ TIMING_COUNTERS = (
     "budget.checkpoints",
     "mp.chunks",
     "mp.chunk_results",
-    "kernel.intern.transported",
     "node_max.frames",
     "node_max.leaves",
     "prof.calls",

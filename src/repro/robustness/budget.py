@@ -69,11 +69,6 @@ class Budget:
         self._checkpoints = 0
         return self
 
-    @property
-    def checkpoints_passed(self) -> int:
-        """How many cooperative checkpoints this budget has seen."""
-        return self._checkpoints
-
     def elapsed(self) -> float:
         """Seconds since :meth:`start` (0.0 if never started)."""
         if self._started_at is None:

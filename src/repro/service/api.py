@@ -143,9 +143,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
         length = int(header)
         raw = self.rfile.read(length) if length else b""
+        # ValueError covers bad UTF-8, bad JSON, and an integer literal
+        # past the interpreter's digit limit.
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else None
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except ValueError as error:
             self._send_error_body(
                 400, InvalidJobRequest(f"request body is not JSON: {error}")
             )

@@ -27,6 +27,7 @@ kernel) and attach a per-job budget whose keys mirror
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -81,6 +82,29 @@ def _require_type(value: Any, kind: type, key: str) -> Any:
     if not isinstance(value, kind) or isinstance(value, bool):
         raise InvalidJobRequest(
             f"key {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _budget_value(key: str, value: object) -> float:
+    """One validated budget value: ``wall_clock_seconds`` is a finite
+    number > 0, every count field a JSON integer >= 1."""
+    if key == "wall_clock_seconds":
+        seconds = math.nan
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                seconds = float(value)
+            except OverflowError:  # an int beyond the float range
+                pass
+        if not math.isfinite(seconds) or seconds <= 0:
+            raise InvalidJobRequest(
+                f"budget field {key!r} must be a finite number > 0, "
+                f"got {value!r}"
+            )
+        return seconds
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidJobRequest(
+            f"budget field {key!r} must be an integer >= 1, got {value!r}"
         )
     return value
 
@@ -163,16 +187,7 @@ def parse_job_request(payload: object) -> JobRequest:
                 f"unknown budget field {key!r} "
                 f"(known: {', '.join(BUDGET_FIELDS)})"
             )
-        value = budget_raw[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidJobRequest(
-                f"budget field {key!r} must be a number, got {value!r}"
-            )
-        if value <= 0:
-            raise InvalidJobRequest(
-                f"budget field {key!r} must be positive", **{key: value}
-            )
-        budget[key] = int(value) if key != "wall_clock_seconds" else float(value)
+        budget[key] = _budget_value(key, budget_raw[key])
     return JobRequest(
         scenario=scenario,
         problem=problem,

@@ -66,6 +66,25 @@ def post_json(base, path, payload):
         return error.code, json.loads(error.read())
 
 
+def raw_post_jobs(service, length, body):
+    """POST ``body`` to /v1/jobs over a bare socket with the given
+    Content-Length header, bypassing urllib's own encoding; returns
+    (status, decoded JSON body)."""
+    head = (
+        f"POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    )
+    with socket.create_connection(
+        ("127.0.0.1", service.port), timeout=10
+    ) as connection:
+        connection.sendall(head.encode("ascii") + body)
+        response = b""
+        while chunk := connection.recv(65536):
+            response += chunk
+    status_line, _, rest = response.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
 def finish(service, job_id):
     """Wait for a job and return its (status, document)."""
     assert service.orchestrator.wait(job_id, timeout=120), "job never finished"
@@ -164,22 +183,29 @@ class TestErrorPaths:
         """A Content-Length that is not a byte count gets a structured
         400 (not a dropped connection, not a handler blocked on the
         body), and the server keeps serving."""
-        head = (
-            f"POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
-            f"Content-Length: {length}\r\n\r\n"
-        )
-        with socket.create_connection(
-            ("127.0.0.1", service.port), timeout=10
-        ) as connection:
-            connection.sendall(head.encode("ascii"))
-            response = b""
-            while chunk := connection.recv(65536):
-                response += chunk
-        status_line, _, rest = response.partition(b"\r\n")
-        assert status_line.split()[1] == b"400"
-        body = json.loads(rest.partition(b"\r\n\r\n")[2])
+        status, body = raw_post_jobs(service, length, b"")
+        assert status == 400
         assert body["type"] == "InvalidJobRequest"
         assert "Content-Length" in body["message"]
+        status, _ = get_json(service.url, "/v1/healthz")
+        assert status == 200
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"scenario": "maximal-matching2-selfreduce",'
+            b' "budget": {"max_alphabet": Infinity}}',
+            b'{"scenario": "s", "steps": ' + b"1" * 5000 + b"}",
+        ],
+        ids=["infinite-budget", "oversized-int"],
+    )
+    def test_unrepresentable_number_is_400(self, service, body):
+        """A number the request cannot hold (an infinite budget, or an
+        integer literal past the interpreter's digit limit) gets a
+        structured 400, and the server keeps serving."""
+        status, document = raw_post_jobs(service, len(body), body)
+        assert status == 400
+        assert document["type"] == "InvalidJobRequest"
         status, _ = get_json(service.url, "/v1/healthz")
         assert status == 200
 

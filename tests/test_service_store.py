@@ -207,6 +207,28 @@ class TestRecordRoundTrip:
                 decode_job(garbage)
 
 
+class TestBudgetValidation:
+    """Count fields take JSON integers >= 1 and ``wall_clock_seconds``
+    a finite number > 0; anything else is a typed 400, never coerced."""
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("max_alphabet", float("inf")),
+            ("max_alphabet", 0.5),
+            ("max_configurations", 3.0),
+            ("wall_clock_seconds", float("nan")),
+            ("wall_clock_seconds", float("inf")),
+            ("wall_clock_seconds", 10**400),
+        ],
+        ids=["inf-count", "fractional-count", "float-count", "nan-clock",
+             "inf-clock", "huge-int-clock"],
+    )
+    def test_bad_budget_value_is_rejected(self, key, value):
+        with pytest.raises(InvalidJobRequest):
+            parse_job_request({"scenario": "s", "budget": {key: value}})
+
+
 # ---------------------------------------------------------------------------
 # Corruption handling
 # ---------------------------------------------------------------------------
