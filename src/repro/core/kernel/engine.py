@@ -134,6 +134,7 @@ class KernelProblem:
         "_node_ge",
         "_node_strict_successors",
         "_node_right_closed",
+        "_node_minimal_labels",
         "_node_prefix_closure",
         "_node_machine",
     )
@@ -159,6 +160,7 @@ class KernelProblem:
         self._node_ge: list[int] | None = None
         self._node_strict_successors: list[int] | None = None
         self._node_right_closed: tuple[int, ...] | None = None
+        self._node_minimal_labels: tuple[tuple[int, ...], ...] | None = None
         self._node_prefix_closure: frozenset[int] | None = None
         self._node_machine: (
             tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None
@@ -312,6 +314,27 @@ class KernelProblem:
         )
         return self._node_right_closed
 
+    def node_minimal_labels(self) -> tuple[tuple[int, ...], ...]:
+        """Each right-closed set's minimal labels, aligned with
+        :meth:`node_right_closed_sets`.
+
+        A member is minimal when no other member is strictly weaker
+        than it.  The set is the up-closure of its minimal labels, and
+        each of its labels is at least as strong as one of them — all
+        the maximization DFS needs (see :func:`_maximization_dfs`).
+        """
+        if self._node_minimal_labels is not None:
+            return self._node_minimal_labels
+        successors = self.node_strict_successors()
+        minimal: list[tuple[int, ...]] = []
+        for mask in self.node_right_closed_sets():
+            above = 0
+            for index in iter_bits(mask):
+                above |= successors[index]
+            minimal.append(tuple(bits_list(mask & ~above)))
+        self._node_minimal_labels = tuple(minimal)
+        return self._node_minimal_labels
+
     def node_prefix_closure(self) -> frozenset[int]:
         """All sub-multisets of allowed node configurations, packed.
 
@@ -451,7 +474,7 @@ def pack_ids(ids: Iterable[int], shift: int) -> int:
 # hotpath
 def _maximization_dfs(
     candidates: tuple[int, ...],
-    member_labels: tuple[tuple[int, ...], ...],
+    minimal_labels: tuple[tuple[int, ...], ...],
     trans: tuple[tuple[int, ...], ...],
     arity: int,
     lo: int,
@@ -466,6 +489,14 @@ def _maximization_dfs(
     ``[cursor, limit, frontier_mask, members, key]`` plus a parallel
     ``chosen`` list of candidate indices, and frontier growth is
     memoized per candidate keyed on the frontier bitmask.
+
+    Each candidate's ``invalid`` mask and image row come from its
+    ``minimal_labels`` (:meth:`KernelProblem.node_minimal_labels`), not
+    from all its members.  The prefix closure is closed under
+    strengthening a label, so a frontier grown through a stronger
+    member only adds strengthenings of elements grown through a weaker
+    one; every all-or-nothing test, ``best(F)``, leaf and output is the
+    same, and so is the search tree.
 
     The search stops at depth ``arity - 1`` and closes the last
     coordinate instead of searching it.  A prefix with frontier ``F``
@@ -540,14 +571,14 @@ def _maximization_dfs(
         bad = invalid[cursor]
         if bad is None:
             bad = 0
-            for label_id in member_labels[cursor]:
+            for label_id in minimal_labels[cursor]:
                 bad |= label_invalid[label_id]
             invalid[cursor] = bad
         if frontier & bad:
             continue
         row = rows[cursor]
         if row is None:
-            labels = member_labels[cursor]
+            labels = minimal_labels[cursor]
             images: list[list[int]] = []
             for label_id in labels:
                 image = label_image.get(label_id)
@@ -637,7 +668,7 @@ def _closing_set(frontier: int, label_invalid: list[int]) -> int:
 # hotpath
 def search_maximization_chunk(
     candidates: tuple[int, ...],
-    member_labels: tuple[tuple[int, ...], ...],
+    minimal_labels: tuple[tuple[int, ...], ...],
     trans: tuple[tuple[int, ...], ...],
     arity: int,
     first_index: int,
@@ -648,13 +679,14 @@ def search_maximization_chunk(
     out: the serial search is exactly the concatenation of the chunks
     for ``first_index = 0 .. len(candidates) - 1``, so chunked results
     are order- and content-identical to a single DFS.  Both still await
-    :func:`close_first_coordinate`.  ``member_labels`` holds each
-    candidate's member label ids and ``trans`` is the closure machine
-    of :func:`closure_machine`.
+    :func:`close_first_coordinate`.  ``minimal_labels`` holds each
+    candidate's minimal label ids
+    (:meth:`KernelProblem.node_minimal_labels`) and ``trans`` is the
+    closure machine of :func:`closure_machine`.
     """
     return _maximization_dfs(
         candidates,
-        member_labels,
+        minimal_labels,
         trans,
         arity,
         first_index,
@@ -664,7 +696,10 @@ def search_maximization_chunk(
 
 # hotpath
 def close_first_coordinate(
-    leaves: list[tuple[int, ...]], trans: tuple[tuple[int, ...], ...]
+    leaves: list[tuple[int, ...]],
+    candidates: tuple[int, ...],
+    minimal_labels: tuple[tuple[int, ...], ...],
+    trans: tuple[tuple[int, ...], ...],
 ) -> list[tuple[int, ...]]:
     """The last maximality check: keep a DFS leaf iff its first set is
     ``best`` of its other sets.
@@ -672,9 +707,11 @@ def close_first_coordinate(
     :func:`_maximization_dfs` has checked every other coordinate; the
     complement of coordinate 0 starts in another chunk, so its frontier
     is walked here from the empty multiset (once per distinct
-    complement).  A leaf whose first two sets coincide shares that
-    complement with coordinate 1 and passes as is.
+    complement), through each set's minimal labels as in the DFS.  A
+    leaf whose first two sets coincide shares that complement with
+    coordinate 1 and passes as is.
     """
+    labels_of = dict(zip(candidates, minimal_labels))
     label_range = range(len(trans))
     closing_of: dict[tuple[int, ...], int] = {}
     kept: list[tuple[int, ...]] = []
@@ -687,7 +724,7 @@ def close_first_coordinate(
         if closing is None:
             elements: dict[int, None] = {0: None}
             for mask in rest:
-                labels = bits_list(mask)
+                labels = labels_of[mask]
                 elements = {
                     trans[label_id][element]: None
                     for element in elements
@@ -721,18 +758,18 @@ def maximize_node_constraint_kernel(
     interner = kernel.interner
     with _prof_section("node_max.right_closed"):
         candidates = kernel.node_right_closed_sets()
+        minimal_labels = kernel.node_minimal_labels()
     _trace.add("node.right_closed_sets", len(candidates))
     with _prof_section("node_max.prefix_closure"):
         kernel.node_prefix_closure()
     with _prof_section("node_max.machine"):
         _elements, trans = kernel.node_dfs_machine()
-    member_labels = tuple(tuple(bits_list(mask)) for mask in candidates)
     delta = kernel.delta
     with _prof_section("node_max.dfs"):
         chunks = None
         if pool is not None:
             chunks = pool.map_chunks(
-                (candidates, member_labels, trans, delta),
+                (candidates, minimal_labels, trans, delta),
                 len(candidates),
                 phase="node-maximization",
             )
@@ -741,7 +778,7 @@ def maximize_node_constraint_kernel(
         else:
             leaves = _maximization_dfs(
                 candidates,
-                member_labels,
+                minimal_labels,
                 trans,
                 delta,
                 0,
@@ -749,7 +786,9 @@ def maximize_node_constraint_kernel(
                 budget_phase="node-maximization",
             )
     with _prof_section("node_max.filter"):
-        maximal = close_first_coordinate(leaves, trans)
+        maximal = close_first_coordinate(
+            leaves, candidates, minimal_labels, trans
+        )
     if not maximal:
         raise InvalidProblem(
             "node constraint admits no maximal configuration",

@@ -63,12 +63,12 @@ def run_shard_serial(payload: tuple[Any, ...], lo: int, hi: int) -> list[Any]:
     is exactly the serial DFS's output — the determinism contract the
     index-ordered merge leans on.
     """
-    candidates, member_labels, trans, arity = payload
+    candidates, minimal_labels, trans, arity = payload
     results: list[Any] = []
     for index in range(lo, hi):
         results.extend(
             search_maximization_chunk(
-                candidates, member_labels, trans, arity, index
+                candidates, minimal_labels, trans, arity, index
             )
         )
     return results
@@ -141,7 +141,10 @@ class KernelPool:
     ) -> list[list[Any]] | None:
         """Run the ``count`` top-level DFS units across the pool.
 
-        ``payload`` is ``(candidates, member_labels, trans, arity)``.
+        ``payload`` is ``(candidates, minimal_labels, trans, arity)``:
+        the right-closed sets, each one's minimal label ids
+        (:meth:`~repro.core.kernel.engine.KernelProblem.node_minimal_labels`),
+        the closure machine's transition table and Delta.
         Returns per-shard result lists in unit order (flattening gives
         the serial result exactly), or ``None`` when the pool cannot
         help (``workers <= 1``, a single unit, or process start-up

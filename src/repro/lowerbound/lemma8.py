@@ -54,7 +54,12 @@ from repro.problems.family import pi_rel_problem
 def verify_lemma8_direct(
     delta: int, a: int, x: int, *, use_kernel: bool = True
 ) -> bool:
-    """Full engine check of Lemma 8 (exponential in Delta; use <= 5).
+    """Full engine check of Lemma 8 at one grid point.
+
+    The cost grows about fourfold per Delta.  On the kernel, on a
+    2-vCPU Xeon with Python 3.11, the whole grid ``x + 2 <= a <= Delta``
+    takes about 1.3 s at Delta = 6 and 5.4 s at Delta = 7, and the
+    point (8, 8, 6) about 2.3 s.
 
     R, the node maximization and the existential edge constraint run
     on the kernel unless ``use_kernel=False`` selects the reference

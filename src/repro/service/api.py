@@ -199,6 +199,13 @@ class _Handler(BaseHTTPRequestHandler):
                 return
 
 
+#: How often the serving loop checks for a :meth:`ReproService.stop`
+#: request.  ``shutdown`` blocks until the loop notices, so the default
+#: 0.5 s poll would add up to half a second to every stop; 0.05 s wakes
+#: the idle serving thread 20 times a second, a negligible cost.
+SHUTDOWN_POLL_S = 0.05
+
+
 class _Server(ThreadingHTTPServer):
     """The listening socket plus the orchestrator the handlers use."""
 
@@ -236,6 +243,7 @@ class ReproService:
         self._server = _Server((host, port), self.orchestrator)
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            kwargs={"poll_interval": SHUTDOWN_POLL_S},
             name="repro-service-http",
             daemon=True,
         )

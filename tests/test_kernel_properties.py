@@ -7,7 +7,9 @@ framework, so failures are exactly reproducible by seed):
 * **Observation 4** — every label produced by a maximization step is a
   right-closed set with respect to the diagram of the constraint that
   was maximized, and the kernel's right-closed-set enumeration (unions
-  of upward closures) matches the reference powerset scan exactly.
+  of upward closures) matches the reference powerset scan exactly, and
+  each set's minimal labels are an antichain whose up-closures rebuild
+  it.
 * **Galois closure** — ``f(f(f(A))) == f(A)`` for arbitrary ``A``
   (closure idempotence) and ``f(f(A)) == A`` for every closed set in
   the memoized lattice, matching the pairs kept by the edge
@@ -34,7 +36,10 @@ from repro.core.kernel.engine import (
     search_maximization_chunk,
 )
 from repro.core.kernel.interning import LabelInterner
-from repro.core.round_elimination import R, Rbar, rename_to_strings
+from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
+from repro.observability.metrics import total_counters
+from repro.observability.trace import Tracer, span, tracing
+from repro.problems.mis import mis_problem
 from repro.robustness.errors import InvalidProblem
 
 from tests.oracle import classic_corpus, generated_corpus, random_problem
@@ -89,6 +94,50 @@ def test_right_closed_enumeration_matches_reference():
         assert from_kernel == set(reference), (
             f"right-closed enumeration mismatch on {problem.name or problem!r}"
         )
+
+
+def _node_max_inputs():
+    """Problems whose node constraint ``Rbar`` maximizes: every
+    generated-corpus input and its renamed R, and the MIS Delta=4-6
+    chain steps and their renamed Rs."""
+    problems = []
+    for item in generated_corpus():
+        problems.append((item.name, item.problem))
+        try:
+            renamed = rename_to_strings(R(item.problem, use_kernel=True)).problem
+        except InvalidProblem:
+            continue
+        problems.append((f"R {item.name}", renamed))
+    for delta in (4, 5, 6):
+        step = mis_problem(delta)
+        for index in (1, 2):
+            renamed = rename_to_strings(R(step, use_kernel=True)).problem
+            problems.append((f"mis{delta} step{index}", step))
+            problems.append((f"R mis{delta} step{index}", renamed))
+            step = speedup(step, use_kernel=True).problem
+    return problems
+
+
+def test_minimal_labels_generate_their_right_closed_sets():
+    """``node_minimal_labels``, which the maximization DFS walks instead
+    of all members: per right-closed set, the minimal labels are
+    pairwise incomparable and their up-closures rebuild the set."""
+    for name, problem in _node_max_inputs():
+        kernel = KernelProblem.of(problem)
+        successors = kernel.node_strict_successors()
+        candidates = kernel.node_right_closed_sets()
+        minimal_labels = kernel.node_minimal_labels()
+        assert len(minimal_labels) == len(candidates), name
+        for mask, labels in zip(candidates, minimal_labels):
+            assert labels and list(labels) == sorted(set(labels)), name
+            for weak, strong in itertools.permutations(labels, 2):
+                assert not successors[weak] >> strong & 1, (
+                    f"{name}: minimal label {strong} is above {weak}"
+                )
+            up = 0
+            for label_id in labels:
+                up |= (1 << label_id) | successors[label_id]
+            assert up == mask, f"{name}: up-closure misses {mask & ~up:b}"
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +265,12 @@ def test_chunk_concatenation_equals_serial(name, problem):
     kernel = KernelProblem.of(renamed)
     candidates = kernel.node_right_closed_sets()
     _elements, trans = kernel.node_dfs_machine()
-    member_labels = tuple(tuple(iter_bits(mask)) for mask in candidates)
+    minimal_labels = kernel.node_minimal_labels()
     serial: list[tuple[int, ...]] = []
     for first_index in range(len(candidates)):
         serial.extend(
             search_maximization_chunk(
-                candidates, member_labels, trans, kernel.delta, first_index
+                candidates, minimal_labels, trans, kernel.delta, first_index
             )
         )
     # Chunks are disjoint and each result starts with its chunk's set.
@@ -229,7 +278,7 @@ def test_chunk_concatenation_equals_serial(name, problem):
     for sets in serial:
         assert sets[0] in candidates
     # Filtering the concatenation reproduces the engine's serial answer.
-    maximal = close_first_coordinate(serial, trans)
+    maximal = close_first_coordinate(serial, candidates, minimal_labels, trans)
     rebuilt = {
         Configuration(kernel.interner.labels_of_mask(mask) for mask in sets)
         for sets in maximal
@@ -237,6 +286,21 @@ def test_chunk_concatenation_equals_serial(name, problem):
     assert rebuilt == set(
         maximize_node_constraint_kernel(renamed).configurations
     )
+
+
+def test_mis6_second_step_search_tree():
+    """Walking minimal labels leaves the DFS's search tree as it was
+    with all members: the Delta=6 MIS second step opens 9,291 prefixes
+    and emits 3,899 leaves."""
+    step_one = speedup(mis_problem(6), use_kernel=True).problem
+    renamed = rename_to_strings(R(step_one, use_kernel=True)).problem
+    tracer = Tracer()
+    with tracing(tracer):
+        with span("rbar"):
+            maximize_node_constraint_kernel(renamed)
+    counters = total_counters(tracer.records)
+    assert counters["node_max.frames"] == 9291
+    assert counters["node_max.leaves"] == 3899
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,27 @@ from repro.lowerbound.lemma8 import (
 )
 
 
-class TestDirectVerification:
-    """Full Rbar(R(Pi)) computation for small Delta."""
+def lemma8_grid(*deltas):
+    """Every (Delta, a, x) of Lemma 8's range x + 2 <= a <= Delta."""
+    return [
+        (delta, a, x)
+        for delta in deltas
+        for a in range(2, delta + 1)
+        for x in range(a - 1)
+    ]
 
-    @pytest.mark.parametrize(
-        "delta,a,x",
-        [(3, 2, 0), (4, 3, 1), (4, 4, 2), (4, 2, 0)],
-    )
+
+class TestDirectVerification:
+    """Full Rbar(R(Pi)) computation over Lemma 8's parameter grid."""
+
+    @pytest.mark.parametrize("delta,a,x", lemma8_grid(3, 4, 5, 6))
     def test_all_configurations_relax_into_pi_rel(self, delta, a, x):
         assert verify_lemma8_direct(delta, a, x)
 
-    def test_delta_five(self):
-        assert verify_lemma8_direct(5, 3, 1)
+    @pytest.mark.slow
+    @pytest.mark.parametrize("delta,a,x", lemma8_grid(7))
+    def test_delta_seven_grid(self, delta, a, x):
+        assert verify_lemma8_direct(delta, a, x)
 
 
 class TestPaperArgument:

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 import repro.core.kernel.parallel as parallel
 from repro.core.cache import fingerprint
 from repro.core.io import problem_to_json
-from repro.core.kernel.bitops import bits_list
 from repro.core.kernel.engine import KernelProblem, _maximization_dfs
 from repro.core.kernel.parallel import KernelPool, plan_shards
 from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
@@ -86,8 +85,7 @@ def dfs_payload(problem):
     kernel = KernelProblem.of(problem)
     candidates = kernel.node_right_closed_sets()
     _elements, trans = kernel.node_dfs_machine()
-    members = tuple(tuple(bits_list(mask)) for mask in candidates)
-    return candidates, members, trans, kernel.delta
+    return candidates, kernel.node_minimal_labels(), trans, kernel.delta
 
 
 # ---------------------------------------------------------------------------
