@@ -31,9 +31,9 @@ file.
   self-reduction, a non-MIS family).
 * ``PYTHONPATH=src python benchmarks/bench_kernel.py --parallel``
   appends a ``mode: parallel`` row for the cold Delta=7 chain, serial
-  vs ``workers=2`` (the one measured workload where the fan-out of
-  ``Rbar``'s node-maximization DFS beats serial), with the shared
-  result fingerprint.  (The older
+  vs ``workers=2`` (the largest chain the fan-out of ``Rbar``'s
+  node-maximization DFS is measured on), with the shared result
+  fingerprint.  (The older
   ``mode: sharded`` rows are ``legacy``: the scheduler they measured
   is gone.)
 * ``PYTHONPATH=src python benchmarks/bench_kernel.py --hotpath``

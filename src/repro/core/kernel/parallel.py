@@ -122,10 +122,10 @@ class KernelPool:
 
     Workers use the platform's default start method (``fork`` on
     Linux).  ``forkserver`` and ``spawn`` pay an interpreter start and
-    imports per worker per ``Rbar`` call, which erases most of the
-    Delta=7 gain; forking from a threaded parent (the service's job
-    threads) is safe here because workers run only the pure chunk
-    functions, which take no locks.
+    imports per worker per ``Rbar`` call, which made the Delta=7 chain
+    slower than with ``fork``; forking from a threaded parent (the
+    service's job threads) is safe here because workers run only the
+    pure chunk functions, which take no locks.
     """
 
     def __init__(self, workers: int | None) -> None:

@@ -111,8 +111,8 @@ def _node_max_inputs():
     for delta in (4, 5, 6):
         step = mis_problem(delta)
         for index in (1, 2):
-            renamed = rename_to_strings(R(step, use_kernel=True)).problem
             problems.append((f"mis{delta} step{index}", step))
+            renamed = rename_to_strings(R(step, use_kernel=True)).problem
             problems.append((f"R mis{delta} step{index}", renamed))
             step = speedup(step, use_kernel=True).problem
     return problems
