@@ -90,7 +90,7 @@ def closure_machine(
     leaves the closure.  The DFS inner step thus becomes one tuple
     lookup on small ints instead of a big-int add plus a hash of a
     many-hundred-bit packed key, and frontiers shrink from
-    ``frozenset`` objects to plain int bitmasks over element indices.
+    ``frozenset`` objects of packs to short dicts of element indices.
 
     A count field already at capacity (``2**shift - 1``) compiles to
     ``-1`` rather than letting the add carry into the next label's
@@ -163,7 +163,8 @@ class KernelProblem:
         self._node_minimal_labels: tuple[tuple[int, ...], ...] | None = None
         self._node_prefix_closure: frozenset[int] | None = None
         self._node_machine: (
-            tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None
+            tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
+            | None
         ) = None
 
     @classmethod
@@ -383,21 +384,33 @@ class KernelProblem:
 
     def node_dfs_machine(
         self,
-    ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """The prefix closure compiled to a transition table (memoized).
 
-        See :func:`closure_machine` — this is what the allocation-free
-        maximization DFS actually walks; the raw packed closure of
+        Returns ``(elements, trans, extends)``: the machine of
+        :func:`closure_machine`, which the allocation-free maximization
+        DFS actually walks, and ``extends[e]``, the mask of labels with
+        a valid transition from element ``e``.  ``best(F)``, the labels
+        every element of a frontier ``F`` extends by, is the AND of
+        ``extends`` over ``F``.  The raw packed closure of
         :meth:`node_prefix_closure` stays available for the reference
         twins and the property tests.
         """
         if self._node_machine is not None:
             return self._node_machine
-        machine = closure_machine(
+        elements, trans = closure_machine(
             self.node_prefix_closure(), self.delta.bit_length(), self.n
         )
-        self._node_machine = machine
-        return machine
+        extends = tuple(
+            mask_from_ids(
+                label_id
+                for label_id, transitions in enumerate(trans)
+                if transitions[element] >= 0
+            )
+            for element in range(len(elements))
+        )
+        self._node_machine = (elements, trans, extends)
+        return self._node_machine
 
     # -- Zero-round predicates ------------------------------------------
 
@@ -476,6 +489,7 @@ def _maximization_dfs(
     candidates: tuple[int, ...],
     minimal_labels: tuple[tuple[int, ...], ...],
     trans: tuple[tuple[int, ...], ...],
+    extends: tuple[int, ...],
     arity: int,
     lo: int,
     hi: int,
@@ -486,29 +500,35 @@ def _maximization_dfs(
     One explicit-stack loop serves both the serial search
     (``lo=0, hi=len(candidates)``, budgeted) and a parallel chunk
     (``lo=first_index, hi=first_index+1``, unbudgeted): frames are
-    ``[cursor, limit, frontier_mask, members, key]`` plus a parallel
-    ``chosen`` list of candidate indices, and frontier growth is
-    memoized per candidate keyed on the frontier bitmask.
+    ``[pending, frontier, key]`` plus a parallel ``chosen`` list of
+    candidate indices.  A frontier is a short dict whose keys are the
+    closure-machine element indices the prefix reaches; ``best(F)``,
+    the labels every one of them extends by, is the AND of ``extends``
+    over it, computed once per accepted prefix.
 
-    Each candidate's ``invalid`` mask and image row come from its
-    ``minimal_labels`` (:meth:`KernelProblem.node_minimal_labels`), not
-    from all its members.  The prefix closure is closed under
-    strengthening a label, so a frontier grown through a stronger
-    member only adds strengthenings of elements grown through a weaker
-    one; every all-or-nothing test, ``best(F)``, leaf and output is the
-    same, and so is the search tree.
+    Each candidate is walked through its ``minimal_labels``
+    (:meth:`KernelProblem.node_minimal_labels`), not all its members.
+    The prefix closure is closed under strengthening a label, so a
+    frontier grown through a stronger member only adds strengthenings
+    of elements grown through a weaker one; every all-or-nothing test,
+    ``best(F)``, leaf and output is the same, and so is the search
+    tree.  The all-or-nothing test is one small-int test: candidate
+    ``c`` extends every element of ``F`` by each of its minimal labels
+    exactly when ``required[c]``, the mask of those labels, lies inside
+    ``best(F)``.  A frame's ``pending`` iterator holds the candidates
+    of its range that pass, filtered when the frame is pushed, and
+    stepping through one reads ``trans[label][element]`` for each
+    minimal label and frontier element.
 
     The search stops at depth ``arity - 1`` and closes the last
     coordinate instead of searching it.  A prefix with frontier ``F``
-    admits a last set ``S`` exactly when ``S`` is inside ``best(F)``,
-    the labels whose every transition from ``F`` stays in the closure
-    (one AND per label).  ``best(F)`` is right-closed — validity
-    survives strengthening a label — hence a candidate, and every other
-    completion is dominated by it, so the prefix emits the one leaf
-    ``(prefix, best(F))`` when ``best(F)`` is non-empty and not before
-    the prefix's last set in candidate order.  Every maximal
-    configuration is emitted this way, in the order the full search
-    listed it.
+    admits a last set ``S`` exactly when ``S`` is inside ``best(F)``.
+    ``best(F)`` is right-closed — validity survives strengthening a
+    label — hence a candidate, and every other completion is dominated
+    by it, so the prefix emits the one leaf ``(prefix, best(F))`` when
+    ``best(F)`` is non-empty and not before the prefix's last set in
+    candidate order.  Every maximal configuration is emitted this way,
+    in the order the full search listed it.
 
     A leaf is maximal iff each coordinate equals ``best`` of the
     others.  The complement of a coordinate ``i >= 1`` keeps the first
@@ -524,26 +544,14 @@ def _maximization_dfs(
     """
     results: list[tuple[int, ...]] = []
     count = len(candidates)
-    element_count = len(trans[0]) if trans else 1
-    element_range = range(element_count)
     position = {mask: index for index, mask in enumerate(candidates)}
     width = max(count.bit_length(), 1)
-    # Per-label memos: ``label_invalid[lab]`` has a bit for every
-    # element ``lab`` cannot extend from (all labels, for ``best``),
-    # ``label_image`` the per-element image bit (built on first touch).
-    # Per-candidate: ``invalid[c]`` (any frontier bit in it fails the
-    # all-or-nothing test in one AND) and ``rows[c]`` (aggregated image
-    # row; success is one lookup + OR per frontier element).
-    label_invalid: list[int] = []
-    for transitions in trans:
-        label_mask = 0
-        for element in element_range:
-            if transitions[element] >= 0:
-                label_mask |= 1 << element
-        label_invalid.append(~label_mask)
-    label_image: dict[int, list[int]] = {}
-    invalid: list[int | None] = [None] * count
-    rows: list[list[int] | None] = [None] * count
+    # Per candidate: the transition rows of its minimal labels, and
+    # ``required[c]``, the mask of those labels.
+    steps = [
+        tuple(trans[label_id] for label_id in labels) for labels in minimal_labels
+    ]
+    required = [mask_from_ids(labels) for labels in minimal_labels]
     best_index: dict[int, int] = {}
     leaf_keys: list[int] = []
     frames = 0
@@ -553,66 +561,31 @@ def _maximization_dfs(
     chosen: list[int] = []
     stack: list[list] = []
     if last == 0:
-        closing = _closing_set(1, label_invalid)
+        closing = extends[0]
         if closing and lo <= position[closing] < hi:
             results.append((closing,))
     else:
-        stack.append([lo, hi, 1, None, 0])
+        missing = ~extends[0]
+        passing = [index for index in range(lo, hi) if not required[index] & missing]
+        stack.append([iter(passing), {0: None}, 0])
     while stack:
         frame = stack[-1]
-        cursor = frame[0]
-        if cursor == frame[1]:
+        cursor = next(frame[0], -1)
+        if cursor < 0:
             stack.pop()
             if chosen:
                 chosen.pop()
             continue
-        frame[0] = cursor + 1
-        frontier = frame[2]
-        bad = invalid[cursor]
-        if bad is None:
-            bad = 0
-            for label_id in minimal_labels[cursor]:
-                bad |= label_invalid[label_id]
-            invalid[cursor] = bad
-        if frontier & bad:
-            continue
-        row = rows[cursor]
-        if row is None:
-            labels = minimal_labels[cursor]
-            images: list[list[int]] = []
-            for label_id in labels:
-                image = label_image.get(label_id)
-                if image is None:
-                    transitions = trans[label_id]
-                    image = [
-                        (1 << transitions[element])
-                        if transitions[element] >= 0
-                        else 0
-                        for element in element_range
-                    ]
-                    label_image[label_id] = image
-                images.append(image)
-            row = list(images[0])
-            for image in images[1:]:
-                row = [left | right for left, right in zip(row, image)]
-            rows[cursor] = row
-        # The frontier is constant for every cursor of this frame, so
-        # its bit decomposition is computed once and cached in-frame.
-        members = frame[3]
-        if members is None:
-            members = []
-            remaining = frontier
-            while remaining:
-                low_bit = remaining & -remaining
-                members.append(low_bit.bit_length() - 1)
-                remaining ^= low_bit
-            frame[3] = members
-        grown = 0
-        for element in members:
-            grown |= row[element]
+        frontier = frame[1]
+        grown = dict.fromkeys(
+            [row[element] for row in steps[cursor] for element in frontier]
+        )
+        closing = -1
+        for element in grown:
+            closing &= extends[element]
         frames += 1
         depth = len(chosen)
-        key = frame[4] | (cursor << (width * depth))
+        key = frame[2] | (cursor << (width * depth))
         chosen.append(cursor)
         depth += 1
         if budget_phase is not None:
@@ -620,9 +593,12 @@ def _maximization_dfs(
                 len(results), phase=budget_phase, depth=depth
             )
         if depth < last:
-            stack.append([cursor, count, grown, None, key])
+            missing = ~closing
+            passing = [
+                index for index in range(cursor, count) if not required[index] & missing
+            ]
+            stack.append([iter(passing), grown, key])
             continue
-        closing = _closing_set(grown, label_invalid)
         index = position[closing] if closing else -1
         best_index[key] = index
         if index >= cursor:
@@ -656,20 +632,11 @@ def _maximization_dfs(
 
 
 # hotpath
-def _closing_set(frontier: int, label_invalid: list[int]) -> int:
-    """``best(F)``: the labels every element of ``frontier`` extends by."""
-    closing = 0
-    for label_id, bad in enumerate(label_invalid):
-        if not frontier & bad:
-            closing |= 1 << label_id
-    return closing
-
-
-# hotpath
 def search_maximization_chunk(
     candidates: tuple[int, ...],
     minimal_labels: tuple[tuple[int, ...], ...],
     trans: tuple[tuple[int, ...], ...],
+    extends: tuple[int, ...],
     arity: int,
     first_index: int,
 ) -> list[tuple[int, ...]]:
@@ -681,13 +648,14 @@ def search_maximization_chunk(
     are order- and content-identical to a single DFS.  Both still await
     :func:`close_first_coordinate`.  ``minimal_labels`` holds each
     candidate's minimal label ids
-    (:meth:`KernelProblem.node_minimal_labels`) and ``trans`` is the
-    closure machine of :func:`closure_machine`.
+    (:meth:`KernelProblem.node_minimal_labels`); ``trans`` and
+    ``extends`` come from :meth:`KernelProblem.node_dfs_machine`.
     """
     return _maximization_dfs(
         candidates,
         minimal_labels,
         trans,
+        extends,
         arity,
         first_index,
         first_index + 1,
@@ -700,6 +668,7 @@ def close_first_coordinate(
     candidates: tuple[int, ...],
     minimal_labels: tuple[tuple[int, ...], ...],
     trans: tuple[tuple[int, ...], ...],
+    extends: tuple[int, ...],
 ) -> list[tuple[int, ...]]:
     """The last maximality check: keep a DFS leaf iff its first set is
     ``best`` of its other sets.
@@ -707,12 +676,12 @@ def close_first_coordinate(
     :func:`_maximization_dfs` has checked every other coordinate; the
     complement of coordinate 0 starts in another chunk, so its frontier
     is walked here from the empty multiset (once per distinct
-    complement), through each set's minimal labels as in the DFS.  A
-    leaf whose first two sets coincide shares that complement with
-    coordinate 1 and passes as is.
+    complement), through each set's minimal labels as in the DFS, and
+    closed by the AND of ``extends`` over it.  A leaf whose first two
+    sets coincide shares that complement with coordinate 1 and passes
+    as is.
     """
     labels_of = dict(zip(candidates, minimal_labels))
-    label_range = range(len(trans))
     closing_of: dict[tuple[int, ...], int] = {}
     kept: list[tuple[int, ...]] = []
     for sets in leaves:
@@ -730,11 +699,9 @@ def close_first_coordinate(
                     for element in elements
                     for label_id in labels
                 }
-            closing = 0
-            for label_id in label_range:
-                transitions = trans[label_id]
-                if all(transitions[element] >= 0 for element in elements):
-                    closing |= 1 << label_id
+            closing = -1
+            for element in elements:
+                closing &= extends[element]
             closing_of[rest] = closing
         if closing == sets[0]:
             kept.append(sets)
@@ -763,13 +730,13 @@ def maximize_node_constraint_kernel(
     with _prof_section("node_max.prefix_closure"):
         kernel.node_prefix_closure()
     with _prof_section("node_max.machine"):
-        _elements, trans = kernel.node_dfs_machine()
+        _elements, trans, extends = kernel.node_dfs_machine()
     delta = kernel.delta
     with _prof_section("node_max.dfs"):
         chunks = None
         if pool is not None:
             chunks = pool.map_chunks(
-                (candidates, minimal_labels, trans, delta),
+                (candidates, minimal_labels, trans, extends, delta),
                 len(candidates),
                 phase="node-maximization",
             )
@@ -780,6 +747,7 @@ def maximize_node_constraint_kernel(
                 candidates,
                 minimal_labels,
                 trans,
+                extends,
                 delta,
                 0,
                 len(candidates),
@@ -787,7 +755,7 @@ def maximize_node_constraint_kernel(
             )
     with _prof_section("node_max.filter"):
         maximal = close_first_coordinate(
-            leaves, candidates, minimal_labels, trans
+            leaves, candidates, minimal_labels, trans, extends
         )
     if not maximal:
         raise InvalidProblem(

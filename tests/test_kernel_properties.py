@@ -264,13 +264,18 @@ def test_chunk_concatenation_equals_serial(name, problem):
     renamed = rename_to_strings(R(problem, use_kernel=True)).problem
     kernel = KernelProblem.of(renamed)
     candidates = kernel.node_right_closed_sets()
-    _elements, trans = kernel.node_dfs_machine()
+    _elements, trans, extends = kernel.node_dfs_machine()
     minimal_labels = kernel.node_minimal_labels()
     serial: list[tuple[int, ...]] = []
     for first_index in range(len(candidates)):
         serial.extend(
             search_maximization_chunk(
-                candidates, minimal_labels, trans, kernel.delta, first_index
+                candidates,
+                minimal_labels,
+                trans,
+                extends,
+                kernel.delta,
+                first_index,
             )
         )
     # Chunks are disjoint and each result starts with its chunk's set.
@@ -278,7 +283,9 @@ def test_chunk_concatenation_equals_serial(name, problem):
     for sets in serial:
         assert sets[0] in candidates
     # Filtering the concatenation reproduces the engine's serial answer.
-    maximal = close_first_coordinate(serial, candidates, minimal_labels, trans)
+    maximal = close_first_coordinate(
+        serial, candidates, minimal_labels, trans, extends
+    )
     rebuilt = {
         Configuration(kernel.interner.labels_of_mask(mask) for mask in sets)
         for sets in maximal
@@ -286,6 +293,89 @@ def test_chunk_concatenation_equals_serial(name, problem):
     assert rebuilt == set(
         maximize_node_constraint_kernel(renamed).configurations
     )
+
+
+def _label_invalid(trans):
+    """Per label, the bitmask of elements it cannot extend from."""
+    invalid = []
+    for transitions in trans:
+        valid = 0
+        for element, target in enumerate(transitions):
+            if target >= 0:
+                valid |= 1 << element
+        invalid.append(~valid)
+    return invalid
+
+
+def _bitmask_best(frontier_mask, label_invalid):
+    """The per-label ``best(F)`` of the bitmask DFS, kept as a twin: the
+    labels that extend from every element of the frontier bitmask."""
+    closing = 0
+    for label_id, bad in enumerate(label_invalid):
+        if not frontier_mask & bad:
+            closing |= 1 << label_id
+    return closing
+
+
+def _bitmask_step(frontier_mask, labels, trans):
+    """The bitmask DFS's grow step: ``None`` when some frontier element
+    cannot take one of ``labels``, else the OR of the image bits."""
+    grown = 0
+    for element in iter_bits(frontier_mask):
+        for label_id in labels:
+            target = trans[label_id][element]
+            if target < 0:
+                return None
+            grown |= 1 << target
+    return grown
+
+
+def test_dict_frontiers_match_the_bitmask_search():
+    """The dict-frontier DFS against its bitmask twin on every frontier
+    the search reaches: the AND of ``extends`` equals the per-label
+    ``best(F)``, ``required[c] & ~best(F)`` is the all-or-nothing test,
+    and a dict step decodes to the bitmask step.  Runs over the
+    generated corpus and the MIS Delta=4-6 chain steps, their Rs
+    included, which reach the arity-1 and arity-2 paths too."""
+    arities = set()
+    for name, problem in _node_max_inputs():
+        kernel = KernelProblem.of(problem)
+        minimal_labels = kernel.node_minimal_labels()
+        _elements, trans, extends = kernel.node_dfs_machine()
+        label_invalid = _label_invalid(trans)
+        last = kernel.delta - 1
+        arities.add(kernel.delta)
+        seen = set()
+        level = [(0, {0: None})]
+        for depth in range(last + 1):
+            grown_level = []
+            for first, frontier in level:
+                mask = sum(1 << element for element in frontier)
+                best = -1
+                for element in frontier:
+                    best &= extends[element]
+                assert best == _bitmask_best(mask, label_invalid), name
+                if depth == last:
+                    continue
+                for index in range(first, len(minimal_labels)):
+                    labels = minimal_labels[index]
+                    old = _bitmask_step(mask, labels, trans)
+                    assert (old is None) == bool(
+                        mask_from_ids(labels) & ~best
+                    ), name
+                    if old is None:
+                        continue
+                    grown = dict.fromkeys(
+                        trans[label_id][element]
+                        for label_id in labels
+                        for element in frontier
+                    )
+                    assert sum(1 << element for element in grown) == old, name
+                    if (old, index) not in seen:
+                        seen.add((old, index))
+                        grown_level.append((index, grown))
+            level = grown_level
+    assert {1, 2} <= arities, sorted(arities)
 
 
 def test_mis6_second_step_search_tree():

@@ -84,8 +84,8 @@ def dfs_payload(problem):
     """``map_chunks``' payload for ``problem``'s maximization DFS."""
     kernel = KernelProblem.of(problem)
     candidates = kernel.node_right_closed_sets()
-    _elements, trans = kernel.node_dfs_machine()
-    return candidates, kernel.node_minimal_labels(), trans, kernel.delta
+    _elements, trans, extends = kernel.node_dfs_machine()
+    return candidates, kernel.node_minimal_labels(), trans, extends, kernel.delta
 
 
 # ---------------------------------------------------------------------------

@@ -454,7 +454,7 @@ class TestReproLint:
         assert "violation" in completed.stderr
 
 
-class TestReproAnalysis:
+class TestReproLintDetectors:
     """The whole-program detectors, reached through the one lint CLI."""
 
     def test_shipped_tree_is_clean(self):
