@@ -561,12 +561,14 @@ def _maximization_dfs(
     chosen: list[int] = []
     stack: list[list] = []
     if last == 0:
-        closing = extends[0]
-        if closing and lo <= position[closing] < hi:
-            results.append((closing,))
+        best = extends[0]
+        if best and lo <= position[best] < hi:
+            results.append((best,))
     else:
         missing = ~extends[0]
-        passing = [index for index in range(lo, hi) if not required[index] & missing]
+        passing = [
+            index for index in range(lo, hi) if not required[index] & missing
+        ]
         stack.append([iter(passing), {0: None}, 0])
     while stack:
         frame = stack[-1]
@@ -580,9 +582,9 @@ def _maximization_dfs(
         grown = dict.fromkeys(
             [row[element] for row in steps[cursor] for element in frontier]
         )
-        closing = -1
+        best = -1
         for element in grown:
-            closing &= extends[element]
+            best &= extends[element]
         frames += 1
         depth = len(chosen)
         key = frame[2] | (cursor << (width * depth))
@@ -593,13 +595,13 @@ def _maximization_dfs(
                 len(results), phase=budget_phase, depth=depth
             )
         if depth < last:
-            missing = ~closing
+            missing = ~best
             passing = [
                 index for index in range(cursor, count) if not required[index] & missing
             ]
             stack.append([iter(passing), grown, key])
             continue
-        index = position[closing] if closing else -1
+        index = position[best] if best else -1
         best_index[key] = index
         if index >= cursor:
             if budget_phase is not None:
@@ -608,7 +610,7 @@ def _maximization_dfs(
                 )
             results.append(
                 tuple(candidates[chosen_index] for chosen_index in chosen)
-                + (closing,)
+                + (best,)
             )
             leaf_keys.append(key | (index << (width * depth)))
         chosen.pop()
