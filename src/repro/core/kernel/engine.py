@@ -500,11 +500,11 @@ def _maximization_dfs(
     One explicit-stack loop serves both the serial search
     (``lo=0, hi=len(candidates)``, budgeted) and a parallel chunk
     (``lo=first_index, hi=first_index+1``, unbudgeted): frames are
-    ``[pending, frontier, key]`` plus a parallel ``chosen`` list of
-    candidate indices.  A frontier is a short dict whose keys are the
-    closure-machine element indices the prefix reaches; ``best(F)``,
-    the labels every one of them extends by, is the AND of ``extends``
-    over it, computed once per accepted prefix.
+    ``[cursor, limit, frontier, best, key]`` plus a parallel ``chosen``
+    list of candidate indices.  A frontier is a short dict whose keys
+    are the closure-machine element indices the prefix reaches, and
+    ``best`` is ``best(F)``, the labels every one of them extends by:
+    the AND of ``extends`` over it, computed once per accepted prefix.
 
     Each candidate is walked through its ``minimal_labels``
     (:meth:`KernelProblem.node_minimal_labels`), not all its members.
@@ -515,10 +515,8 @@ def _maximization_dfs(
     tree.  The all-or-nothing test is one small-int test: candidate
     ``c`` extends every element of ``F`` by each of its minimal labels
     exactly when ``required[c]``, the mask of those labels, lies inside
-    ``best(F)``.  A frame's ``pending`` iterator holds the candidates
-    of its range that pass, filtered when the frame is pushed, and
-    stepping through one reads ``trans[label][element]`` for each
-    minimal label and frontier element.
+    ``best(F)``.  A step that passes reads ``trans[label][element]``
+    for each minimal label and frontier element.
 
     The search stops at depth ``arity - 1`` and closes the last
     coordinate instead of searching it.  A prefix with frontier ``F``
@@ -565,20 +563,19 @@ def _maximization_dfs(
         if best and lo <= position[best] < hi:
             results.append((best,))
     else:
-        missing = ~extends[0]
-        passing = [
-            index for index in range(lo, hi) if not required[index] & missing
-        ]
-        stack.append([iter(passing), {0: None}, 0])
+        stack.append([lo, hi, {0: None}, extends[0], 0])
     while stack:
         frame = stack[-1]
-        cursor = next(frame[0], -1)
-        if cursor < 0:
+        cursor = frame[0]
+        if cursor == frame[1]:
             stack.pop()
             if chosen:
                 chosen.pop()
             continue
-        frontier = frame[1]
+        frame[0] = cursor + 1
+        if required[cursor] & ~frame[3]:
+            continue
+        frontier = frame[2]
         grown = dict.fromkeys(
             [row[element] for row in steps[cursor] for element in frontier]
         )
@@ -587,7 +584,7 @@ def _maximization_dfs(
             best &= extends[element]
         frames += 1
         depth = len(chosen)
-        key = frame[2] | (cursor << (width * depth))
+        key = frame[4] | (cursor << (width * depth))
         chosen.append(cursor)
         depth += 1
         if budget_phase is not None:
@@ -595,11 +592,7 @@ def _maximization_dfs(
                 len(results), phase=budget_phase, depth=depth
             )
         if depth < last:
-            missing = ~best
-            passing = [
-                index for index in range(cursor, count) if not required[index] & missing
-            ]
-            stack.append([iter(passing), grown, key])
+            stack.append([cursor, count, grown, best, key])
             continue
         index = position[best] if best else -1
         best_index[key] = index
