@@ -779,10 +779,12 @@ def _existential_dfs(
 ) -> list[tuple[int, ...]]:
     """The iterative keep-survivors DFS over the closure machine.
 
-    Frames as in :func:`_maximization_dfs` minus the prefix key, and
-    the search runs to full depth over every label.  The grow step ORs
-    the surviving transitions instead of failing on the first invalid
-    one, and an empty grown frontier (mask ``0``, impossible after a
+    Frames are ``[cursor, limit, frontier_mask, members]``: the
+    frontier is an int bitmask over element indices (initially ``1``,
+    the empty pack) and ``members`` caches its bit decomposition.  The
+    search runs to full depth over every label.  The grow step ORs the
+    surviving transitions instead of failing on the first invalid one,
+    and an empty grown frontier (mask ``0``, impossible after a
     successful step since element 0 is never re-entered) prunes the
     branch.  Emits label-*index* tuples; the caller owns the label
     list.
@@ -791,10 +793,11 @@ def _existential_dfs(
     count = len(member_labels)
     element_count = len(trans[0]) if trans else 1
     element_range = range(element_count)
-    # Same lazy per-label image memo as the maximization driver, minus
-    # the validity masks: a label that cannot extend from an element
-    # simply contributes no bit, and a branch dies only when the whole
-    # grown frontier comes out empty.
+    # Lazy per-label image memo (``label_image[lab][e]`` is the bit of
+    # ``trans[lab][e]``) and per-candidate rows ORing its labels' images:
+    # a label that cannot extend from an element simply contributes no
+    # bit, and a branch dies only when the whole grown frontier comes
+    # out empty.
     label_image: dict[int, list[int]] = {}
     rows: list[list[int] | None] = [None] * count
     _budget.check_configurations(0, phase="existential", depth=0)
