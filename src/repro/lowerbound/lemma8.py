@@ -56,10 +56,11 @@ def verify_lemma8_direct(
 ) -> bool:
     """Full engine check of Lemma 8 at one grid point.
 
-    The cost grows about fourfold per Delta.  On the kernel, on a
+    The cost grows about 3.5-fold per Delta.  On the kernel, on a
     2-vCPU Xeon with Python 3.11, the whole grid ``x + 2 <= a <= Delta``
-    takes about 1.3 s at Delta = 6 and 5.4 s at Delta = 7, and the
-    point (8, 8, 6) about 2.3 s.
+    takes about 1.0 s at Delta = 6, 3.5 s at Delta = 7 and 12.5 s at
+    Delta = 8, where the slowest points, (8, 2, 0) and (8, 8, 6), take
+    about 1 s each.
 
     R, the node maximization and the existential edge constraint run
     on the kernel unless ``use_kernel=False`` selects the reference
