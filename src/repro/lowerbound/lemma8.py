@@ -58,7 +58,7 @@ def verify_lemma8_direct(
 
     The cost grows about 3.5-fold per Delta.  On the kernel, on a
     2-vCPU Xeon with Python 3.11, the whole grid ``x + 2 <= a <= Delta``
-    takes about 1.0 s at Delta = 6, 3.5 s at Delta = 7 and 12.5 s at
+    takes about 1.0 s at Delta = 6, 3.5 s at Delta = 7 and 13 s at
     Delta = 8, where the slowest points, (8, 2, 0) and (8, 8, 6), take
     about 1 s each.
 
