@@ -23,19 +23,14 @@ file.
   (1.5x) below the best recorded hot-path row.  Comparing *ratios*
   rather than seconds keeps the gate meaningful across machines.  Rows
   marked ``legacy`` (with a ``legacy_reason``) are kept for the record
-  but set no floor, and neither do cache, scenario or parallel rows.
+  but set no floor, and neither do cache or scenario rows.
   The gate also fails on semantic-counter drift between the engines,
   on a cache-transparency violation (:func:`cache_gate`), and on any
   expectation failure or cross-engine divergence of the registry's
   ``quick`` scenarios (currently the Delta=2 maximal-matching
   self-reduction, a non-MIS family).
-* ``PYTHONPATH=src python benchmarks/bench_kernel.py --parallel``
-  appends a ``mode: parallel`` row for the cold Delta=7 chain, serial
-  vs ``workers=2`` (the largest chain the fan-out of ``Rbar``'s
-  node-maximization DFS is measured on), with the shared result
-  fingerprint.  (The older
-  ``mode: sharded`` rows are ``legacy``: the scheduler they measured
-  is gone.)
+* The ``mode: parallel`` and ``mode: sharded`` rows are ``legacy``:
+  the process fan-outs they measured are gone.
 * ``PYTHONPATH=src python benchmarks/bench_kernel.py --hotpath``
   appends a ``mode: hotpath`` row for the *cold* Delta=5 chain (fresh
   problems, serial kernel) with the per-op timing and
@@ -64,7 +59,6 @@ import subprocess
 import sys
 import time
 
-from repro.core.cache import fingerprint
 from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
 from repro.observability.metrics import (
     diff_semantic_profiles,
@@ -89,12 +83,6 @@ REGRESSION_FACTOR = 3.0
 #: single run, and keeps ``--quick`` under 10 s on a 2-core host.
 PAIRS = 5
 QUICK_PAIRS = 3
-
-#: The parallel row: the smallest MIS chain where the process fan-out
-#: beats the serial kernel on a 2-core host (smaller chains are
-#: dominated by pool start-up and payload shipping).
-PARALLEL_DELTA = 7
-PARALLEL_WORKERS = 2
 
 #: The hot-path row: the serial cold Delta=5 chain the engine rewrite
 #: optimizes.  The quick gate tolerates a 1.5x ratio regression against
@@ -121,14 +109,6 @@ def test_kernel_rbar_timing(benchmark):
         lambda: Rbar(intermediate, use_kernel=True), iterations=1, rounds=3
     )
     assert result == Rbar(intermediate)
-
-
-def test_parallel_rbar_matches_serial(once):
-    """The multiprocessing fan-out is timed and must equal the serial
-    kernel result (on single-core CI this measures overhead, not gain)."""
-    intermediate = rename_to_strings(R(mis_problem(4))).problem
-    parallel = once(lambda: Rbar(intermediate, use_kernel=True, workers=2))
-    assert parallel == Rbar(intermediate, use_kernel=True)
 
 
 # ---------------------------------------------------------------------------
@@ -396,34 +376,6 @@ def cache_gate() -> int:
     return 0
 
 
-def run_parallel_chain(workers: int | None):
-    """The cold Delta=7 MIS chain, serial or fanned out over ``workers``."""
-    problem = mis_problem(PARALLEL_DELTA)
-    for _ in range(MIS_CHAIN_STEPS):
-        problem = speedup(problem, use_kernel=True, workers=workers).problem
-    return problem
-
-
-def record_parallel() -> int:
-    """Append a ``mode: parallel`` serial-vs-``workers`` row; every
-    parallel result must equal the serial one."""
-    timing, problem = measure_pairs(
-        ("serial", functools.partial(run_parallel_chain, None)),
-        ("parallel", functools.partial(run_parallel_chain, PARALLEL_WORKERS)),
-        PAIRS,
-    )
-    entry = {
-        "chain": f"mis_delta{PARALLEL_DELTA}_steps{MIS_CHAIN_STEPS}",
-        "mode": "parallel",
-        "workers": PARALLEL_WORKERS,
-        **timing,
-        "fingerprint": fingerprint(problem),
-    }
-    print(f"{entry['chain']} parallel: {describe(entry)}")
-    write_rows([entry])
-    return 0
-
-
 def run_hotpath_chain(*, use_kernel: bool = True):
     """The cold serial Delta=5 chain: every run builds fresh problems,
     so every measurement pays the full interning and search cost the
@@ -605,7 +557,6 @@ def quick_gate(trace_path: str | None = None) -> int:
 
 def main(argv: list[str]) -> int:
     quick = False
-    parallel = False
     hotpath = False
     trace_path: str | None = None
     arguments = list(argv)
@@ -620,8 +571,6 @@ def main(argv: list[str]) -> int:
     for argument in arguments:
         if argument == "--quick":
             quick = True
-        elif argument == "--parallel":
-            parallel = True
         elif argument == "--hotpath":
             hotpath = True
         else:
@@ -636,8 +585,6 @@ def main(argv: list[str]) -> int:
     try:
         if quick:
             return quick_gate(trace_path)
-        if parallel:
-            return record_parallel()
         if hotpath:
             return record_hotpath(trace_path)
         return record()

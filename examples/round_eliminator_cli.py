@@ -1,6 +1,6 @@
 """A tiny round-eliminator CLI, in the spirit of Olivetti's tool [36].
 
-Run:  python examples/round_eliminator_cli.py [steps] [--kernel [--workers N]]
+Run:  python examples/round_eliminator_cli.py [steps] [--kernel]
           [--self-reduce] [--cache] [--trace out.jsonl] [--metrics]
 
 Reads a problem from stdin in the paper's condensed syntax — node
@@ -12,10 +12,7 @@ constraint.  With no stdin input, demonstrates on sinkless orientation.
 ``condense(speedup(condense(.)))`` instead of the plain speedup at each
 step, and reports when the chain hits an isomorphism fixed point.
 ``--kernel`` routes the operators through the interned bitmask fast
-path (identical output, measured in benchmarks/bench_kernel.py), and
-``--workers N`` (N >= 1) additionally fans the kernel's node-maximization
-DFS out over N processes (output stays byte-identical).  A bad ``--workers``
-value exits 2.
+path (identical output, measured in benchmarks/bench_kernel.py).
 ``--trace out.jsonl`` writes the run's span trace as JSON lines and
 ``--metrics`` prints the per-phase counter table after the run.
 ``--cache`` memoizes operator results in the content-addressed store
@@ -38,12 +35,11 @@ import sys
 from repro.core.cache import OperatorCache, caching, default_cache_dir
 from repro.core.diagram import edge_diagram, node_diagram
 from repro.core.problem import Problem
-from repro.core.round_elimination import check_workers, speedup
+from repro.core.round_elimination import speedup
 from repro.core.self_reduction import self_reduce
 from repro.core.solvability import zero_round_solvable_pn
 from repro.observability.cli import cli_tracing
 from repro.problems.classic import sinkless_orientation_problem
-from repro.robustness.errors import EngineMisuse
 
 
 def read_problem_from_stdin() -> Problem | None:
@@ -64,21 +60,9 @@ def read_problem_from_stdin() -> Problem | None:
     return Problem.from_text(node_lines, edge_lines, name="stdin problem")
 
 
-def _int_option(arguments: list[str], index: int, name: str) -> int:
-    if index + 1 >= len(arguments):
-        raise SystemExit(f"error: {name} requires a value")
-    try:
-        return int(arguments[index + 1])
-    except ValueError:
-        raise SystemExit(
-            f"error: {name} expects an integer, got {arguments[index + 1]!r}"
-        )
-
-
 def main() -> None:
     arguments = sys.argv[1:]
     use_kernel = False
-    workers = None
     trace_path = None
     metrics = False
     use_cache = False
@@ -89,9 +73,6 @@ def main() -> None:
         argument = arguments[index]
         if argument == "--kernel":
             use_kernel = True
-        elif argument == "--workers":
-            workers = _int_option(arguments, index, "--workers")
-            index += 1
         elif argument == "--trace":
             if index + 1 >= len(arguments):
                 raise SystemExit("error: --trace requires a path")
@@ -109,11 +90,6 @@ def main() -> None:
             positional.append(argument)
         index += 1
     try:
-        check_workers(workers, use_kernel=use_kernel, operator="cli")
-    except EngineMisuse as error:
-        print(f"error: --workers: {error}", file=sys.stderr)
-        raise SystemExit(2)
-    try:
         steps = int(positional[0]) if positional else 2
     except ValueError:
         raise SystemExit(f"error: steps must be an integer, got {positional[0]!r}")
@@ -122,7 +98,7 @@ def main() -> None:
         print("(no stdin input - demonstrating on sinkless orientation)")
         problem = sinkless_orientation_problem(3)
     if use_kernel:
-        print("(engine: kernel fast path" + (f", {workers} workers)" if workers else ")"))
+        print("(engine: kernel fast path)")
     store = None
     if use_cache:
         store = OperatorCache(default_cache_dir())
@@ -144,14 +120,12 @@ def main() -> None:
             if step_index == steps:
                 break
             if use_self_reduce:
-                step = self_reduce(problem, use_kernel=use_kernel, workers=workers)
+                step = self_reduce(problem, use_kernel=use_kernel)
                 if step.fixed_point:
                     print("(self-reduction fixed point: the chain repeats from here)")
                 problem = step.problem
             else:
-                problem = speedup(
-                    problem, use_kernel=use_kernel, workers=workers
-                ).problem
+                problem = speedup(problem, use_kernel=use_kernel).problem
             problem.name = f"step {step_index + 1}"
     if store is not None:
         print(store.summary_line())

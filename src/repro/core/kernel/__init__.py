@@ -1,6 +1,5 @@
 """Fast-path round-elimination kernel: interned labels, bitset
-constraints, memoized lattices, and an opt-in process fan-out of
-``Rbar``'s node-maximization DFS (:mod:`repro.core.kernel.parallel`).
+constraints, memoized lattices and explicit-stack searches.
 
 The reference engine (:mod:`repro.core.round_elimination` and friends)
 stays the semantic source of truth; this package is its performance

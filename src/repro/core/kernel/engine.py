@@ -27,10 +27,7 @@ repeatedly pay for the analysis once.
 Budgets: the kernel calls the same ambient-budget checkpoints
 (:mod:`repro.robustness.budget`) with the same phase names as the
 reference engine, so ``governed()`` wall clocks, configuration caps and
-fault-injection probes keep working on the fast path.  When ``Rbar``'s
-maximization DFS fans out, the checkpoints fire between returned shards
-(workers themselves run unbudgeted); see
-:mod:`repro.core.kernel.parallel`.
+fault-injection probes keep working on the fast path.
 """
 
 from __future__ import annotations
@@ -56,11 +53,6 @@ from repro.observability import trace as _trace
 from repro.observability.profiling import section as _prof_section
 from repro.robustness import budget as _budget
 from repro.robustness.errors import InvalidProblem
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.core.kernel.parallel import KernelPool
-
 
 # hotpath
 def partner_mask(compat: tuple[int, ...] | list[int], full: int, mask: int) -> int:
@@ -492,18 +484,14 @@ def _maximization_dfs(
     trans: tuple[tuple[int, ...], ...],
     extends: tuple[int, ...],
     arity: int,
-    lo: int,
-    hi: int,
-    budget_phase: str | None = None,
 ) -> list[tuple[int, ...]]:
     """The iterative all-or-nothing DFS over the closure machine.
 
-    One explicit-stack loop serves both the serial search
-    (``lo=0, hi=len(candidates)``, budgeted) and a parallel chunk
-    (``lo=first_index, hi=first_index+1``, unbudgeted): frames are
-    ``[cursor, limit, frontier, best, key]`` plus a parallel ``chosen``
-    list of candidate indices.  A frontier is a short dict whose keys
-    are the closure-machine element indices the prefix reaches, and
+    One explicit-stack loop searches every multiset of right-closed
+    sets, under the ``"node-maximization"`` budget phase: frames are
+    ``[cursor, frontier, best, key]``, and a ``chosen`` list beside
+    the stack holds the prefix's candidate indices.  A frontier is a short dict whose keys are
+    the closure-machine element indices the prefix reaches, and
     ``best`` is ``best(F)``, the labels every one of them extends by:
     the AND of ``extends`` over it, computed once per accepted prefix.
 
@@ -530,16 +518,14 @@ def _maximization_dfs(
     in the order the full search listed it.
 
     A leaf is maximal iff each coordinate equals ``best`` of the
-    others.  The complement of a coordinate ``i >= 1`` keeps the first
-    set, so it is a depth-``arity - 1`` prefix of this very range: those
-    coordinates are checked here against the per-prefix memo (candidate
-    index of ``best``, ``-1`` for none, keyed by the prefix's indices
-    packed ``width`` bits apiece).  Coordinate 0 is left to
-    :func:`close_first_coordinate`, which the caller runs once on the
-    serial and fanned-out results alike.  The timing counters
-    ``node_max.frames`` (prefixes opened, closed ones included) and
-    ``node_max.leaves`` (leaves emitted before any filter) go to the
-    open span once per call.
+    others.  The complement of any coordinate is a depth-``arity - 1``
+    sub-multiset of a leaf, hence a prefix this search has opened, so
+    every coordinate is checked after the search against the
+    per-prefix memo (candidate index of ``best``, ``-1`` for none,
+    keyed by the prefix's indices packed ``width`` bits apiece).  The
+    timing counters ``node_max.frames`` (prefixes opened, closed ones
+    included) and ``node_max.leaves`` (leaves emitted before any
+    filter) go to the open span once per call.
     """
     results: list[tuple[int, ...]] = []
     count = len(candidates)
@@ -551,32 +537,32 @@ def _maximization_dfs(
         tuple(trans[label_id] for label_id in labels) for labels in minimal_labels
     ]
     required = [mask_from_ids(labels) for labels in minimal_labels]
+    pick = candidates.__getitem__
     best_index: dict[int, int] = {}
     leaf_keys: list[int] = []
     frames = 0
     last = arity - 1
-    if budget_phase is not None:
-        _budget.check_configurations(0, phase=budget_phase, depth=0)
+    phase = "node-maximization"
+    _budget.check_configurations(0, phase=phase, depth=0)
     chosen: list[int] = []
     stack: list[list] = []
     if last == 0:
-        best = extends[0]
-        if best and lo <= position[best] < hi:
-            results.append((best,))
+        if extends[0]:
+            results.append((extends[0],))
     else:
-        stack.append([lo, hi, {0: None}, extends[0], 0])
+        stack.append([0, {0: None}, extends[0], 0])
     while stack:
         frame = stack[-1]
         cursor = frame[0]
-        if cursor == frame[1]:
+        if cursor == count:
             stack.pop()
             if chosen:
                 chosen.pop()
             continue
         frame[0] = cursor + 1
-        if required[cursor] & ~frame[3]:
+        if required[cursor] & ~frame[2]:
             continue
-        frontier = frame[2]
+        frontier = frame[1]
         grown = dict.fromkeys(
             [row[element] for row in steps[cursor] for element in frontier]
         )
@@ -585,37 +571,28 @@ def _maximization_dfs(
             best &= extends[element]
         frames += 1
         depth = len(chosen)
-        key = frame[4] | (cursor << (width * depth))
+        key = frame[3] | (cursor << (width * depth))
         chosen.append(cursor)
         depth += 1
-        if budget_phase is not None:
-            _budget.check_configurations(
-                len(results), phase=budget_phase, depth=depth
-            )
+        _budget.check_configurations(len(results), phase=phase, depth=depth)
         if depth < last:
-            stack.append([cursor, count, grown, best, key])
+            stack.append([cursor, grown, best, key])
             continue
         index = position[best] if best else -1
         best_index[key] = index
         if index >= cursor:
-            if budget_phase is not None:
-                _budget.check_configurations(
-                    len(results), phase=budget_phase, depth=arity
-                )
-            results.append(
-                tuple(candidates[chosen_index] for chosen_index in chosen)
-                + (best,)
-            )
+            _budget.check_configurations(len(results), phase=phase, depth=arity)
+            results.append(tuple(map(pick, chosen)) + (best,))
             leaf_keys.append(key | (index << (width * depth)))
         chosen.pop()
     _trace.add("node_max.frames", frames)
     _trace.add("node_max.leaves", len(results))
-    if last < 2:
+    if last < 1:
         return results
     field = (1 << width) - 1
     kept: list[tuple[int, ...]] = []
     for sets, key in zip(results, leaf_keys):
-        for coordinate in range(1, last):
+        for coordinate in range(last):
             below = width * coordinate
             complement = (key & ((1 << below) - 1)) | (
                 (key >> (below + width)) << below
@@ -627,95 +604,11 @@ def _maximization_dfs(
     return kept
 
 
-# hotpath
-def search_maximization_chunk(
-    candidates: tuple[int, ...],
-    minimal_labels: tuple[tuple[int, ...], ...],
-    trans: tuple[tuple[int, ...], ...],
-    extends: tuple[int, ...],
-    arity: int,
-    first_index: int,
-) -> list[tuple[int, ...]]:
-    """Explore the DFS subtree whose first chosen set is ``candidates[first_index]``.
-
-    This is the unit of work :mod:`repro.core.kernel.parallel` fans
-    out: the serial search is exactly the concatenation of the chunks
-    for ``first_index = 0 .. len(candidates) - 1``, so chunked results
-    are order- and content-identical to a single DFS.  Both still await
-    :func:`close_first_coordinate`.  ``minimal_labels`` holds each
-    candidate's minimal label ids
-    (:meth:`KernelProblem.node_minimal_labels`); ``trans`` and
-    ``extends`` come from :meth:`KernelProblem.node_dfs_machine`.
-    """
-    return _maximization_dfs(
-        candidates,
-        minimal_labels,
-        trans,
-        extends,
-        arity,
-        first_index,
-        first_index + 1,
-    )
-
-
-# hotpath
-def close_first_coordinate(
-    leaves: list[tuple[int, ...]],
-    candidates: tuple[int, ...],
-    minimal_labels: tuple[tuple[int, ...], ...],
-    trans: tuple[tuple[int, ...], ...],
-    extends: tuple[int, ...],
-) -> list[tuple[int, ...]]:
-    """The last maximality check: keep a DFS leaf iff its first set is
-    ``best`` of its other sets.
-
-    :func:`_maximization_dfs` has checked every other coordinate; the
-    complement of coordinate 0 starts in another chunk, so its frontier
-    is walked here from the empty multiset (once per distinct
-    complement), through each set's minimal labels as in the DFS, and
-    closed by the AND of ``extends`` over it.  A leaf whose first two
-    sets coincide shares that complement with coordinate 1 and passes
-    as is.
-    """
-    labels_of = dict(zip(candidates, minimal_labels))
-    closing_of: dict[tuple[int, ...], int] = {}
-    kept: list[tuple[int, ...]] = []
-    for sets in leaves:
-        if len(sets) < 2 or sets[0] == sets[1]:
-            kept.append(sets)
-            continue
-        rest = sets[1:]
-        closing = closing_of.get(rest)
-        if closing is None:
-            elements: dict[int, None] = {0: None}
-            for mask in rest:
-                labels = labels_of[mask]
-                elements = {
-                    trans[label_id][element]: None
-                    for element in elements
-                    for label_id in labels
-                }
-            closing = -1
-            for element in elements:
-                closing &= extends[element]
-            closing_of[rest] = closing
-        if closing == sets[0]:
-            kept.append(sets)
-    return kept
-
-
-def maximize_node_constraint_kernel(
-    problem: Problem, *, pool: KernelPool | None = None
-) -> Constraint:
+def maximize_node_constraint_kernel(problem: Problem) -> Constraint:
     """Kernel twin of :func:`repro.core.round_elimination.maximize_node_constraint`.
 
-    With a usable ``pool`` the arity-Delta DFS fans out over worker
-    processes, chunked by the top-level right-closed-set prefix (see
-    :mod:`repro.core.kernel.parallel`); otherwise, including when the
-    platform cannot start processes, it runs serially with per-node
-    budget checkpoints exactly like the reference implementation.
-    Either way :func:`close_first_coordinate` then runs once on the
-    merged leaves.
+    Runs :func:`_maximization_dfs` in-process, with per-node budget
+    checkpoints exactly like the reference implementation.
     """
     kernel = KernelProblem.of(problem)
     interner = kernel.interner
@@ -729,29 +622,8 @@ def maximize_node_constraint_kernel(
         _elements, trans, extends = kernel.node_dfs_machine()
     delta = kernel.delta
     with _prof_section("node_max.dfs"):
-        chunks = None
-        if pool is not None:
-            chunks = pool.map_chunks(
-                (candidates, minimal_labels, trans, extends, delta),
-                len(candidates),
-                phase="node-maximization",
-            )
-        if chunks is not None:
-            leaves = [item for chunk in chunks for item in chunk]
-        else:
-            leaves = _maximization_dfs(
-                candidates,
-                minimal_labels,
-                trans,
-                extends,
-                delta,
-                0,
-                len(candidates),
-                budget_phase="node-maximization",
-            )
-    with _prof_section("node_max.filter"):
-        maximal = close_first_coordinate(
-            leaves, candidates, minimal_labels, trans, extends
+        maximal = _maximization_dfs(
+            candidates, minimal_labels, trans, extends, delta
         )
     if not maximal:
         raise InvalidProblem(
@@ -940,17 +812,13 @@ def kernel_R(problem: Problem) -> Problem:
     return Problem(Alphabet(sigma), node_constraint, edge_constraint, name=name)
 
 
-def kernel_Rbar(problem: Problem, *, pool: KernelPool | None = None) -> Problem:
-    """Kernel twin of :func:`repro.core.round_elimination.Rbar`.
-
-    A ``pool`` (a :class:`~repro.core.kernel.parallel.KernelPool`)
-    fans out the maximization DFS; the existential step stays serial.
-    """
+def kernel_Rbar(problem: Problem) -> Problem:
+    """Kernel twin of :func:`repro.core.round_elimination.Rbar`."""
     with _trace.span(
         "op.Rbar", engine="kernel", problem=problem.name, delta=problem.delta
     ) as span:
         span.add("labels.in", len(problem.alphabet))
-        node_constraint = maximize_node_constraint_kernel(problem, pool=pool)
+        node_constraint = maximize_node_constraint_kernel(problem)
         sigma = sorted(node_constraint.labels_used(), key=_set_sort_key)
         _budget.check_alphabet(
             len(sigma), operator="Rbar", alphabet_before=len(problem.alphabet)
@@ -1116,6 +984,4 @@ __all__ = [
     "pack_ids",
     "partner_mask",
     "closure_machine",
-    "search_maximization_chunk",
-    "close_first_coordinate",
 ]

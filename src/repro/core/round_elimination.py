@@ -40,7 +40,7 @@ from repro.core.problem import Problem
 from repro.observability import trace as _trace
 from repro.observability.profiling import section as _prof_section
 from repro.robustness import budget as _budget
-from repro.robustness.errors import EngineMisuse, InvalidProblem
+from repro.robustness.errors import InvalidProblem
 
 
 # ---------------------------------------------------------------------------
@@ -312,38 +312,13 @@ def existential_condensed(
 # The R / Rbar operators and renaming
 # ---------------------------------------------------------------------------
 
-def check_workers(
-    workers: int | None, *, use_kernel: bool, operator: str
-) -> None:
-    """Reject a ``workers`` value no engine configuration can honor.
-
-    ``workers`` needs the kernel engine and must be at least 1;
-    ``None`` means serial.  Raises
-    :class:`~repro.robustness.errors.EngineMisuse` (a ``ValueError``).
-    """
-    if workers is None:
-        return
-    if not use_kernel:
-        raise EngineMisuse(
-            "workers requires use_kernel=True",
-            operator=operator,
-            workers=workers,
-        )
-    if workers < 1:
-        raise EngineMisuse(
-            "workers must be >= 1", operator=operator, workers=workers
-        )
-
-
 def R(problem: Problem, *, use_kernel: bool = False) -> Problem:
     """One maximization-on-edges step: the problem Pi' of Section 2.3.
 
     With ``use_kernel=True`` the interned bitmask fast path
     (:mod:`repro.core.kernel`) computes the same result; this object
     implementation remains the reference the kernel is differentially
-    tested against.  ``R`` always runs in-process: its edge pairing and
-    existential DFS cost less than starting a worker pool.  With an
-    ambient :func:`repro.core.cache.caching` store the whole operator
+    tested against.  With an ambient :func:`repro.core.cache.caching` store the whole operator
     is memoized by the problem's renaming-invariant fingerprint.
     """
     return _cache.cached_problem_operator(
@@ -375,47 +350,23 @@ def _R_uncached(problem: Problem, *, use_kernel: bool = False) -> Problem:
     return Problem(Alphabet(sigma), node_constraint, edge_constraint, name=name)
 
 
-def Rbar(
-    problem: Problem,
-    *,
-    use_kernel: bool = False,
-    workers: int | None = None,
-) -> Problem:
+def Rbar(problem: Problem, *, use_kernel: bool = False) -> Problem:
     """One maximization-on-nodes step: the problem Pi'' of Section 2.3.
 
-    With ``use_kernel=True`` the bitmask fast path runs instead; adding
-    ``workers=N`` (N > 1) additionally fans the arity-Delta
-    maximization DFS out over a
-    :class:`~repro.core.kernel.parallel.KernelPool` of N processes,
-    chunked by top-level prefix, for the length of this call.
-    ``workers`` requires the kernel and must be at least 1; anything
-    else raises :class:`~repro.robustness.errors.EngineMisuse` (a
-    ``ValueError``).  With an ambient :func:`repro.core.cache.caching`
-    store the whole operator is memoized by the problem's
-    renaming-invariant fingerprint.
+    With ``use_kernel=True`` the bitmask fast path runs instead.  With
+    an ambient :func:`repro.core.cache.caching` store the whole
+    operator is memoized by the problem's renaming-invariant
+    fingerprint.
     """
-    check_workers(workers, use_kernel=use_kernel, operator="Rbar")
     return _cache.cached_problem_operator(
-        "Rbar",
-        problem,
-        lambda: _Rbar_uncached(problem, use_kernel=use_kernel, workers=workers),
+        "Rbar", problem, lambda: _Rbar_uncached(problem, use_kernel=use_kernel)
     )
 
 
-def _Rbar_uncached(
-    problem: Problem,
-    *,
-    use_kernel: bool = False,
-    workers: int | None = None,
-) -> Problem:
+def _Rbar_uncached(problem: Problem, *, use_kernel: bool = False) -> Problem:
     if use_kernel:
         from repro.core.kernel.engine import kernel_Rbar
 
-        if workers is not None and workers > 1:
-            from repro.core.kernel.parallel import KernelPool
-
-            with KernelPool(workers) as pool:
-                return kernel_Rbar(problem, pool=pool)
         return kernel_Rbar(problem)
     with _trace.span(
         "op.Rbar", engine="reference", problem=problem.name, delta=problem.delta
@@ -500,7 +451,6 @@ def speedup(
     naming: dict | None = None,
     *,
     use_kernel: bool = False,
-    workers: int | None = None,
 ) -> SpeedupResult:
     """One full step ``Rbar(R(problem))`` with automatic renaming.
 
@@ -510,13 +460,10 @@ def speedup(
     such as the Delta-edge coloring the paper uses).
 
     ``use_kernel=True`` routes both operators through the interned
-    bitmask fast path; ``workers`` is passed to :func:`Rbar`, whose
-    node-maximization DFS is the one step that fans out (kernel only).
-    Output is identical either way.  Under an ambient
+    bitmask fast path.  Output is identical either way.  Under an ambient
     :func:`repro.core.cache.caching` store, ``speedup`` is memoized
     through its component ``R`` and ``Rbar`` lookups.
     """
-    check_workers(workers, use_kernel=use_kernel, operator="speedup")
     with _trace.span(
         "op.speedup",
         engine="kernel" if use_kernel else "reference",
@@ -527,9 +474,7 @@ def speedup(
         intermediate = R(problem, use_kernel=use_kernel)
         with _prof_section("speedup.rename"):
             intermediate_renamed = rename_to_strings(intermediate, naming=naming)
-        final = Rbar(
-            intermediate_renamed.problem, use_kernel=use_kernel, workers=workers
-        )
+        final = Rbar(intermediate_renamed.problem, use_kernel=use_kernel)
         with _prof_section("speedup.rename"):
             final_renamed = rename_to_strings(final)
         span.add("labels.out", len(final.alphabet))

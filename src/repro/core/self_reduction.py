@@ -48,7 +48,7 @@ from functools import partial
 from repro.core import cache as _cache
 from repro.core.diagram import Diagram
 from repro.core.problem import Problem
-from repro.core.round_elimination import SpeedupResult, check_workers, speedup
+from repro.core.round_elimination import SpeedupResult, speedup
 from repro.core.simplify import iterate_chain
 from repro.core.solvability import ZERO_ROUND_TESTS, ChainOutcome, certify_chain
 from repro.observability import trace as _trace
@@ -197,20 +197,16 @@ class SelfReductionStep:
 
 
 def self_reduce(
-    problem: Problem,
-    *,
-    use_kernel: bool = False,
-    workers: int | None = None,
+    problem: Problem, *, use_kernel: bool = False
 ) -> SelfReductionStep:
     """One self-reduction step: ``condense(speedup(condense(problem)))``.
 
     The result has complexity exactly ``max(T - 1, 0)`` on high-girth
     graphs when ``problem`` has complexity ``T`` (Theorem 3 for the
     speedup, exactness of both condensation moves for the rest).
-    ``use_kernel`` / ``workers`` thread through to the component
-    operators; output is identical either way.
+    ``use_kernel`` threads through to the component operators; output
+    is identical either way.
     """
-    check_workers(workers, use_kernel=use_kernel, operator="self_reduce")
     with _trace.span(
         "op.self_reduce",
         engine="kernel" if use_kernel else "reference",
@@ -219,7 +215,7 @@ def self_reduce(
     ) as span:
         span.add("labels.in", len(problem.alphabet))
         condensed = condense_problem(problem, use_kernel=use_kernel)
-        sped = speedup(condensed, use_kernel=use_kernel, workers=workers)
+        sped = speedup(condensed, use_kernel=use_kernel)
         reduced = condense_problem(sped.problem, use_kernel=use_kernel)
         span.add("labels.out", len(reduced.alphabet))
     return SelfReductionStep(
@@ -231,19 +227,19 @@ def self_reduce(
 
 
 def _speedup_step(
-    problem: Problem, *, use_kernel: bool = False, workers: int | None = None
+    problem: Problem, *, use_kernel: bool = False
 ) -> tuple[Problem, bool]:
     """One plain ``Rbar(R(.))`` step; a fixed point is an isomorphic image."""
-    result = speedup(problem, use_kernel=use_kernel, workers=workers).problem
+    result = speedup(problem, use_kernel=use_kernel).problem
     return result, result.is_isomorphic(problem)
 
 
 def _self_reduce_step(
-    problem: Problem, *, use_kernel: bool = False, workers: int | None = None
+    problem: Problem, *, use_kernel: bool = False
 ) -> tuple[Problem, bool]:
     """One budget-checked :func:`self_reduce` step and its fixed-point flag."""
     _budget.checkpoint(phase="self-reduction")
-    step = self_reduce(problem, use_kernel=use_kernel, workers=workers)
+    step = self_reduce(problem, use_kernel=use_kernel)
     return step.problem, step.fixed_point
 
 
@@ -262,7 +258,6 @@ def self_reduction_chain(
     *,
     policy: str = "pn",
     use_kernel: bool = False,
-    workers: int | None = None,
 ) -> ChainOutcome:
     """Iterate :func:`self_reduce`, tracking what the chain certifies.
 
@@ -290,7 +285,7 @@ def self_reduction_chain(
     ) as span:
         trajectory = iterate_chain(
             condense_problem(problem, use_kernel=use_kernel),
-            partial(_self_reduce_step, use_kernel=use_kernel, workers=workers),
+            partial(_self_reduce_step, use_kernel=use_kernel),
             max_steps,
         )
         outcome = certify_chain(trajectory, policy, use_kernel=use_kernel)

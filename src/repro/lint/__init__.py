@@ -3,7 +3,7 @@
 A zero-dependency analyzer for the conventions the engine's
 correctness story depends on.  One parse of each file feeds the
 per-file rules RL001-RL009 (:mod:`repro.lint.rules`: typed errors,
-determinism, picklable dispatch, declared counters, ``with``-entered
+determinism, declared counters, ``with``-entered
 contexts, provenance-after-persist, no stray prints, an annotated
 public API, scenario wiring) and then the whole-program detectors
 AN001-AN004 (:mod:`repro.lint.detectors`: hot-path allocation

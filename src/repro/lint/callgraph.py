@@ -18,17 +18,13 @@ analysis & typing"); what it handles:
 * local-variable receivers via light type propagation: parameter and
   variable annotations, ``x = ClassName(...)`` constructor results,
   and ``x = f(...)`` where ``f``'s return annotation names a class
-  (``KernelPool | None`` unwraps to ``KernelPool``);
+  (``Budget | None`` unwraps to ``Budget``);
 * ``self.attr.method(...)`` where ``self.attr`` carries a class type
   from an annotated assignment;
 * synthetic edges for indirect control flow the detectors must see
   through: functions passed as ``target=`` to ``Thread``/``Process``
-  (the target is marked a thread root when it is a ``Thread``),
-  bare references to known functions (registry dicts, callbacks), and
-  :class:`~repro.core.kernel.parallel.KernelPool` dispatch — a
-  ``map_chunks`` call gets an edge to ``search_maximization_chunk``,
-  the one chunk runner, since it executes in an executor worker the
-  graph cannot follow.
+  (the target is marked a thread root when it is a ``Thread``), and
+  bare references to known functions (registry dicts, callbacks).
 
 Everything else (duck-typed receivers, attributes of call results,
 ``**kwargs`` dispatch) stays unresolved and is surfaced per function
@@ -50,10 +46,6 @@ from dataclasses import dataclass, field
 
 from repro.lint.rules import FileContext
 from repro.lint.violations import Suppressions
-
-#: ``KernelPool.map_chunks`` runs this chunk runner in executor workers.
-_DISPATCH_CALLEE = "map_chunks"
-_CHUNK_RUNNER = "search_maximization_chunk"
 
 #: Constructors whose ``target=`` argument is a synthetic callee.
 _TARGET_CONSTRUCTORS = ("Thread", "Process")
@@ -113,8 +105,7 @@ class CallEdge:
 
     ``kind`` is ``"call"`` for a resolved call expression,
     ``"ref"`` for a bare function reference (may-call), ``"target"``
-    for a ``Thread``/``Process`` target, ``"dispatch"`` for a
-    synthetic ``KernelPool.map_chunks`` edge, and ``"nested"`` for the
+    for a ``Thread``/``Process`` target, and ``"nested"`` for the
     implicit edge from a function to a ``def`` nested inside it.
     """
 
@@ -386,13 +377,6 @@ class _Resolver:
         self.modules = modules
         self.functions = functions
         self.classes = classes
-        #: The chunk runner's qualname, when unique in the tree.
-        matches = [
-            qualname
-            for qualname, info in functions.items()
-            if info.name == _CHUNK_RUNNER and info.cls is None
-        ]
-        self.chunk_runner = matches[0] if len(matches) == 1 else None
 
     # -- class lookups ---------------------------------------------------
 
@@ -797,11 +781,6 @@ def _link_call(
                 )
                 if simple == "Thread":
                     thread_roots.add(resolved)
-    # KernelPool dispatch: map_chunks -> the chunk runner.
-    if simple == _DISPATCH_CALLEE and resolver.chunk_runner is not None:
-        edges.append(
-            CallEdge(info.qualname, resolver.chunk_runner, node.lineno, "dispatch")
-        )
 
 
 def _link_reference(

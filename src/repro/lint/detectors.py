@@ -43,7 +43,7 @@ from repro.lint.facts import ProgramFacts
 from repro.lint.violations import Violation
 
 #: Edge kinds that transfer control in the caller's execution context.
-EXEC_KINDS = frozenset({"call", "dispatch", "nested"})
+EXEC_KINDS = frozenset({"call", "nested"})
 
 
 @dataclass(frozen=True)

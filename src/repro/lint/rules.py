@@ -8,8 +8,6 @@ on but that nothing else checks mechanically:
   checkpoint byte-identity contract both assume that equal inputs
   produce equal bytes, which wall clocks, ambient RNG, ``id()`` keys,
   and raw set iteration all silently break.
-* RL003 — picklability across the :class:`KernelPool` process boundary
-  (what kernel code hands to ``executor.map``/``executor.submit``).
 * RL004 — every emitted trace counter is declared (and classified
   semantic vs timing) in :mod:`repro.observability.schema`.
 * RL005 — ambient context managers (``governed()``/``tracing()``/
@@ -61,9 +59,6 @@ _TIME_FUNCTIONS = (
     "perf_counter", "perf_counter_ns", "process_time", "thread_time",
 )
 
-#: ``ProcessPoolExecutor`` methods that pickle their callable.
-_POOL_DISPATCH = ("map", "submit")
-
 _OBSERVATIONAL_APPENDERS = ("_append_cache_summary", "_append_trace_summary")
 _OBSERVATIONAL_ARG_NAMES = ("cache_notes",)
 _OBSERVATIONAL_ARG_CALLS = ("summary_line", "trace_summary_line")
@@ -111,11 +106,6 @@ def _in_repro(parts: tuple[str, ...]) -> bool:
 def _in_engine_code(parts: tuple[str, ...]) -> bool:
     inner = _repro_parts(parts)
     return bool(inner) and inner[0] in _ENGINE_DIRS
-
-
-def _in_kernel(parts: tuple[str, ...]) -> bool:
-    inner = _repro_parts(parts)
-    return len(inner) >= 2 and inner[0] == "core" and inner[1] == "kernel"
 
 
 def _in_public_api_dirs(parts: tuple[str, ...]) -> bool:
@@ -289,55 +279,6 @@ def _rl002_call(context: FileContext, node: ast.Call) -> Iterator[Violation]:
             "str.join over a set renders hash-seed-dependent order; "
             "use sorted(...)",
         )
-
-
-# ---------------------------------------------------------------------------
-# RL003 — picklable executor dispatch in the kernel
-# ---------------------------------------------------------------------------
-
-def _check_rl003(context: FileContext) -> Iterator[Violation]:
-    nested: set[str] = set()
-    for node in ast.walk(context.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for inner in ast.walk(node):
-                if (
-                    inner is not node
-                    and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
-                ):
-                    nested.add(inner.name)
-    for node in ast.walk(context.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr in _POOL_DISPATCH):
-            continue
-        for argument in list(node.args) + [kw.value for kw in node.keywords]:
-            if isinstance(argument, ast.Lambda):
-                yield _violation(
-                    context, node, "RL003",
-                    f"lambda passed to executor.{func.attr}: lambdas do "
-                    "not pickle across the KernelPool process boundary; "
-                    "dispatch a module-level function",
-                )
-            elif isinstance(argument, ast.Name) and argument.id in nested:
-                yield _violation(
-                    context, node, "RL003",
-                    f"locally defined function {argument.id!r} passed to "
-                    f"executor.{func.attr}: nested functions do not "
-                    "pickle; hoist it to module level",
-                )
-            elif (
-                isinstance(argument, ast.Attribute)
-                and isinstance(argument.value, ast.Name)
-                and argument.value.id == "self"
-            ):
-                yield _violation(
-                    context, node, "RL003",
-                    f"bound method self.{argument.attr} passed to "
-                    f"executor.{func.attr}: it pickles its instance (and "
-                    "the executor it holds); dispatch a module-level "
-                    "function",
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -676,16 +617,6 @@ RULES: Sequence[Rule] = (
         ),
         applies=_in_engine_code,
         check=_check_rl002,
-    ),
-    Rule(
-        code="RL003",
-        name="picklable-dispatch",
-        summary=(
-            "callables kernel code hands to executor.map/submit must be "
-            "module-level functions (picklable payloads only)"
-        ),
-        applies=_in_kernel,
-        check=_check_rl003,
     ),
     Rule(
         code="RL004",

@@ -25,7 +25,7 @@ engine computed* (label counts, right-closed sets, configuration
 counts) rather than *how fast or how cached* it was.  The reference and
 kernel engines must agree on semantic counters for the same input; the
 differential trace tests and ``tools/trace_report.py diff`` enforce
-exactly that, while timing/cache counters (``*.cache.hit``, ``mp.*``,
+exactly that, while timing/cache counters (``*.cache.hit``,
 ``budget.checkpoints``) are engine-specific by design.
 
 The ``prof.*`` counters are emitted by the hot-spot profiler
@@ -38,8 +38,7 @@ construction (two runs of the same workload differ in every one).
 node-maximization DFS (:func:`repro.core.kernel.engine._maximization_dfs`),
 added once per search: the prefixes it opened and the leaves it emitted
 before the maximality filter.  The reference engine runs a different
-search, so they are timing-class; on a fanned-out ``Rbar`` they arrive
-through the grafted chunk spans.
+search, so they are timing-class.
 
 The ``service.*`` counters are emitted by the job orchestrator
 (:mod:`repro.service.orchestrator`), one span per job: ``service.jobs``
@@ -88,8 +87,6 @@ TIMING_COUNTERS = (
     "cache.bytes",
     "cache.corrupt",
     "budget.checkpoints",
-    "mp.chunks",
-    "mp.chunk_results",
     "node_max.frames",
     "node_max.leaves",
     "prof.calls",

@@ -17,10 +17,11 @@ be incremented by non-negative amounts, so a counter value in a span
 record is the total the span accumulated, and per-phase aggregation is
 a plain sum.
 
-Multiprocessing composes by grafting: a worker process records into its
-own local tracer and ships the finished records back; the parent calls
-:meth:`Tracer.graft` to re-identify them and hang the shipped subtree
-under its currently open span (see :mod:`repro.core.kernel.parallel`).
+Traces compose by grafting: a job records into its own local tracer
+and hands the finished records over; the owner of a longer-lived
+tracer calls :meth:`Tracer.graft` to re-identify them and hang the
+subtree under its currently open span (see
+:mod:`repro.service.orchestrator`).
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ class Tracer:
             "attrs": attrs,
         })
 
-    # -- multiprocessing grafting ----------------------------------------
+    # -- grafting -------------------------------------------------------
 
     def graft(self, records: list[dict]) -> None:
         """Adopt a finished child trace under the current span.
@@ -198,9 +199,8 @@ class Tracer:
         Span/event ids of ``records`` are remapped past this tracer's
         id counter, the child's root spans are reparented onto the
         currently open span, and timestamps are kept as the child
-        measured them (they share no clock origin with the parent, so
-        only durations are meaningful — the report tool sums durations,
-        never subtracts timestamps across processes).
+        measured them (the report tool sums durations, never subtracts
+        timestamps across grafted subtrees).
         """
         if not records:
             return

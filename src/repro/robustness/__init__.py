@@ -35,7 +35,6 @@ from repro.robustness.errors import (
     InvalidTrace,
     ReproError,
     RetryExhausted,
-    WorkerCrashed,
 )
 
 _LAZY = {
@@ -75,6 +74,5 @@ __all__ = [
     "InvalidGraph",
     "InvalidTrace",
     "RetryExhausted",
-    "WorkerCrashed",
     *sorted(_LAZY),
 ]

@@ -28,10 +28,10 @@ working:
 * :class:`CheckpointCorrupt` — a checkpoint file on disk failed its
   integrity seal or did not parse; resume logic treats this as "start
   from scratch", never as data.
-* :class:`EngineMisuse` (also a ``ValueError``) — the caller asked for
-  an engine flag combination that does not exist, such as parallel
-  workers on the reference engine, or otherwise passed arguments no
-  engine configuration can satisfy.
+* :class:`EngineMisuse` (also a ``ValueError``) — the caller passed
+  arguments no engine configuration can satisfy, such as a negative
+  chain length or an unknown zero-round policy for the self-reduction
+  chain.
 * :class:`InvalidGraph` (also a ``ValueError``) — a simulator-side
   input is malformed: a graph with self-loops or broken port maps, a
   non-tree where a tree is required, or generator parameters that no
@@ -46,9 +46,6 @@ working:
   ``RuntimeError``) — a bounded retry or round loop ran out of
   attempts: the configuration-model generator found no simple graph,
   or a simulated algorithm did not halt within ``max_rounds``.
-* :class:`WorkerCrashed` (also a ``RuntimeError``) — a worker process
-  of the parallel kernel died mid-run (a signal, the OOM killer); the
-  pool is already shut down when it is raised.
 * :class:`InvalidJobRequest` (also a ``ValueError``) — a service job
   submission (:mod:`repro.service`) is malformed: unknown keys, a
   missing problem, an operator/policy/engine the wire format does not
@@ -98,7 +95,7 @@ class CheckpointCorrupt(ReproError):
 
 
 class EngineMisuse(ReproError, ValueError):
-    """An invalid engine flag combination was requested by the caller."""
+    """The caller passed arguments no engine configuration can satisfy."""
 
 
 class InvalidGraph(ReproError, ValueError):
@@ -120,16 +117,6 @@ class InvalidScenario(ReproError, ValueError):
 
 class RetryExhausted(BudgetExceeded):
     """A bounded retry or round loop ran out of attempts."""
-
-
-class WorkerCrashed(ReproError, RuntimeError):
-    """A parallel kernel worker process died before returning its shard.
-
-    Raised by :class:`~repro.core.kernel.parallel.KernelPool` in place
-    of the executor's ``BrokenProcessPool``, after the pool's remaining
-    processes have been killed and reaped.  Nothing is retried: rerun
-    serially (``workers=None``) or with more memory.
-    """
 
 
 class InvalidJobRequest(ReproError, ValueError):
@@ -155,6 +142,5 @@ __all__ = [
     "InvalidTrace",
     "InvalidScenario",
     "RetryExhausted",
-    "WorkerCrashed",
     "InvalidJobRequest",
 ]

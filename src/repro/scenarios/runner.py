@@ -19,7 +19,6 @@ from functools import partial
 from typing import Callable
 
 from repro.core.problem import Problem
-from repro.core.round_elimination import check_workers
 from repro.core.self_reduction import CHAIN_STEPS, self_reduction_chain
 from repro.core.simplify import iterate_chain
 from repro.core.solvability import POLICIES, ChainOutcome, certify_chain
@@ -98,7 +97,6 @@ def run_problem_chain(
     steps: int,
     policy: str = "pn",
     use_kernel: bool = False,
-    workers: int | None = None,
 ) -> ChainOutcome:
     """Iterate a chain ``operator`` on an arbitrary base problem.
 
@@ -121,11 +119,7 @@ def run_problem_chain(
         raise InvalidScenario("chain steps must be non-negative", steps=steps)
     if operator == "self-reduce":
         return self_reduction_chain(
-            problem,
-            steps,
-            policy=policy,
-            use_kernel=use_kernel,
-            workers=workers,
+            problem, steps, policy=policy, use_kernel=use_kernel
         )
     if operator not in CHAIN_STEPS:
         raise InvalidScenario(
@@ -133,25 +127,19 @@ def run_problem_chain(
             f"(known: {', '.join(CHAIN_STEPS)})",
             operator=operator,
         )
-    step = partial(CHAIN_STEPS[operator], use_kernel=use_kernel, workers=workers)
+    step = partial(CHAIN_STEPS[operator], use_kernel=use_kernel)
     return certify_chain(
         iterate_chain(problem, step, steps), policy, use_kernel=use_kernel
     )
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    *,
-    use_kernel: bool = False,
-    workers: int | None = None,
-) -> ScenarioRun:
+def run_scenario(spec: ScenarioSpec, *, use_kernel: bool = False) -> ScenarioRun:
     """Run a spec's chain and check every expectation it pins.
 
-    ``use_kernel`` / ``workers`` select the engine exactly as in the
-    underlying operators; the run outcome must be identical either way
-    (the differential tests enforce this).
+    ``use_kernel`` selects the engine exactly as in the underlying
+    operators; the run outcome must be identical either way (the
+    differential tests enforce this).
     """
-    check_workers(workers, use_kernel=use_kernel, operator="run_scenario")
     outcome: ChainOutcome
     if spec.operator in CHAIN_STEPS:
         outcome = run_problem_chain(
@@ -160,7 +148,6 @@ def run_scenario(
             steps=spec.steps,
             policy=spec.policy,
             use_kernel=use_kernel,
-            workers=workers,
         )
     else:  # lemma13 (parse_spec admits no other operator)
         from repro.lowerbound.sequence import run_chain

@@ -35,7 +35,6 @@ a multi-tenant job runner wants.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 from collections.abc import Callable
@@ -405,17 +404,10 @@ class Orchestrator:
         request = record.request
         budget = Budget(**request.budget) if request.budget else None
         use_kernel = request.engine == "kernel"
-        # The process pool starts every worker it is asked for at its
-        # first submit, so a request gets at most one per core.  The
-        # request itself, which the dedup key and the persisted record
-        # carry, keeps what was asked.
-        workers = request.workers
-        if workers is not None:
-            workers = min(workers, os.cpu_count() or 1)
         with caching(self.cache), governed(budget):
             if request.scenario is not None:
                 _, spec = find_scenario(request.scenario)
-                run = run_scenario(spec, use_kernel=use_kernel, workers=workers)
+                run = run_scenario(spec, use_kernel=use_kernel)
                 record.result = wire.render_result(
                     run.problems,
                     run.reached_fixed_point,
@@ -430,7 +422,6 @@ class Orchestrator:
                     steps=steps,
                     policy=policy,
                     use_kernel=use_kernel,
-                    workers=workers,
                 )
                 record.result = wire.render_result(
                     outcome.problems,

@@ -20,9 +20,13 @@ A job request names either a registered scenario (``{"scenario":
 not be overridden) or an inline problem (``{"problem": "<text>",
 "operator": ..., "steps": ...}`` in the round-eliminator text format of
 :func:`repro.core.io.problem_from_text`).  Optional fields select the
-engine (``reference`` or ``kernel``, plus ``workers`` for the parallel
-kernel) and attach a per-job budget whose keys mirror
-:class:`repro.robustness.budget.Budget`.
+engine (``reference`` or ``kernel``) and attach a per-job budget whose
+keys mirror :class:`repro.robustness.budget.Budget`.
+
+``workers`` (an int >= 1, kernel engine only) is still parsed,
+validated and rendered, so job directories persisted while it selected
+a process fan-out restart byte-identically; the orchestrator ignores
+it, since every job runs the serial engine.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ class JobRequest:
     steps: int | None = None       #: chain steps for an inline problem
     policy: str = "pn"             #: one of :data:`POLICIES`
     engine: str = "reference"      #: one of :data:`ENGINES`
-    workers: int | None = None     #: parallel kernel workers
+    workers: int | None = None     #: kept on the wire; the engine ignores it
     budget: dict[str, float] = field(default_factory=dict)
 
 

@@ -293,12 +293,10 @@ def differential_R(name: str, problem: Problem) -> Problem | None:
     return reference if isinstance(reference, Problem) else None
 
 
-def differential_Rbar(
-    name: str, problem: Problem, *, workers: int | None = None
-) -> Problem | None:
-    """Rbar agrees between engines (optionally the parallel kernel)."""
+def differential_Rbar(name: str, problem: Problem) -> Problem | None:
+    """Rbar agrees between engines."""
     reference = _outcome(Rbar, problem)
-    kernel = _outcome(Rbar, problem, use_kernel=True, workers=workers)
+    kernel = _outcome(Rbar, problem, use_kernel=True)
     assert_same_outcome(f"Rbar({name})", reference, kernel)
     return reference if isinstance(reference, Problem) else None
 

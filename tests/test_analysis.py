@@ -337,22 +337,6 @@ def test_semantic_counters_are_engine_symmetric(real_tree):
         assert bool(kernel) == bool(reference), (name, kernel, reference)
 
 
-def test_kernel_dispatch_edges_reach_the_chunk_runners(real_tree):
-    """``map_chunks`` dispatch links the engine to the one chunk
-    runner, which stays reachable from the pool through its executor
-    entry."""
-    graph, _ = real_tree
-    engine = "repro.core.kernel.engine"
-    dispatched = {
-        edge.callee
-        for edge in graph.edges
-        if edge.kind == "dispatch" and edge.caller.startswith(engine)
-    }
-    assert dispatched == {f"{engine}.search_maximization_chunk"}
-    pool = "repro.core.kernel.parallel.KernelPool.map_chunks"
-    assert dispatched <= graph.reachable([pool])
-
-
 # ---------------------------------------------------------------------------
 # The command line, exactly as CI runs it
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The content-addressed operator cache (repro.core.cache).
 
-Four contracts, each tested here:
+Three contracts, each tested here:
 
 * **Canonical form** — :func:`fingerprint` is invariant under label
   renaming and *complete*: two corpus problems share a fingerprint
@@ -14,9 +14,6 @@ Four contracts, each tested here:
 * **Robustness** — a torn or tampered on-disk entry is detected by its
   seal, evicted, and recomputed, never trusted; a budget trip in the
   middle of a disk write leaves no partial entry behind.
-* **Typed misuse** — requesting ``workers`` without ``use_kernel``, or
-  ``workers < 1``, raises :class:`EngineMisuse` (still a
-  ``ValueError``) from Rbar, speedup and self_reduce.
 """
 
 import random
@@ -35,7 +32,6 @@ from repro.core.cache import (
 )
 from repro.core.relaxation import find_label_relabeling
 from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
-from repro.core.self_reduction import self_reduce
 from repro.core.solvability import zero_round_solvable_pn
 from repro.lowerbound.certificate import build_certificate
 from repro.lowerbound.sequence import run_chain
@@ -44,11 +40,7 @@ from repro.observability.schema import TIMING_COUNTERS
 from repro.observability.trace import Tracer, tracing
 from repro.problems.mis import mis_problem
 from repro.robustness.checkpointing import CheckpointStore
-from repro.robustness.errors import (
-    BudgetExceeded,
-    EngineMisuse,
-    InvalidProblem,
-)
+from repro.robustness.errors import BudgetExceeded, InvalidProblem
 
 from tests.faults import corrupt_checkpoint
 from tests.oracle import (
@@ -102,23 +94,6 @@ class TestFingerprint:
     def test_key_schema_includes_engine_version(self):
         digest = fingerprint(mis_problem(3))
         assert cache_key("R", digest) == f"R-v{ENGINE_VERSION}-{digest}"
-
-
-# ---------------------------------------------------------------------------
-# Typed misuse (workers without the kernel engine)
-# ---------------------------------------------------------------------------
-
-class TestEngineMisuse:
-    @pytest.mark.parametrize("operator", [Rbar, speedup, self_reduce])
-    def test_workers_without_kernel_is_typed(self, operator):
-        problem = mis_problem(3)
-        with pytest.raises(EngineMisuse) as caught:
-            operator(problem, workers=2)
-        assert isinstance(caught.value, ValueError)  # back-compat
-        # workers < 1 is misuse on the kernel too, never a silent serial run.
-        for workers in (0, -3):
-            with pytest.raises(EngineMisuse):
-                operator(problem, use_kernel=True, workers=workers)
 
 
 # ---------------------------------------------------------------------------

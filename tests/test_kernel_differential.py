@@ -23,7 +23,6 @@ from tests.oracle import (
     ALPHABET_CAP,
     Failure,
     classic_corpus,
-    differential_R,
     differential_Rbar,
     differential_engines,
     differential_relabeling,
@@ -74,16 +73,6 @@ def test_zero_round_differential(name, problem):
 def test_self_reduction_differential(name, problem):
     """condense/speedup/condense agrees between engines, end to end."""
     differential_self_reduction(name, problem)
-
-
-@pytest.mark.parametrize("name, problem", CLASSICS, ids=CLASSIC_IDS)
-def test_rbar_parallel_differential(name, problem):
-    """The chunked multiprocessing fan-out returns the serial result."""
-    intermediate = differential_R(name, problem)
-    if intermediate is None:
-        pytest.skip("R failed identically on both engines")
-    renamed = rename_to_strings(intermediate).problem
-    differential_Rbar(f"{name} renamed", renamed, workers=2)
 
 
 @pytest.mark.parametrize(

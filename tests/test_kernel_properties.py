@@ -29,11 +29,9 @@ from repro.core.diagram import Diagram, edge_diagram, node_diagram
 from repro.core.kernel.bitops import iter_bits, mask_from_ids, popcount
 from repro.core.kernel.engine import (
     KernelProblem,
-    close_first_coordinate,
     closure_machine,
     maximize_node_constraint_kernel,
     pack_ids,
-    search_maximization_chunk,
 )
 from repro.core.kernel.interning import LabelInterner
 from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
@@ -254,46 +252,8 @@ def test_packed_multiset_is_injective():
 
 
 # ---------------------------------------------------------------------------
-# Chunk decomposition of the maximization DFS
+# Frontiers and search tree of the maximization DFS
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("name, problem", CLASSICS[:4], ids=CLASSIC_IDS[:4])
-def test_chunk_concatenation_equals_serial(name, problem):
-    """The parallel chunking invariant: concatenating the per-prefix
-    chunks in index order reproduces the serial DFS result exactly."""
-    renamed = rename_to_strings(R(problem, use_kernel=True)).problem
-    kernel = KernelProblem.of(renamed)
-    candidates = kernel.node_right_closed_sets()
-    _elements, trans, extends = kernel.node_dfs_machine()
-    minimal_labels = kernel.node_minimal_labels()
-    serial: list[tuple[int, ...]] = []
-    for first_index in range(len(candidates)):
-        serial.extend(
-            search_maximization_chunk(
-                candidates,
-                minimal_labels,
-                trans,
-                extends,
-                kernel.delta,
-                first_index,
-            )
-        )
-    # Chunks are disjoint and each result starts with its chunk's set.
-    assert len(serial) == len(set(serial))
-    for sets in serial:
-        assert sets[0] in candidates
-    # Filtering the concatenation reproduces the engine's serial answer.
-    maximal = close_first_coordinate(
-        serial, candidates, minimal_labels, trans, extends
-    )
-    rebuilt = {
-        Configuration(kernel.interner.labels_of_mask(mask) for mask in sets)
-        for sets in maximal
-    }
-    assert rebuilt == set(
-        maximize_node_constraint_kernel(renamed).configurations
-    )
-
 
 def _label_invalid(trans):
     """Per label, the bitmask of elements it cannot extend from."""

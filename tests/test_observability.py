@@ -197,62 +197,27 @@ class TestDisabledTracing:
 
 class TestGrafting:
     def test_graft_remaps_ids_and_reparents(self):
-        worker = Tracer()
-        with worker.span("kernel.chunk", first_index=0) as span:
-            span.add("mp.chunk_results", 4)
-            worker.event("chunk.note")
-        shipped = worker.finish()
+        job = Tracer()
+        with job.span("service.job", job="j1") as span:
+            span.add("service.jobs")
+            job.event("job.note")
+        shipped = job.finish()
 
-        parent = Tracer()
-        with parent.span("op.Rbar", engine="kernel", delta=3):
-            parent.graft(shipped)
-        records = parent.finish()
+        master = Tracer()
+        with master.span("service", workers=2):
+            master.graft(shipped)
+        records = master.finish()
         validate_trace(records)
-        chunk = next(r for r in records if r.get("name") == "kernel.chunk")
-        rbar = next(r for r in records if r.get("name") == "op.Rbar")
-        worker_root = next(
+        job_span = next(r for r in records if r.get("name") == "service.job")
+        service = next(r for r in records if r.get("name") == "service")
+        job_root = next(
             r for r in records
-            if r.get("name") == "trace" and r["id"] == chunk["parent"]
+            if r.get("name") == "trace" and r["id"] == job_span["parent"]
         )
-        # The worker's root now hangs under the parent's open span.
-        assert worker_root["parent"] == rbar["id"]
+        # The job's root now hangs under the master's open span.
+        assert job_root["parent"] == service["id"]
         event = next(r for r in records if r["type"] == "event")
-        assert event["span"] == chunk["id"]
-
-    def test_parallel_rbar_grafts_chunk_spans(self):
-        from repro.core.round_elimination import R, Rbar, rename_to_strings
-
-        intermediate = rename_to_strings(R(mis_problem(4))).problem
-        tracer = Tracer()
-        with tracing(tracer):
-            parallel = Rbar(intermediate, use_kernel=True, workers=2)
-        records = tracer.finish()
-        validate_trace(records)
-        assert parallel == Rbar(intermediate, use_kernel=True)
-        totals = total_counters(records)
-        assert totals.get("mp.chunks", 0) > 0
-        # The workers' chunk spans are grafted in under op.Rbar.
-        chunk_spans = [r for r in records if r.get("name") == "kernel.chunk"]
-        assert chunk_spans
-        rbar_span = next(
-            r for r in records
-            if r["type"] == "span" and r["name"] == "op.Rbar"
-        )
-        spans_by_id = {
-            r["id"]: r for r in records if r["type"] == "span"
-        }
-        for chunk in chunk_spans:
-            # Walk up: every chunk span must live under op.Rbar.
-            current = chunk
-            seen = {chunk["id"]}
-            while current["parent"] is not None:
-                current = spans_by_id[current["parent"]]
-                assert current["id"] not in seen  # no cycles
-                seen.add(current["id"])
-                if current["id"] == rbar_span["id"]:
-                    break
-            assert current["id"] == rbar_span["id"]
-            assert chunk["counters"]["mp.chunk_results"] >= 0
+        assert event["span"] == job_span["id"]
 
     def test_graft_skips_meta_and_empty(self):
         parent = Tracer()

@@ -19,14 +19,12 @@ sealed job store.  The four pillars:
 """
 
 import json
-import os
 import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.core.kernel import parallel
 from repro.service import ReproService, computation_key, parse_job_request
 
 #: The quick-gate scenario — the cheapest registered chain.
@@ -246,44 +244,27 @@ class TestErrorPaths:
 
 
 class TestWorkers:
-    def test_worker_count_is_capped_at_the_cores(self, service, monkeypatch):
-        """``workers`` reaches a process pool that starts every worker at
-        its first submit, so a job runs with at most one per core; the
-        stored request keeps the count that was asked for."""
-        asked = []
-
-        class RecordingPool:
-            """Records the worker count; ``None`` chunks run serially."""
-
-            def __init__(self, workers):
-                asked.append(workers)
-
-            def map_chunks(self, payload, count, *, phase):
-                return None
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-        monkeypatch.setattr(parallel, "KernelPool", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    def test_workers_is_kept_on_the_wire_but_changes_nothing(self, service):
+        """``workers`` still parses and persists, so old job directories
+        restart byte-identically, but every job runs the one serial
+        engine: the result equals the same job's without it."""
+        inline = {
+            "problem": MATCHING,
+            "operator": "speedup",
+            "steps": 1,
+            "engine": "kernel",
+        }
         _, accepted = post_json(
-            service.url,
-            "/v1/jobs",
-            {
-                "problem": MATCHING,
-                "operator": "speedup",
-                "steps": 1,
-                "engine": "kernel",
-                "workers": 10**6,
-            },
+            service.url, "/v1/jobs", {**inline, "workers": 10**6}
         )
         status, document = finish(service, accepted["job_id"])
         assert (status, document["state"]) == (200, "done")
-        assert asked and set(asked) == {3}
         assert document["request"]["workers"] == 10**6
+        _, plain_accepted = post_json(service.url, "/v1/jobs", inline)
+        status, plain = finish(service, plain_accepted["job_id"])
+        assert (status, plain["state"]) == (200, "done")
+        assert "workers" not in plain["request"]
+        assert document["result"] == plain["result"]
 
 
 class TestDedup:

@@ -132,7 +132,6 @@ def render_dot(graph: CallGraph, visible: set[str]) -> list[str]:
         "nested": "dotted",
         "ref": "dashed",
         "target": "bold",
-        "dispatch": "bold",
     }
     lines = ["digraph callgraph {", "  rankdir=LR;", "  node [shape=box];"]
     for qualname in sorted(visible):

@@ -2,7 +2,6 @@
 
 Run:  PYTHONPATH=src python tools/run_scenario.py list
       PYTHONPATH=src python tools/run_scenario.py run <name> [--kernel]
-          [--workers <n>]
       PYTHONPATH=src python tools/run_scenario.py run --all [--kernel]
 
 ``list`` prints one row per registered scenario: its name, family,
@@ -15,8 +14,7 @@ spec declares — steps taken, certified rounds under the spec's
 zero-round policy, fixed-point shape.  ``--all`` runs every registered
 scenario in registry order.  ``--kernel`` routes the chain through the
 interned bitmask engine; the outcome must be identical (the
-differential tests enforce this), and ``--workers`` additionally
-fans ``Rbar``'s node-maximization DFS out over processes.
+differential tests enforce this).  Any other option exits 2.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ from repro.scenarios import (
 
 USAGE = (
     "usage: run_scenario.py list\n"
-    "       run_scenario.py run <name> [--kernel] [--workers <n>]\n"
-    "       run_scenario.py run --all [--kernel] [--workers <n>]\n"
+    "       run_scenario.py run <name> [--kernel]\n"
+    "       run_scenario.py run --all [--kernel]\n"
     "\n"
     "Exit status (unified across repro tooling):\n"
     "    0  success: every expectation of the scenario(s) held\n"
@@ -71,9 +69,9 @@ def list_scenarios() -> int:
     return 0
 
 
-def _run_one(spec: ScenarioSpec, use_kernel: bool, workers: int | None) -> int:
+def _run_one(spec: ScenarioSpec, use_kernel: bool) -> int:
     try:
-        run = run_scenario(spec, use_kernel=use_kernel, workers=workers)
+        run = run_scenario(spec, use_kernel=use_kernel)
     except ReproError as error:
         raise _fail(f"scenario {spec.name!r} did not run: {error}")
     labels = " -> ".join(str(len(p.alphabet)) for p in run.problems)
@@ -89,16 +87,9 @@ def _run_one(spec: ScenarioSpec, use_kernel: bool, workers: int | None) -> int:
 def run(operands: list[str]) -> int:
     use_kernel = "--kernel" in operands
     operands = [arg for arg in operands if arg != "--kernel"]
-    workers: int | None = None
-    if "--workers" in operands:
-        where = operands.index("--workers")
-        try:
-            workers = int(operands[where + 1])
-        except (IndexError, ValueError):
-            raise _fail("--workers needs an integer\n" + USAGE)
-        operands = operands[:where] + operands[where + 2 :]
-    if workers is not None and not use_kernel:
-        raise _fail("--workers requires --kernel")
+    for operand in operands:
+        if operand.startswith("--") and operand != "--all":
+            raise _fail(f"unknown option {operand}\n" + USAGE)
     if operands == ["--all"]:
         try:
             registry = load_registry()
@@ -106,7 +97,7 @@ def run(operands: list[str]) -> int:
             raise _fail(str(error))
         worst = 0
         for _, spec in registry:
-            worst = max(worst, _run_one(spec, use_kernel, workers))
+            worst = max(worst, _run_one(spec, use_kernel))
         return worst
     if len(operands) != 1:
         raise _fail("run takes exactly one scenario name or --all\n" + USAGE)
@@ -114,7 +105,7 @@ def run(operands: list[str]) -> int:
         _, spec = find_scenario(operands[0])
     except ReproError as error:
         raise _fail(str(error))
-    return _run_one(spec, use_kernel, workers)
+    return _run_one(spec, use_kernel)
 
 
 def main(argv: list[str]) -> int:
