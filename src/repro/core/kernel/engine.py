@@ -489,11 +489,12 @@ def _maximization_dfs(
 
     One explicit-stack loop searches every multiset of right-closed
     sets, under the ``"node-maximization"`` budget phase: frames are
-    ``[cursor, frontier, best, key]``, and a ``chosen`` list beside
-    the stack holds the prefix's candidate indices.  A frontier is a short dict whose keys are
-    the closure-machine element indices the prefix reaches, and
-    ``best`` is ``best(F)``, the labels every one of them extends by:
-    the AND of ``extends`` over it, computed once per accepted prefix.
+    ``[cursor, frontier, best, key]``, and a ``chosen`` list beside the
+    stack holds the prefix's candidate indices.  A frontier is a short
+    dict whose keys are the closure-machine element indices the prefix
+    reaches, and ``best`` is ``best(F)``, the labels every one of them
+    extends by: the AND of ``extends`` over it, computed once per
+    accepted prefix.
 
     Each candidate is walked through its ``minimal_labels``
     (:meth:`KernelProblem.node_minimal_labels`), not all its members.

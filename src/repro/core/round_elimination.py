@@ -318,8 +318,9 @@ def R(problem: Problem, *, use_kernel: bool = False) -> Problem:
     With ``use_kernel=True`` the interned bitmask fast path
     (:mod:`repro.core.kernel`) computes the same result; this object
     implementation remains the reference the kernel is differentially
-    tested against.  With an ambient :func:`repro.core.cache.caching` store the whole operator
-    is memoized by the problem's renaming-invariant fingerprint.
+    tested against.  With an ambient :func:`repro.core.cache.caching`
+    store the whole operator is memoized by the problem's
+    renaming-invariant fingerprint.
     """
     return _cache.cached_problem_operator(
         "R", problem, lambda: _R_uncached(problem, use_kernel=use_kernel)
