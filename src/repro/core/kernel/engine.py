@@ -331,47 +331,17 @@ class KernelProblem:
     def node_prefix_closure(self) -> frozenset[int]:
         """All sub-multisets of allowed node configurations, packed.
 
-        A multiset of label ids is *packed* into one int by giving each
-        label a ``delta.bit_length()``-wide count field
-        (:func:`pack_ids`), so extending a partial configuration by one
-        label is a single integer add instead of a tuple sort — the
+        The :func:`prefix_closure` of the node configurations, whose
+        packed form turns extending a partial configuration by one
+        label into a single integer add instead of a tuple sort — the
         profiled hot spot of the maximization DFS.
-
-        Built downward, one size level at a time: every element of the
-        next level down is an element of this level with one label
-        removed (one subtract per occupied count field), so each
-        sub-multiset is produced from its parents rather than from all
-        ``2**delta`` sub-combinations of every configuration.
         """
-        if self._node_prefix_closure is not None:
-            return self._node_prefix_closure
-        shift = self.delta.bit_length()
-        field = (1 << shift) - 1
-        level = [pack_ids(configuration, shift) for configuration in self.node_configs]
-        closure: set[int] = set(level)
-        checked = 0
-        while level:
-            below: list[int] = []
-            for packed in level:
-                # Stride the probe: small closures stay silent, runaway
-                # growth is caught within 64 packed prefixes.
-                if len(closure) - checked >= 64:
-                    checked = len(closure)
-                    _budget.check_configurations(
-                        len(closure), phase="node-prefix-closure"
-                    )
-                remaining = packed
-                step = 1
-                while remaining:
-                    if remaining & field:
-                        smaller = packed - step
-                        if smaller not in closure:
-                            closure.add(smaller)
-                            below.append(smaller)
-                    remaining >>= shift
-                    step <<= shift
-            level = below
-        self._node_prefix_closure = frozenset(closure)
+        if self._node_prefix_closure is None:
+            self._node_prefix_closure = prefix_closure(
+                self.node_configs,
+                self.delta.bit_length(),
+                "node-prefix-closure",
+            )
         return self._node_prefix_closure
 
     def node_dfs_machine(
@@ -475,6 +445,51 @@ def pack_ids(ids: Iterable[int], shift: int) -> int:
     for label_id in ids:
         packed += 1 << (shift * label_id)
     return packed
+
+
+def prefix_closure(
+    words: Iterable[Iterable[int]], shift: int, phase: str
+) -> frozenset[int]:
+    """Every sub-multiset of the given label-id multisets, packed.
+
+    Each multiset is packed with :func:`pack_ids`.  The closure is
+    built downward, one size level at a time: every element of the
+    next level down is an element of this level with one label removed
+    (one subtract per occupied count field), so each sub-multiset is
+    produced from its parents rather than from all ``2**size``
+    sub-combinations of every word.  The empty pack ``0`` is included
+    whenever ``words`` is non-empty.  Budget probes run under
+    ``phase``.
+    """
+    field = (1 << shift) - 1
+    closure: set[int] = set()
+    level: list[int] = []
+    for word in words:
+        packed = pack_ids(word, shift)
+        if packed not in closure:
+            closure.add(packed)
+            level.append(packed)
+    checked = 0
+    while level:
+        below: list[int] = []
+        for packed in level:
+            # Stride the probe: small closures stay silent, runaway
+            # growth is caught within 64 packed prefixes.
+            if len(closure) - checked >= 64:
+                checked = len(closure)
+                _budget.check_configurations(len(closure), phase=phase)
+            remaining = packed
+            step = 1
+            while remaining:
+                if remaining & field:
+                    smaller = packed - step
+                    if smaller not in closure:
+                        closure.add(smaller)
+                        below.append(smaller)
+                remaining >>= shift
+                step <<= shift
+        level = below
+    return frozenset(closure)
 
 
 # hotpath
@@ -662,6 +677,14 @@ def _existential_dfs(
     successful step since element 0 is never re-entered) prunes the
     branch.  Emits label-*index* tuples; the caller owns the label
     list.
+
+    The frontier stays a bitmask, unlike the node maximization's dict
+    frontiers: the keep-survivors step ORs whole per-candidate rows,
+    which a dict frontier would replace with one insert per surviving
+    transition.  On the existential steps of relabeled MIS Δ=6
+    two-step chains, a dict-frontier twin of this DFS measured about
+    1.1 ms per call against 0.8 ms here (medians of 8 alternating
+    runs, two batches, 2-vCPU Xeon, Python 3.11).
     """
     results: list[tuple[int, ...]] = []
     count = len(member_labels)
@@ -750,20 +773,14 @@ def existential_constraint_kernel(
             tuple(sorted(interner.id_of(member) for member in label_set))
             for label_set in labels
         )
-        closure: set[int] = set()
-        checked = 0
-        for configuration in old_constraint.configurations:
-            items = interner.ids_of(configuration.items)
-            for size in range(len(items) + 1):
-                # Stride the probe: small closures stay silent, runaway
-                # growth is caught within 64 packed prefixes.
-                if len(closure) - checked >= 64:
-                    checked = len(closure)
-                    _budget.check_configurations(
-                        len(closure), phase="existential"
-                    )
-                for combo in itertools.combinations(items, size):
-                    closure.add(pack_ids(combo, shift))
+        closure = prefix_closure(
+            (
+                interner.ids_of(configuration.items)
+                for configuration in old_constraint.configurations
+            ),
+            shift,
+            "existential",
+        )
         _elements, trans = closure_machine(closure, shift, len(interner))
     with _prof_section("exists.dfs"):
         index_tuples = _existential_dfs(member_labels, trans, arity)
