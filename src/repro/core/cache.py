@@ -129,8 +129,7 @@ def _refined_colors(problem: Problem, labels: list) -> dict:
     signatures = {label: problem._label_signature(label) for label in labels}
     ranked = sorted(set(signatures.values()))
     color = {label: ranked.index(signatures[label]) for label in labels}
-    # reprolint: unbounded-ok(WL refinement strictly coarsens until stable, at most len(labels) rounds)
-    while True:
+    while True:  # reprolint: disable=AN002 -- WL refinement coarsens until stable, at most len(labels) rounds
         profiles = {}
         for label in labels:
             node_profile = tuple(sorted(

@@ -369,8 +369,7 @@ def parse_condensed(text: str) -> CondensedConfiguration:
         position += 1
         return label
 
-    # reprolint: unbounded-ok(single left-to-right scan of one constraint line)
-    while True:
+    while True:  # reprolint: disable=AN002 -- single left-to-right scan of one constraint line
         skip_spaces()
         if position >= length:
             break
@@ -378,8 +377,7 @@ def parse_condensed(text: str) -> CondensedConfiguration:
         if character == "[":
             position += 1
             members: list[str] = []
-            # reprolint: unbounded-ok(consumes at least one character of the line per iteration)
-            while True:
+            while True:  # reprolint: disable=AN002 -- consumes at least one character per iteration
                 skip_spaces()
                 if position >= length:
                     raise InvalidProblem(f"unclosed '[' in {text!r}")

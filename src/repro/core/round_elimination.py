@@ -170,7 +170,6 @@ def _grow_frontier(
     prefix closure (meaning some full choice would be disallowed).
     """
     grown: set[tuple] = set()
-    # reprolint: unbounded-ok(one DFS node: |frontier| x |candidate| inserts; the caller checkpoints per node)
     for partial in frontier:
         for label in candidate:
             extended = insert_canonical(partial, label, order)
@@ -274,7 +273,6 @@ def _grow_frontier_exists(
 ) -> frozenset[tuple]:
     """Like :func:`_grow_frontier` but keeps only surviving choices."""
     grown: set[tuple] = set()
-    # reprolint: unbounded-ok(one DFS node: |frontier| x |candidate| inserts; the caller checkpoints per node)
     for partial in frontier:
         for label in candidate:
             extended = insert_canonical(partial, label, order)

@@ -33,7 +33,6 @@ def equivalent_label_classes(problem: Problem) -> list[frozenset]:
     node_diagram = Diagram(problem.node_constraint, problem.alphabet)
     edge_diagram = Diagram(problem.edge_constraint, problem.alphabet)
     classes: list[set] = []
-    # reprolint: unbounded-ok(quadratic in the alphabet, already bounded by check_alphabet upstream)
     for label in problem.alphabet:
         placed = False
         for group in classes:
@@ -57,7 +56,6 @@ def merge_equivalent_labels(problem: Problem) -> Problem:
     directions.
     """
     mapping: dict = {}
-    # reprolint: unbounded-ok(one pass over the label classes of a checked alphabet)
     for group in equivalent_label_classes(problem):
         representative = sorted(group, key=str)[0]
         for label in group:

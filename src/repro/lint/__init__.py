@@ -10,8 +10,8 @@ AN001-AN004 (:mod:`repro.lint.detectors`: hot-path allocation
 closure, budget reachability, lock order, counter flow) over the call
 graph of the files inside ``repro`` (:mod:`repro.lint.callgraph`).
 
-Run it as ``python -m repro.lint src tests tools benchmarks``; see
-:mod:`repro.lint.cli` for the options and the exit-code convention.
+Run it as ``python -m repro.lint src tests tools benchmarks examples``;
+see :mod:`repro.lint.cli` for the options and the exit-code convention.
 """
 
 from __future__ import annotations

@@ -45,7 +45,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.lint.rules import FileContext
-from repro.lint.violations import Suppressions
 
 #: Constructors whose ``target=`` argument is a synthetic callee.
 _TARGET_CONSTRUCTORS = ("Thread", "Process")
@@ -89,7 +88,6 @@ class ModuleInfo:
     path: str
     tree: ast.Module
     source: str
-    suppressions: Suppressions
     #: local alias -> module dotted name (``import a.b as z``).
     import_modules: dict[str, str] = field(default_factory=dict)
     #: local name -> fully qualified value (``from a.b import f``).
@@ -270,7 +268,6 @@ def _collect_module(context: FileContext, name: str) -> ModuleInfo:
         path=path,
         tree=context.tree,
         source=context.source,
-        suppressions=context.suppressions,
     )
     for node in ast.walk(context.tree):
         if isinstance(node, ast.Import):

@@ -29,17 +29,17 @@ Static analysis for the round-elimination engine.  Runs the per-file
 rules RL001-RL009 on every python file under the given paths, then the
 whole-program detectors AN001-AN004 over the call graph of the files
 inside the `repro` package.  The canonical invocation is
-`python -m repro.lint src tests tools benchmarks`.  Each finding is
-reported as `path:line: CODE message`.
+`python -m repro.lint src tests tools benchmarks examples`.  Each
+finding is reported as `path:line: CODE message`.
 
 Options:
     --json        print the findings as one JSON report on stdout
     --list-rules  print the rule and detector catalogue and exit
 
-Waive a finding with a comment on its (anchor) line:
+Waive a finding with a comment on its (anchor) line; for AN002 that
+is the loop's header line.  The reason is required: a comment without
+one waives nothing.
     # reprolint: disable=RL001,AN003 -- justification
-or, for an AN002 loop, on its header line or the line above:
-    # reprolint: unbounded-ok(why this loop is bounded)
 
 Exit status (unified across repro tooling):
     0  clean

@@ -11,8 +11,8 @@ Each detector composes the per-function summaries of
 * **AN002 budget-reachability** — every loop in ``core``/``lowerbound``
   code reachable from a ``governed()``-threaded entry point must reach
   a budget checkpoint on some path through its body (directly or via a
-  callee whose closure checkpoints), or carry an explicit
-  ``# reprolint: unbounded-ok(reason)`` waiver.  Only loops that call
+  callee whose closure checkpoints), or be waived on its header line
+  with ``# reprolint: disable=AN002 -- reason``.  Only loops that call
   into the project or contain nested loops are considered — a bare
   arithmetic loop is bounded by its iterable, and flagging it would
   drown the signal (a documented resolution limit).
@@ -154,34 +154,7 @@ def detect_budget_reachability(
         parts = info.module.split(".")
         if "core" not in parts and "lowerbound" not in parts:
             continue
-        waived_spans = [
-            (loop.line, loop.end_line)
-            for loop in summary.loops
-            if loop.waiver is not None and loop.waiver
-        ]
         for loop in summary.loops:
-            if loop.waiver is not None:
-                if loop.waiver:
-                    continue
-                findings.append(
-                    Violation(
-                        code="AN002",
-                        path=info.path,
-                        line=loop.line,
-                        message=(
-                            "unbounded-ok waiver needs a non-empty reason: "
-                            "# reprolint: unbounded-ok(<why this loop is bounded>)"
-                        ),
-                        symbol=qualname,
-                    )
-                )
-                continue
-            if any(
-                start <= loop.line and loop.end_line <= end
-                for start, end in waived_spans
-            ):
-                # A waived outer loop covers the loops nested in it.
-                continue
             if loop.has_direct_checkpoint:
                 continue
             nests_a_loop = any(
@@ -225,8 +198,8 @@ def detect_budget_reachability(
                     message=(
                         f"{loop.kind} loop reachable from a governed entry "
                         f"point (chain: {chain_text}) never reaches a budget "
-                        "checkpoint; checkpoint inside the body or waive with "
-                        "# reprolint: unbounded-ok(reason)"
+                        "checkpoint; checkpoint inside the body or waive the "
+                        "header line with # reprolint: disable=AN002 -- reason"
                     ),
                     symbol=qualname,
                 )
@@ -503,8 +476,8 @@ DETECTORS: tuple[Detector, ...] = (
         name="budget-reachability",
         summary=(
             "every loop in core/lowerbound code reachable from a governed() "
-            "entry point reaches a budget checkpoint or carries an "
-            "unbounded-ok waiver"
+            "entry point reaches a budget checkpoint or is waived on its "
+            "header line"
         ),
         run=detect_budget_reachability,
     ),

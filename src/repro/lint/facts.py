@@ -6,8 +6,10 @@ direct budget checkpoints (AN002), lock acquisitions and shared-state
 writes (AN003), and counter emissions plus the declared schema
 (AN004).  Facts are purely lexical — each summary is computed from one
 function's own AST nodes (nested ``def`` bodies excluded, exactly as
-in the call graph), and the detectors compose them along edges.  The
-waiver tables come from the same parse (:mod:`repro.lint.violations`).
+in the call graph), and the detectors compose them along edges.
+Waivers play no part here: the lint engine filters the detectors'
+findings through the same ``# reprolint: disable=`` table as the
+per-file rules.
 
 A function is on the hot path when ``# hotpath`` appears on its
 ``def`` line, or when the line directly above its first line of
@@ -43,7 +45,6 @@ class LoopFacts:
     line: int
     end_line: int
     has_direct_checkpoint: bool
-    waiver: str | None
     kind: str
 
 
@@ -128,7 +129,6 @@ def _function_facts(
     lines: list[str],
     lock_aliases: dict[str, str],
     cls_name: str | None,
-    unbounded: dict[int, str],
 ) -> FunctionFacts:
     facts = FunctionFacts(qualname=info.qualname)
     facts.hotpath = _is_hotpath(info, lines)
@@ -157,9 +157,6 @@ def _function_facts(
             ):
                 facts.counter_adds.append((node.args[0].value, node.lineno))
         elif isinstance(node, (ast.For, ast.While, ast.AsyncFor)):
-            waiver = unbounded.get(node.lineno)
-            if waiver is None and node.lineno >= 2:
-                waiver = unbounded.get(node.lineno - 1)
             body_nodes: list[ast.AST] = list(node.body)
             inner_stack = list(node.body)
             while inner_stack:
@@ -177,7 +174,6 @@ def _function_facts(
                     line=node.lineno,
                     end_line=_end_line(node),
                     has_direct_checkpoint=direct,
-                    waiver=waiver,
                     kind="for" if isinstance(node, (ast.For, ast.AsyncFor)) else "while",
                 )
             )
@@ -272,7 +268,6 @@ def collect_facts(graph: CallGraph) -> ProgramFacts:
             line_cache[module.path],
             lock_aliases,
             cls_name,
-            module.suppressions.unbounded,
         )
     schema, semantic = _schema_tables(graph)
     return ProgramFacts(

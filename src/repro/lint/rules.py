@@ -39,7 +39,7 @@ import ast
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
-from repro.lint.violations import Suppressions, Violation
+from repro.lint.violations import Violation
 
 #: Counters every ``.add("name")`` emission must be declared among.
 from repro.observability.schema import SEMANTIC_COUNTERS, TIMING_COUNTERS
@@ -74,7 +74,7 @@ class FileContext:
     parts: tuple[str, ...]
     tree: ast.Module
     source: str
-    suppressions: Suppressions
+    suppressions: dict[int, frozenset[str]]
 
 
 @dataclass(frozen=True)

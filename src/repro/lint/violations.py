@@ -2,21 +2,15 @@
 
 A violation pins one rule code to one physical line of one file.  One
 comment grammar waives per-file rules (RL) and whole-program detectors
-(AN) alike.  The suppression form is a trailing comment on the flagged
-line (for an AN finding, its anchor line)::
+(AN) alike: a trailing comment on the flagged line (for an AN finding,
+its anchor line; for AN002, the loop's header line)::
 
     risky_call()  # reprolint: disable=RL002 -- seeded, ordering-free
+    while True:  # reprolint: disable=AN002 -- at most len(labels) rounds
 
-Several codes may be disabled at once (``disable=RL001,AN003``) and
-``disable=all`` silences every code for that line.  Everything after a
-``--`` separator is a free-form justification; the project convention
-(enforced by review, not by the tool) is that real-tree suppressions
-always carry one.
-
-AN002's per-loop waiver sits on a loop's header line or the line above
-it, and its reason is mandatory (an empty one is itself a finding)::
-
-    # reprolint: unbounded-ok(one pass over a checked alphabet)
+Several codes may be disabled at once (``disable=RL001,AN003``).  The
+``-- reason`` after the codes is part of the grammar: a comment without
+a non-empty reason matches nothing, so the finding it sits on stands.
 """
 
 from __future__ import annotations
@@ -26,12 +20,10 @@ import tokenize
 from dataclasses import dataclass
 from io import StringIO
 
-#: Matches one suppression comment anywhere in a physical line's comment.
+#: Matches one waiver comment: codes, then a mandatory ``-- reason``.
 _SUPPRESSION = re.compile(
-    r"#\s*reprolint:\s*disable=(?P<codes>[A-Za-z0-9, ]+?)(?:\s*--.*)?$"
+    r"#\s*reprolint:\s*disable=(?P<codes>[A-Za-z0-9, ]+?)\s*--\s*\S.*$"
 )
-#: AN002's loop waiver; the (possibly empty) reason is captured.
-_UNBOUNDED = re.compile(r"#\s*reprolint:\s*unbounded-ok\((?P<reason>[^)]*)\)")
 
 
 @dataclass(frozen=True)
@@ -54,27 +46,13 @@ class Violation:
         return f"{self.path}:{self.line}: {self.code} {self.message}"
 
 
-@dataclass(frozen=True)
-class Suppressions:
-    """The waiver comments of one file.
-
-    ``disabled`` maps a line to its disabled codes (``"all"`` disables
-    every code); ``unbounded`` maps a line to the reason text of its
-    ``unbounded-ok(...)`` waiver.
-    """
-
-    disabled: dict[int, frozenset[str]]
-    unbounded: dict[int, str]
-
-
-def parse_suppressions(source: str) -> Suppressions:
-    """Both waiver tables of one file, from a single tokenize pass.
+def parse_suppressions(source: str) -> dict[int, frozenset[str]]:
+    """The waiver table of one file: line -> the codes disabled there.
 
     Tokenizes rather than regex-scanning raw lines so that ``#``
     characters inside string literals never read as comments.
     """
     disabled: dict[int, frozenset[str]] = {}
-    unbounded: dict[int, str] = {}
     try:
         tokens = tokenize.generate_tokens(StringIO(source).readline)
         comments = [
@@ -83,26 +61,25 @@ def parse_suppressions(source: str) -> Suppressions:
     except (tokenize.TokenError, IndentationError):  # unparseable tail
         comments = []
     for token in comments:
-        line = token.start[0]
         match = _SUPPRESSION.search(token.string)
-        if match is not None:
-            codes = frozenset(
-                code.strip().upper() if code.strip().lower() != "all" else "all"
-                for code in match.group("codes").split(",")
-                if code.strip()
-            )
-            if codes:
-                disabled[line] = disabled.get(line, frozenset()) | codes
-        match = _UNBOUNDED.search(token.string)
-        if match is not None:
-            unbounded[line] = match.group("reason").strip()
-    return Suppressions(disabled=disabled, unbounded=unbounded)
+        if match is None:
+            continue
+        codes = frozenset(
+            code.strip().upper()
+            for code in match.group("codes").split(",")
+            if code.strip()
+        )
+        if codes:
+            line = token.start[0]
+            disabled[line] = disabled.get(line, frozenset()) | codes
+    return disabled
 
 
-def is_suppressed(suppressions: Suppressions, line: int, code: str) -> bool:
+def is_suppressed(
+    suppressions: dict[int, frozenset[str]], line: int, code: str
+) -> bool:
     """Whether ``code`` is disabled on physical line ``line``."""
-    codes = suppressions.disabled.get(line)
-    return codes is not None and (code in codes or "all" in codes)
+    return code in suppressions.get(line, ())
 
 
-__all__ = ["Suppressions", "Violation", "is_suppressed", "parse_suppressions"]
+__all__ = ["Violation", "is_suppressed", "parse_suppressions"]

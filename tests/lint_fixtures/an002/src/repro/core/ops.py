@@ -15,8 +15,7 @@ def explode(problem: object) -> list:
 
 def condense(problem: object) -> list:
     merged: list = []
-    # reprolint: unbounded-ok(one pass over an already-checked alphabet)
-    while problem:
+    while problem:  # reprolint: disable=AN002 -- one pass over a checked alphabet
         merged.append(mutate(problem))
         problem = None
     return merged

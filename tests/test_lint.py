@@ -1,4 +1,4 @@
-"""Tests for reprolint: fixtures, suppression, discovery, and self-check.
+"""Tests for reprolint: rules, detectors, waivers, discovery, and the CLI.
 
 Each per-file rule has a fixture triple under
 ``tests/lint_fixtures/<rule>/`` mirroring the real tree's layout
@@ -9,20 +9,24 @@ identically over fixtures and product code:
 * ``clean.py`` — the idiomatic fix, no violations,
 * ``suppressed.py`` — the violation under ``# reprolint: disable=...``.
 
-The whole-program detectors' fixture trees (``tests/lint_fixtures/
-an00N/``) are exercised in ``tests/test_analysis.py``.  The self-check
-test then pins the shipped tree itself at zero violations — the same
-gate CI runs via ``python -m repro.lint``.
+Each whole-program detector has a fixture mini-tree under
+``tests/lint_fixtures/<anxxx>/`` with the same layout, so module naming
+runs identically too.  Every tree seeds true positives *and* waived
+cases, proving both that the detector fires and that the one waiver
+grammar silences it.
+
+The shipped tree is linted exactly twice: once in-process (which also
+pins one ``ast.parse`` per file) and once through the CLI, exactly as
+CI runs it.
 """
 
 from __future__ import annotations
 
 import ast
-import io
+import json
 import subprocess
 import sys
 from collections import Counter
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -31,19 +35,22 @@ from repro.lint import (
     DETECTORS,
     RULES,
     FileReport,
+    build_call_graph,
+    collect_facts,
     discover,
     is_suppressed,
     lint_paths,
+    parse_file,
     parse_suppressions,
 )
-from repro.lint.cli import main
+from repro.lint.callgraph import module_name_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
 
 RULE_CODES = [rule.code for rule in RULES]
 DETECTOR_CODES = [detector.code for detector in DETECTORS]
-SHIPPED_DIRS = ("src", "tests", "tools", "benchmarks")
+SHIPPED_DIRS = ("src", "tests", "tools", "benchmarks", "examples")
 
 #: rule code -> directory of its fixture triple (mirrors real scoping).
 FIXTURE_DIRS = {
@@ -66,6 +73,28 @@ def lint_file(path: Path) -> FileReport:
     return report
 
 
+def analyze_fixture(name):
+    """Every finding ``python -m repro.lint`` reports on one fixture tree."""
+    reports, missing = lint_paths([str(FIXTURES / name / "src")])
+    assert not missing
+    assert all(report.error is None for report in reports)
+    return [violation for report in reports for violation in report.violations]
+
+
+def link(path):
+    """The call graph of the python files under ``path``."""
+    files, missing = discover([str(path)])
+    assert not missing
+    return build_call_graph(parse_file(name) for name in files)
+
+
+@pytest.fixture(scope="module")
+def real_tree():
+    """The shipped package's graph and facts, built once per module."""
+    graph = link(REPO_ROOT / "src" / "repro")
+    return graph, collect_facts(graph)
+
+
 # ---------------------------------------------------------------------------
 # The catalogue itself
 # ---------------------------------------------------------------------------
@@ -76,9 +105,11 @@ def test_catalogue_is_complete_and_ordered():
     assert RULE_CODES == [
         "RL001", "RL002", "RL004", "RL005", "RL006", "RL007", "RL008", "RL009"
     ]
-    assert len({rule.name for rule in RULES}) == len(RULES)
-    for rule in RULES:
-        assert rule.summary
+    assert DETECTOR_CODES == [f"AN{i:03d}" for i in range(1, 5)]
+    for catalogue in (RULES, DETECTORS):
+        assert len({entry.name for entry in catalogue}) == len(catalogue)
+        for entry in catalogue:
+            assert entry.summary
 
 
 def test_every_rule_has_a_fixture_triple():
@@ -86,6 +117,11 @@ def test_every_rule_has_a_fixture_triple():
         directory = FIXTURE_DIRS[code]
         for kind in ("violating", "clean", "suppressed"):
             assert (directory / f"{kind}.py").is_file(), (code, kind)
+
+
+def test_every_detector_has_a_fixture_tree():
+    for code in DETECTOR_CODES:
+        assert (FIXTURES / code.lower() / "src" / "repro").is_dir(), code
 
 
 # ---------------------------------------------------------------------------
@@ -127,24 +163,222 @@ def test_violations_render_path_line_code():
 
 
 # ---------------------------------------------------------------------------
-# Suppression comment parsing
+# Module naming and linking mirror the real tree
+# ---------------------------------------------------------------------------
+
+def test_module_name_derives_from_last_repro_component():
+    fixture = FIXTURES / "an001" / "src" / "repro" / "core" / "kernel" / "hot.py"
+    assert module_name_of(str(fixture)) == "repro.core.kernel.hot"
+    assert module_name_of("src/repro/core/__init__.py") == "repro.core"
+    assert module_name_of("somewhere/else/thing.py") is None
+
+
+def test_fixture_tree_links_cross_module_calls():
+    graph = link(FIXTURES / "an002" / "src")
+    chain = graph.call_chain(
+        "repro.lowerbound.chain.run", "repro.core.ops.mutate"
+    )
+    assert chain is not None
+    assert chain[:2] == [
+        "repro.lowerbound.chain.run",
+        "repro.lowerbound.chain.drive",
+    ]
+    assert chain[2] in {
+        "repro.core.ops.explode",
+        "repro.core.ops.condense",
+        "repro.core.ops.rebuild",
+    }
+    assert chain[3] == "repro.core.ops.mutate"
+
+
+def test_thread_targets_become_roots():
+    graph = link(FIXTURES / "an003" / "src")
+    assert "repro.service.worker.Coordinator.poll" in graph.thread_roots
+    assert "repro.service.worker.Coordinator.drain" in graph.thread_roots
+
+
+# ---------------------------------------------------------------------------
+# Per-detector fixtures: true positives and waived cases
+# ---------------------------------------------------------------------------
+
+def an001_findings():
+    """The AN001 fixture's findings, keyed by line."""
+    findings = analyze_fixture("an001")
+    assert {finding.code for finding in findings} == {"AN001"}
+    return {finding.line: finding for finding in findings}
+
+
+def test_an001_flags_allocation_in_hot_closure_with_chain():
+    finding = an001_findings()[23]  # grown = set() inside _expand
+    assert finding.symbol == "repro.core.kernel.hot._expand"
+    assert "core.kernel.hot.dfs" in finding.message
+    assert "->" in finding.message  # the call chain is reported
+
+
+def test_an001_disable_comment_waives_the_boot_table():
+    assert 34 not in an001_findings()
+
+
+def test_an001_flags_a_marked_functions_own_allocation():
+    finding = an001_findings()[40]  # survivors = set() inside grow
+    assert finding.symbol == "repro.core.kernel.hot.grow"
+    assert "set() call" in finding.message
+    assert "(chain: core.kernel.hot.grow);" in finding.message
+
+
+def test_an001_marker_above_the_first_decorator_counts():
+    finding = an001_findings()[55]  # frozenset(...) in _grow_cached
+    assert finding.symbol == "repro.core.kernel.hot._grow_cached"
+    assert "frozenset() call" in finding.message
+
+
+def test_an001_line_suppression_silences_a_marked_function():
+    assert 60 not in an001_findings()  # _grow_waived's set comprehension
+
+
+def test_an001_unmarked_cold_helper_may_build_sets():
+    assert 66 not in an001_findings()  # _materialize, reached by no root
+
+
+def test_an001_trailing_hotpath_comment_marks_nothing():
+    findings = an001_findings()
+    assert 71 not in findings  # _widths_view, below `... # hotpath table`
+    assert sorted(findings) == [23, 40, 55]
+    graph = link(FIXTURES / "an001" / "src")
+    hot = {
+        qualname.rsplit(".", 1)[-1]
+        for qualname, summary in collect_facts(graph).functions.items()
+        if summary.hotpath
+    }
+    assert hot == {"dfs", "grow", "_grow_cached", "_grow_waived"}
+
+
+def test_an002_flags_governed_loop_without_checkpoint():
+    findings = analyze_fixture("an002")
+    assert [finding.code for finding in findings] == ["AN002"]
+    finding = findings[0]
+    assert finding.line == 10  # the while loop in explode
+    assert finding.symbol == "repro.core.ops.explode"
+    assert "governed entry" in finding.message
+    assert "lowerbound.chain.run" in finding.message
+
+
+def test_an002_waiver_and_direct_checkpoint_both_pass():
+    findings = analyze_fixture("an002")
+    flagged = {finding.line for finding in findings}
+    assert 18 not in flagged  # condense: disable=AN002 on the loop header
+    assert 26 not in flagged  # rebuild: checkpoint in the loop body
+
+
+def test_an003_reports_cycle_and_unguarded_cross_thread_write():
+    findings = analyze_fixture("an003")
+    assert [finding.code for finding in findings] == ["AN003", "AN003"]
+    cycle, write = findings
+    assert cycle.line == 35  # with self._lock: inside drain
+    assert "lock-order cycle" in cycle.message
+    assert "Coordinator._aux" in cycle.message
+    assert "Coordinator._lock" in cycle.message
+    assert write.line == 37  # self._pulse -= 1 in drain
+    assert write.symbol == "repro.service.worker.Coordinator._pulse"
+    assert "no common lock held" in write.message
+
+
+def test_an003_guarded_and_waived_writes_pass():
+    findings = analyze_fixture("an003")
+    symbols = {finding.symbol for finding in findings}
+    assert "repro.service.worker.Coordinator._jobs" not in symbols
+    assert "repro.service.worker.Coordinator._beacon" not in symbols
+
+
+def test_an004_flags_dead_and_single_engine_counters():
+    findings = analyze_fixture("an004")
+    assert [finding.code for finding in findings] == ["AN004", "AN004"]
+    single, dead = findings
+    assert single.symbol == "node.configs.out"
+    assert "only by the kernel engine" in single.message
+    assert dead.symbol == "cache.ghost"
+    assert "emitted nowhere" in dead.message
+
+
+def test_an004_waived_and_healthy_counters_pass():
+    findings = analyze_fixture("an004")
+    symbols = {finding.symbol for finding in findings}
+    assert "cache.legacy" not in symbols  # disable comment
+    assert "labels.in" not in symbols  # both engines emit it
+    assert "cache.hit" not in symbols  # timing counter, one engine is fine
+
+
+# ---------------------------------------------------------------------------
+# The one waiver grammar
 # ---------------------------------------------------------------------------
 
 def test_parse_suppressions_single_and_list():
     source = (
-        "x = 1  # reprolint: disable=RL001\n"
-        "y = 2  # reprolint: disable=RL002, AN003 -- justified\n"
-        "z = 3  # reprolint: disable=all\n"
+        "x = 1  # reprolint: disable=RL001 -- justified\n"
+        "y = 2  # reprolint: disable=RL002, an003 -- justified\n"
         "w = 4  # an ordinary comment\n"
+        "s = '# reprolint: disable=RL001 -- inside a string'\n"
     )
     suppressions = parse_suppressions(source)
+    assert suppressions == {
+        1: frozenset({"RL001"}),
+        2: frozenset({"RL002", "AN003"}),
+    }
     assert is_suppressed(suppressions, 1, "RL001")
     assert not is_suppressed(suppressions, 1, "RL002")
-    assert is_suppressed(suppressions, 2, "RL002")
     assert is_suppressed(suppressions, 2, "AN003")
-    assert is_suppressed(suppressions, 3, "RL008")
-    assert is_suppressed(suppressions, 3, "AN001")
-    assert not is_suppressed(suppressions, 4, "RL001")
+    assert not is_suppressed(suppressions, 3, "RL001")
+
+
+#: code -> (file under a ``src/repro`` tree, source whose flagged line
+#: carries ``{waiver}``).
+_WAIVABLE = {
+    "RL001": (
+        "analysis/mod.py",
+        "def reject(count: int) -> None:\n"
+        "    if count < 0:\n"
+        "        raise ValueError('negative')  {waiver}\n",
+    ),
+    "AN002": (
+        "core/mod.py",
+        "from repro.robustness.budget import governed\n"
+        "\n"
+        "\n"
+        "def run(items: object) -> int:\n"
+        "    with governed(items):\n"
+        "        return spin(items)\n"
+        "\n"
+        "\n"
+        "def spin(items: object) -> int:\n"
+        "    total = 0\n"
+        "    while items:  {waiver}\n"
+        "        total += probe(items)\n"
+        "        items = None\n"
+        "    return total\n"
+        "\n"
+        "\n"
+        "def probe(items: object) -> int:\n"
+        "    return 1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("code", sorted(_WAIVABLE))
+def test_reasonless_waiver_waives_nothing(code, tmp_path):
+    relative, template = _WAIVABLE[code]
+    expected = {
+        f"# reprolint: disable={code} -- bounded": [],
+        f"# reprolint: disable={code}": [code],
+        f"# reprolint: disable={code} --": [code],
+    }
+    for index, (waiver, codes) in enumerate(expected.items()):
+        root = tmp_path / str(index) / "src"
+        target = root / "repro" / relative
+        target.parent.mkdir(parents=True)
+        target.write_text(template.format(waiver=waiver))
+        reports, _ = lint_paths([str(root)])
+        found = [v.code for report in reports for v in report.violations]
+        assert found == codes, waiver
 
 
 # ---------------------------------------------------------------------------
@@ -175,25 +409,11 @@ def test_explicitly_named_fixture_is_still_lintable():
 
 
 # ---------------------------------------------------------------------------
-# Self-check: the shipped tree is lint-clean
+# The shipped tree: self-check and schema closure
 # ---------------------------------------------------------------------------
 
-def test_shipped_tree_is_lint_clean():
-    targets = [str(REPO_ROOT / name) for name in SHIPPED_DIRS]
-    reports, missing = lint_paths(targets)
-    assert not missing
-    problems = [
-        violation.render()
-        for report in reports
-        for violation in report.violations
-    ]
-    errors = [report.error for report in reports if report.error]
-    assert not errors, errors
-    assert not problems, "\n".join(problems)
-
-
-def test_one_parse_per_discovered_file(monkeypatch):
-    """Both passes share one ``ast.parse`` of each file per run."""
+def test_shipped_tree_is_lint_clean(monkeypatch):
+    """Zero findings, from one ``ast.parse`` of each file for both passes."""
     parsed: Counter[str] = Counter()
     real_parse = ast.parse
 
@@ -202,18 +422,61 @@ def test_one_parse_per_discovered_file(monkeypatch):
         return real_parse(source, filename, *args, **kwargs)
 
     monkeypatch.setattr(ast, "parse", counting_parse)
-    monkeypatch.chdir(REPO_ROOT)
-    with redirect_stdout(io.StringIO()):
-        assert main(list(SHIPPED_DIRS)) == 0
-    files, _ = discover(list(SHIPPED_DIRS))
-    assert any("/repro/" in name for name in files)
+    targets = [str(REPO_ROOT / name) for name in SHIPPED_DIRS]
+    reports, missing = lint_paths(targets)
+    assert not missing
+    errors = [report.error for report in reports if report.error]
+    assert not errors, errors
+    problems = [
+        violation.render()
+        for report in reports
+        for violation in report.violations
+    ]
+    assert not problems, "\n".join(problems)
+    assert any("/repro/" in report.path for report in reports)
     # String annotations are parsed too, but never under a file name.
     del parsed["<unknown>"]
-    assert parsed == Counter(files)
+    assert parsed == Counter(report.path for report in reports)
+
+
+def test_schema_emission_closure(real_tree):
+    """Every declared counter is emitted somewhere — the list can't rot."""
+    graph, facts = real_tree
+    assert facts.schema, "schema tables not found in the scanned tree"
+    emitted = {
+        name
+        for summary in facts.functions.values()
+        for name, _ in summary.counter_adds
+    }
+    missing = sorted(set(facts.schema) - emitted)
+    assert not missing, f"declared but never emitted: {missing}"
+
+
+def test_semantic_counters_are_engine_symmetric(real_tree):
+    """Semantic counters are emitted by both engines or by neither."""
+    graph, facts = real_tree
+    for name in sorted(facts.semantic_counters):
+        sites = [
+            qualname
+            for qualname, summary in facts.functions.items()
+            for counter, _ in summary.counter_adds
+            if counter == name
+        ]
+        kernel = [
+            site
+            for site in sites
+            if "kernel" in graph.functions[site].module.split(".")
+        ]
+        reference = [
+            site
+            for site in sites
+            if "round_elimination" in graph.functions[site].module.split(".")
+        ]
+        assert bool(kernel) == bool(reference), (name, kernel, reference)
 
 
 # ---------------------------------------------------------------------------
-# CLI exit-code convention: 0 clean / 1 violations / 2 usage
+# The command line: 0 clean / 1 violations / 2 usage
 # ---------------------------------------------------------------------------
 
 def _run_lint(*arguments: str) -> subprocess.CompletedProcess:
@@ -223,12 +486,19 @@ def _run_lint(*arguments: str) -> subprocess.CompletedProcess:
         text=True,
         cwd=REPO_ROOT,
         env={"PYTHONPATH": str(REPO_ROOT / "src")},
+        stdin=subprocess.DEVNULL,
+        timeout=300,
     )
 
 
 def test_cli_exit_0_on_clean_input():
-    result = _run_lint(str(FIXTURE_DIRS["RL001"] / "clean.py"))
+    """The shipped tree, linted exactly as CI lints it."""
+    result = _run_lint("--json", *SHIPPED_DIRS)
     assert result.returncode == 0, result.stdout + result.stderr
+    report = json.loads(result.stdout)
+    assert report["violations"] == []
+    files, _ = discover([str(REPO_ROOT / name) for name in SHIPPED_DIRS])
+    assert report["scanned_files"] == len(files)
 
 
 def test_cli_exit_1_on_violations():
@@ -238,24 +508,52 @@ def test_cli_exit_1_on_violations():
     assert "violation" in result.stderr
 
 
-@pytest.mark.parametrize("code", RULE_CODES)
-def test_cli_exit_1_on_each_rules_violating_fixture(code):
-    result = _run_lint(str(FIXTURE_DIRS[code] / "violating.py"))
+def test_cli_json_report_shape():
+    result = _run_lint(
+        "--json",
+        str(FIXTURE_DIRS["RL001"] / "violating.py"),
+        "tests/lint_fixtures/an004/src",
+    )
     assert result.returncode == 1
-    assert code in result.stdout
+    report = json.loads(result.stdout)
+    assert report["schema"] == 1
+    assert report["scanned_files"] == 4
+    violations = report["violations"]
+    assert [v["code"] for v in violations] == ["RL001", "AN004", "AN004"]
+    assert [v["symbol"] for v in violations] == [
+        None,
+        "node.configs.out",
+        "cache.ghost",
+    ]
 
 
-def test_cli_exit_2_on_usage_errors():
-    assert _run_lint().returncode == 2
-    assert _run_lint("--no-such-flag").returncode == 2
-    assert _run_lint("no/such/path").returncode == 2
+def test_cli_exit_2_on_usage_errors(tmp_path):
+    broken = tmp_path / "src" / "repro"
+    broken.mkdir(parents=True)
+    (broken / "broken.py").write_text("def oops(:\n")
+    for arguments in ((), ("--no-such-flag",), ("no/such/path",), (str(broken),)):
+        result = _run_lint(*arguments)
+        assert result.returncode == 2, arguments
+        assert result.stderr.startswith("error:"), arguments
 
 
-def test_cli_help_and_list_rules_exit_0():
+def test_cli_help_documents_exit_codes():
     result = _run_lint("--help")
     assert result.returncode == 0
-    assert "exit" in result.stdout.lower()
-    listing = _run_lint("--list-rules")
-    assert listing.returncode == 0
+    assert "Exit status" in result.stdout
+    for fragment in (
+        "0  clean",
+        "1  violations",
+        "2  usage",
+        "RL001-RL009",
+        "AN001-AN004",
+        "# reprolint: disable=RL001,AN003 -- ",
+    ):
+        assert fragment in result.stdout
+
+
+def test_cli_list_rules_prints_the_catalogue():
+    result = _run_lint("--list-rules")
+    assert result.returncode == 0
     for code in RULE_CODES + DETECTOR_CODES:
-        assert code in listing.stdout
+        assert code in result.stdout

@@ -417,67 +417,6 @@ class TestTraceReport:
         assert "hit_rate=100.00%" in gate.stdout
 
 
-class TestReproLint:
-    def test_shipped_tree_is_clean(self):
-        completed = run_script(
-            "-m", "repro.lint", "src", "tests", "tools", "benchmarks"
-        )
-        assert completed.returncode == 0, completed.stdout + completed.stderr
-
-    def test_help_exits_0_and_documents_exit_codes(self):
-        completed = run_script("-m", "repro.lint", "--help")
-        assert completed.returncode == 0
-        assert "Exit status" in completed.stdout
-        for fragment in ("0  clean", "1  violations", "2  usage"):
-            assert fragment in completed.stdout
-
-    def test_no_paths_exits_2(self):
-        completed = run_script("-m", "repro.lint")
-        assert completed.returncode == 2
-        assert completed.stderr.startswith("error:")
-
-    def test_violating_fixture_exits_1(self):
-        completed = run_script(
-            "-m", "repro.lint",
-            "tests/lint_fixtures/rl001/src/repro/analysis/violating.py",
-        )
-        assert completed.returncode == 1
-        assert "RL001" in completed.stdout
-        assert "violation" in completed.stderr
-
-
-class TestReproLintDetectors:
-    """The whole-program detectors, reached through the one lint CLI."""
-
-    def test_shipped_tree_is_clean(self):
-        completed = run_script("-m", "repro.lint", "--json", "src")
-        assert completed.returncode == 0, completed.stdout + completed.stderr
-        assert json.loads(completed.stdout)["violations"] == []
-
-    def test_help_exits_0_and_documents_exit_codes(self):
-        completed = run_script("-m", "repro.lint", "--help")
-        assert completed.returncode == 0
-        for code in ("RL001-RL009", "AN001-AN004", "unbounded-ok"):
-            assert code in completed.stdout
-
-    def test_fixture_tree_exits_1_with_json_report(self):
-        completed = run_script(
-            "-m", "repro.lint", "--json",
-            "tests/lint_fixtures/rl001/src/repro/analysis/violating.py",
-            "tests/lint_fixtures/an004/src",
-        )
-        assert completed.returncode == 1
-        report = json.loads(completed.stdout)
-        assert [v["code"] for v in report["violations"]] == [
-            "RL001", "AN004", "AN004",
-        ]
-
-    def test_missing_path_exits_2(self):
-        completed = run_script("-m", "repro.lint", "no/such/tree")
-        assert completed.returncode == 2
-        assert completed.stderr.startswith("error:")
-
-
 class TestCallgraphReport:
     def test_stats_line_over_shipped_tree(self):
         completed = run_script("tools/callgraph_report.py", "--stats")
