@@ -15,14 +15,17 @@ runs identically too.  Every tree seeds true positives *and* waived
 cases, proving both that the detector fires and that the one waiver
 grammar silences it.
 
-The shipped tree is linted exactly twice: once in-process (which also
-pins one ``ast.parse`` per file) and once through the CLI, exactly as
-CI runs it.
+The shipped tree is linted exactly twice: once in-process (the
+``shipped_lint`` fixture, which also counts ``ast.parse`` calls) and
+once through the CLI, exactly as CI runs it.  The CLI tests memoise
+their subprocess runs by argument list, so tests that read the same
+run share it.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import subprocess
 import sys
@@ -99,17 +102,24 @@ def real_tree():
 # The catalogue itself
 # ---------------------------------------------------------------------------
 
+def _assert_catalogue(catalogue) -> None:
+    assert len({entry.name for entry in catalogue}) == len(catalogue)
+    for entry in catalogue:
+        assert entry.summary
+
+
 def test_catalogue_is_complete_and_ordered():
     # The retired picklable-dispatch rule's number is not reused, so old
     # suppression comments can never silence a different rule.
     assert RULE_CODES == [
         "RL001", "RL002", "RL004", "RL005", "RL006", "RL007", "RL008", "RL009"
     ]
+    _assert_catalogue(RULES)
+
+
+def test_detector_catalogue_is_complete_and_ordered():
     assert DETECTOR_CODES == [f"AN{i:03d}" for i in range(1, 5)]
-    for catalogue in (RULES, DETECTORS):
-        assert len({entry.name for entry in catalogue}) == len(catalogue)
-        for entry in catalogue:
-            assert entry.summary
+    _assert_catalogue(DETECTORS)
 
 
 def test_every_rule_has_a_fixture_triple():
@@ -315,19 +325,36 @@ def test_an004_waived_and_healthy_counters_pass():
 def test_parse_suppressions_single_and_list():
     source = (
         "x = 1  # reprolint: disable=RL001 -- justified\n"
-        "y = 2  # reprolint: disable=RL002, an003 -- justified\n"
+        "y = 2  # reprolint: disable=RL002, RL004 -- justified\n"
         "w = 4  # an ordinary comment\n"
         "s = '# reprolint: disable=RL001 -- inside a string'\n"
     )
     suppressions = parse_suppressions(source)
     assert suppressions == {
         1: frozenset({"RL001"}),
-        2: frozenset({"RL002", "AN003"}),
+        2: frozenset({"RL002", "RL004"}),
     }
     assert is_suppressed(suppressions, 1, "RL001")
     assert not is_suppressed(suppressions, 1, "RL002")
-    assert is_suppressed(suppressions, 2, "AN003")
+    assert is_suppressed(suppressions, 2, "RL004")
     assert not is_suppressed(suppressions, 3, "RL001")
+
+
+def test_parse_suppressions_reads_detector_codes():
+    # AN codes share the grammar; codes are case-insensitive, and the
+    # waiver on a loop header covers AN002's anchor line.
+    suppressions = parse_suppressions(
+        "x = 1  # reprolint: disable=AN001, an003 -- justified\n"
+        "while x:  # reprolint: disable=AN002 -- one pass\n"
+        "    x = 0\n"
+    )
+    assert suppressions == {
+        1: frozenset({"AN001", "AN003"}),
+        2: frozenset({"AN002"}),
+    }
+    assert is_suppressed(suppressions, 1, "AN003")
+    assert is_suppressed(suppressions, 2, "AN002")
+    assert not is_suppressed(suppressions, 3, "AN002")
 
 
 #: code -> (file under a ``src/repro`` tree, source whose flagged line
@@ -412,8 +439,12 @@ def test_explicitly_named_fixture_is_still_lintable():
 # The shipped tree: self-check and schema closure
 # ---------------------------------------------------------------------------
 
-def test_shipped_tree_is_lint_clean(monkeypatch):
-    """Zero findings, from one ``ast.parse`` of each file for both passes."""
+@pytest.fixture(scope="module")
+def shipped_lint():
+    """The in-process lint of the shipped tree, with its ``ast.parse`` calls.
+
+    The one in-process shipped-tree run; the tests below read it.
+    """
     parsed: Counter[str] = Counter()
     real_parse = ast.parse
 
@@ -421,22 +452,40 @@ def test_shipped_tree_is_lint_clean(monkeypatch):
         parsed[str(filename)] += 1
         return real_parse(source, filename, *args, **kwargs)
 
-    monkeypatch.setattr(ast, "parse", counting_parse)
-    targets = [str(REPO_ROOT / name) for name in SHIPPED_DIRS]
-    reports, missing = lint_paths(targets)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ast, "parse", counting_parse)
+        targets = [str(REPO_ROOT / name) for name in SHIPPED_DIRS]
+        reports, missing = lint_paths(targets)
     assert not missing
+    return reports, parsed
+
+
+def test_shipped_tree_is_lint_clean(shipped_lint):
+    """Every shipped file parses, and the package itself is scanned."""
+    reports, _ = shipped_lint
     errors = [report.error for report in reports if report.error]
     assert not errors, errors
+    assert any("/repro/" in report.path for report in reports)
+
+
+def test_shipped_tree_has_zero_findings(shipped_lint):
+    reports, _ = shipped_lint
     problems = [
         violation.render()
         for report in reports
         for violation in report.violations
     ]
     assert not problems, "\n".join(problems)
-    assert any("/repro/" in report.path for report in reports)
+
+
+def test_one_parse_per_discovered_file(shipped_lint):
+    """Both passes share one ``ast.parse`` of each file per run."""
+    reports, parsed = shipped_lint
     # String annotations are parsed too, but never under a file name.
-    del parsed["<unknown>"]
-    assert parsed == Counter(report.path for report in reports)
+    by_file = Counter(
+        {name: count for name, count in parsed.items() if name != "<unknown>"}
+    )
+    assert by_file == Counter(report.path for report in reports)
 
 
 def test_schema_emission_closure(real_tree):
@@ -479,7 +528,13 @@ def test_semantic_counters_are_engine_symmetric(real_tree):
 # The command line: 0 clean / 1 violations / 2 usage
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _run_lint(*arguments: str) -> subprocess.CompletedProcess:
+    """One ``python -m repro.lint`` run per distinct argument list.
+
+    Tests that pass the same arguments share the run, so the shipped
+    tree goes through the CLI once however many tests read the result.
+    """
     return subprocess.run(
         [sys.executable, "-m", "repro.lint", *arguments],
         capture_output=True,
@@ -491,65 +546,39 @@ def _run_lint(*arguments: str) -> subprocess.CompletedProcess:
     )
 
 
+#: The canonical invocation, as CI runs it.
+SHIPPED_RUN = ("--json", *SHIPPED_DIRS)
+RL001_VIOLATING = "tests/lint_fixtures/rl001/src/repro/analysis/violating.py"
+
+
 def test_cli_exit_0_on_clean_input():
     """The shipped tree, linted exactly as CI lints it."""
-    result = _run_lint("--json", *SHIPPED_DIRS)
+    result = _run_lint(*SHIPPED_RUN)
     assert result.returncode == 0, result.stdout + result.stderr
     report = json.loads(result.stdout)
-    assert report["violations"] == []
     files, _ = discover([str(REPO_ROOT / name) for name in SHIPPED_DIRS])
     assert report["scanned_files"] == len(files)
 
 
 def test_cli_exit_1_on_violations():
-    result = _run_lint(str(FIXTURE_DIRS["RL001"] / "violating.py"))
+    result = _run_lint(RL001_VIOLATING)
     assert result.returncode == 1
     assert "RL001" in result.stdout
     assert "violation" in result.stderr
 
 
-def test_cli_json_report_shape():
-    result = _run_lint(
-        "--json",
-        str(FIXTURE_DIRS["RL001"] / "violating.py"),
-        "tests/lint_fixtures/an004/src",
-    )
-    assert result.returncode == 1
-    report = json.loads(result.stdout)
-    assert report["schema"] == 1
-    assert report["scanned_files"] == 4
-    violations = report["violations"]
-    assert [v["code"] for v in violations] == ["RL001", "AN004", "AN004"]
-    assert [v["symbol"] for v in violations] == [
-        None,
-        "node.configs.out",
-        "cache.ghost",
-    ]
-
-
-def test_cli_exit_2_on_usage_errors(tmp_path):
-    broken = tmp_path / "src" / "repro"
-    broken.mkdir(parents=True)
-    (broken / "broken.py").write_text("def oops(:\n")
-    for arguments in ((), ("--no-such-flag",), ("no/such/path",), (str(broken),)):
+def test_cli_exit_2_on_usage_errors():
+    for arguments in ((), ("--no-such-flag",), ("no/such/path",)):
         result = _run_lint(*arguments)
         assert result.returncode == 2, arguments
         assert result.stderr.startswith("error:"), arguments
 
 
-def test_cli_help_documents_exit_codes():
+def test_cli_help_and_list_rules_exit_0():
     result = _run_lint("--help")
     assert result.returncode == 0
-    assert "Exit status" in result.stdout
-    for fragment in (
-        "0  clean",
-        "1  violations",
-        "2  usage",
-        "RL001-RL009",
-        "AN001-AN004",
-        "# reprolint: disable=RL001,AN003 -- ",
-    ):
-        assert fragment in result.stdout
+    assert "exit" in result.stdout.lower()
+    assert _run_lint("--list-rules").returncode == 0
 
 
 def test_cli_list_rules_prints_the_catalogue():
@@ -557,3 +586,119 @@ def test_cli_list_rules_prints_the_catalogue():
     assert result.returncode == 0
     for code in RULE_CODES + DETECTOR_CODES:
         assert code in result.stdout
+
+
+class TestReproLint:
+    """The per-file rules, reached through the CLI."""
+
+    def test_shipped_tree_is_clean(self):
+        result = _run_lint(*SHIPPED_RUN)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stderr == ""
+
+    def test_help_exits_0_and_documents_exit_codes(self):
+        result = _run_lint("--help")
+        assert result.returncode == 0
+        assert "Exit status" in result.stdout
+        for fragment in ("0  clean", "1  violations", "2  usage"):
+            assert fragment in result.stdout
+
+    def test_no_paths_exits_2(self):
+        result = _run_lint()
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: no paths given")
+
+    def test_violating_fixture_exits_1(self):
+        result = _run_lint(RL001_VIOLATING)
+        assert result.returncode == 1
+        assert f"{RL001_VIOLATING}:6: RL001 " in result.stdout
+        assert "1 violation(s) in 1 file(s) (1 scanned)" in result.stderr
+
+
+class TestReproLintDetectors:
+    """The whole-program detectors, reached through the same CLI."""
+
+    def test_shipped_tree_is_clean(self):
+        result = _run_lint(*SHIPPED_RUN)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert json.loads(result.stdout)["violations"] == []
+
+    def test_help_exits_0_and_documents_exit_codes(self):
+        result = _run_lint("--help")
+        assert result.returncode == 0
+        for fragment in (
+            "RL001-RL009",
+            "AN001-AN004",
+            "# reprolint: disable=RL001,AN003 -- ",
+        ):
+            assert fragment in result.stdout
+
+    def test_fixture_tree_exits_1_with_json_report(self):
+        result = _run_lint(
+            "--json", RL001_VIOLATING, "tests/lint_fixtures/an004/src"
+        )
+        assert result.returncode == 1
+        report = json.loads(result.stdout)
+        assert report["scanned_files"] == 4
+        assert [v["code"] for v in report["violations"]] == [
+            "RL001", "AN004", "AN004",
+        ]
+
+    def test_missing_path_exits_2(self):
+        result = _run_lint("no/such/tree")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: no such path: no/such/tree")
+
+
+class TestAnalysisCli:
+    """Detector fixture trees and bad input, through the CLI."""
+
+    def test_shipped_tree_is_clean(self):
+        result = _run_lint(*SHIPPED_RUN)
+        assert result.returncode == 0, result.stdout + result.stderr
+        report = json.loads(result.stdout)
+        assert report["schema"] == 1
+        assert report["violations"] == []
+
+    def test_fixture_tree_exits_1_with_findings(self):
+        result = _run_lint("tests/lint_fixtures/an001/src")
+        assert result.returncode == 1
+        assert "AN001" in result.stdout
+        assert "violation" in result.stderr
+
+    def test_json_report_shape(self):
+        result = _run_lint("--json", "tests/lint_fixtures/an004/src")
+        assert result.returncode == 1
+        report = json.loads(result.stdout)
+        assert report["schema"] == 1
+        assert report["scanned_files"] == 3
+        assert [v["code"] for v in report["violations"]] == ["AN004", "AN004"]
+        assert [v["symbol"] for v in report["violations"]] == [
+            "node.configs.out",
+            "cache.ghost",
+        ]
+
+    def test_missing_path_exits_2(self):
+        result = _run_lint("tests/lint_fixtures/an001/src", "no/such/tree")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+        assert result.stdout == ""
+
+    def test_unparseable_input_exits_2(self, tmp_path):
+        tree = tmp_path / "src" / "repro"
+        tree.mkdir(parents=True)
+        (tree / "broken.py").write_text("def oops(:\n")
+        result = _run_lint(str(tree))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: cannot lint")
+
+    def test_unknown_option_exits_2(self):
+        result = _run_lint("--bogus")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: unknown option --bogus")
+
+    def test_help_documents_exit_codes(self):
+        result = _run_lint("-h")
+        assert result.returncode == 0
+        assert "Exit status" in result.stdout
+        assert result.stdout == _run_lint("--help").stdout
