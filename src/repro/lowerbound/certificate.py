@@ -27,6 +27,16 @@ the kernel engine by default.  The reference engine stays the oracle:
 are pinned byte-identical — render, ``to_dict``, semantic counters and
 checkpoint files — by ``tests/test_certificate_engines.py``.
 
+The Lemma 6 and both Lemma 8 checks run at one representative point
+and read the same inputs: R(Pi_Delta(a, x)) (Lemma 6 and the direct
+check), the Lemma 6 normal form and its parsed lines (Lemma 6 and the
+case analysis) and Pi_rel (both Lemma 8 checks).  One
+:class:`~repro.lowerbound.lemma6.SharedPoint` per call builds each of
+them at most once and hands it to all three checks.  Sharing is per
+call only: the next call, even for the same Delta, builds them again,
+and a run resumed after the ``lemma6-8`` stage rebuilds R on first use
+in ``lemma8-direct``.
+
 The builder is *resource-governed*: pass a
 :class:`~repro.robustness.budget.Budget` to bound it and a
 :class:`~repro.robustness.checkpointing.CheckpointStore` to make it
@@ -43,7 +53,7 @@ from dataclasses import dataclass, field
 from repro.algorithms.greedy import greedy_mis
 from repro.core import cache as _cache
 from repro.lowerbound.lemma5 import verify_lemma5
-from repro.lowerbound.lemma6 import verify_lemma6
+from repro.lowerbound.lemma6 import SharedPoint, verify_lemma6
 from repro.lowerbound.lemma8 import verify_lemma8_argument, verify_lemma8_direct
 from repro.lowerbound.lemma9 import verify_lemma9
 from repro.lowerbound.lift import (
@@ -245,6 +255,7 @@ def build_certificate(
                 persist("no-representative")
         else:
             a, x = representative.a, representative.x
+            shared = SharedPoint(delta, a, x, use_kernel=use_kernel)
 
             if "lemma6-8" not in completed:
                 if budget is not None:
@@ -252,11 +263,13 @@ def build_certificate(
                 marks = _cache_marks()
                 if delta <= ARGUMENT_VERIFICATION_LIMIT:
                     checks["lemma6 normal form"] = _safe(
-                        lambda: verify_lemma6(delta, a, x, use_kernel=use_kernel)
+                        lambda: verify_lemma6(
+                            delta, a, x, use_kernel=use_kernel, shared=shared
+                        )
                     )
                     checks["lemma8 case analysis"] = _safe(
                         lambda: verify_lemma8_argument(
-                            delta, a, x, use_kernel=use_kernel
+                            delta, a, x, use_kernel=use_kernel, shared=shared
                         ).ok
                     )
                 else:
@@ -271,7 +284,7 @@ def build_certificate(
                 if delta <= DIRECT_VERIFICATION_LIMIT:
                     checks["lemma8 direct Rbar"] = _safe(
                         lambda: verify_lemma8_direct(
-                            delta, a, x, use_kernel=use_kernel
+                            delta, a, x, use_kernel=use_kernel, shared=shared
                         )
                     )
                 else:

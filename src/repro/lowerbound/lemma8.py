@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable, Hashable, Iterable
 
-from repro.core.configurations import CondensedConfiguration, parse_condensed
+from repro.core.configurations import CondensedConfiguration
 from repro.core.diagram import Diagram
 from repro.core.kernel.bitops import is_subset, iter_bits
 from repro.core.kernel.engine import (
@@ -43,16 +43,16 @@ from repro.core.round_elimination import (
     existential_constraint,
     maximize_node_constraint,
 )
-from repro.lowerbound.lemma6 import (
-    compute_r_of_family,
-    expected_r_of_family,
-    lemma6_node_lines,
-)
-from repro.problems.family import pi_rel_problem
+from repro.lowerbound.lemma6 import SharedPoint
 
 
 def verify_lemma8_direct(
-    delta: int, a: int, x: int, *, use_kernel: bool = True
+    delta: int,
+    a: int,
+    x: int,
+    *,
+    use_kernel: bool = True,
+    shared: SharedPoint | None = None,
 ) -> bool:
     """Full engine check of Lemma 8 at one grid point.
 
@@ -65,16 +65,22 @@ def verify_lemma8_direct(
     R, the node maximization and the existential edge constraint run
     on the kernel unless ``use_kernel=False`` selects the reference
     engine.  Raises ``AssertionError`` with diagnostics on failure.
+
+    R(Pi) and Pi_rel come from ``shared``, a :class:`SharedPoint` for
+    the same point and engine, when the caller passes one (the
+    certificate shares its R with :func:`verify_lemma6`, within one
+    call); otherwise this call builds its own.
     """
+    shared = SharedPoint.for_call(delta, a, x, use_kernel, shared)
     if use_kernel:
         maximize, existential = (
             maximize_node_constraint_kernel, existential_constraint_kernel
         )
     else:
         maximize, existential = maximize_node_constraint, existential_constraint
-    renamed_r = compute_r_of_family(delta, a, x, use_kernel=use_kernel)
+    renamed_r = shared.renamed_r
     node_max = maximize(renamed_r.problem)
-    rel = pi_rel_problem(delta, a, x)
+    rel = shared.pi_rel
     stray = [
         configuration
         for configuration in node_max.configurations
@@ -120,7 +126,12 @@ class Lemma8Report:
 
 
 def verify_lemma8_argument(
-    delta: int, a: int, x: int, *, use_kernel: bool = True
+    delta: int,
+    a: int,
+    x: int,
+    *,
+    use_kernel: bool = True,
+    shared: SharedPoint | None = None,
 ) -> Lemma8Report:
     """Execute the paper's Lemma 8 case analysis for these parameters.
 
@@ -137,8 +148,15 @@ def verify_lemma8_argument(
     relation; ``use_kernel=False`` answers them with a reference
     :class:`~repro.core.diagram.Diagram` instead, the oracle the kernel
     is tested against field for field.
+
+    The normal form, its parsed lines and Pi_rel come from ``shared``,
+    a :class:`SharedPoint` for the same point and engine, when the
+    caller passes one (the certificate shares the normal form with
+    :func:`verify_lemma6`, within one call); otherwise this call builds
+    its own.
     """
-    problem = expected_r_of_family(delta, a, x)
+    shared = SharedPoint.for_call(delta, a, x, use_kernel, shared)
+    problem = shared.normal_form
     if use_kernel:
         right_closed, is_right_closed = _kernel_right_closedness(problem)
     else:
@@ -176,17 +194,14 @@ def verify_lemma8_argument(
             for labels in closed_without("A", within=ouabpq)
         ),
         no_m_p_u_configuration=not _node_constraint_admits(
-            delta, a, x, {"M": 1, "P": x + 1, "U": delta - a}
+            shared, {"M": 1, "P": x + 1, "U": delta - a}
         ),
         no_a_u_b_configuration=not _node_constraint_admits(
-            delta,
-            a,
-            x,
+            shared,
             {"A": x + 1, "U": delta - a + 1, "B": delta - (x + 1) - (delta - a + 1)},
         ),
         pi_rel_sets_right_closed=all(
-            is_right_closed(labels)
-            for labels in pi_rel_problem(delta, a, x).alphabet
+            is_right_closed(labels) for labels in shared.pi_rel.alphabet
         ),
     )
     return report
@@ -199,8 +214,8 @@ def _kernel_right_closedness(
     ``Diagram.is_right_closed`` for ``problem``'s node constraint.
 
     The view is built directly rather than through
-    :meth:`KernelProblem.of`: ``problem`` is fresh on every call, so the
-    memo could never hit.
+    :meth:`KernelProblem.of`: ``problem`` is the normal form, of which
+    no other check builds a kernel view, so the memo could never hit.
     """
     kernel = KernelProblem(problem)
     interner = kernel.interner
@@ -216,15 +231,8 @@ def _kernel_right_closedness(
     return right_closed, is_right_closed
 
 
-def lemma6_condensed_node_constraint(
-    delta: int, a: int, x: int
-) -> list[CondensedConfiguration]:
-    """The three condensed node configurations of Lemma 6."""
-    return [parse_condensed(line) for line in lemma6_node_lines(delta, a, x)]
-
-
 def _node_constraint_admits(
-    delta: int, a: int, x: int, minimum_counts: dict[str, int]
+    shared: SharedPoint, minimum_counts: dict[str, int]
 ) -> bool:
     """Whether some configuration of N_{R(Pi)} meets the minimum counts.
 
@@ -234,11 +242,11 @@ def _node_constraint_admits(
     requirements = {
         label: count for label, count in minimum_counts.items() if count > 0
     }
-    if sum(requirements.values()) > delta:
+    if sum(requirements.values()) > shared.delta:
         return False
     return any(
         condensed_admits_counts(condensed, requirements)
-        for condensed in lemma6_condensed_node_constraint(delta, a, x)
+        for condensed in shared.condensed_lines
     )
 
 

@@ -97,7 +97,25 @@ def test_certificate_semantic_counters_agree(delta, k):
     assert diff_semantic_profiles(profiles["reference"], profiles["kernel"]) == []
 
 
-@pytest.mark.parametrize("trip_at", [2, 4])
+@pytest.mark.parametrize("delta", [3, 4, 5])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_certificate_computes_r_once_per_call(delta, engine):
+    """The Lemma 6 and direct Lemma 8 checks share one R(Pi) within a
+    call, and nothing carries over to the next call."""
+    for _ in range(2):
+        tracer = Tracer()
+        with tracing(tracer):
+            certificate = build_certificate(delta, 0, use_kernel=ENGINES[engine])
+        assert "lemma8 direct Rbar" in certificate.checks
+        spans = [
+            record
+            for record in tracer.finish()
+            if record["type"] == "span" and record["name"] == "op.R"
+        ]
+        assert len(spans) == 1
+
+
+@pytest.mark.parametrize("trip_at", [2, 3, 4])
 @pytest.mark.parametrize("first,second", [("kernel", "reference"), ("reference", "kernel")])
 def test_checkpoint_resumes_on_the_other_engine(tmp_path, first, second, trip_at):
     delta, k = 5, 1

@@ -6,11 +6,15 @@ from repro.core.configurations import Configuration
 from repro.lowerbound.lemma6 import (
     FIGURE5_HASSE_EDGES,
     LEMMA6_RENAMING,
+    SharedPoint,
     compute_r_of_family,
     expected_r_of_family,
     figure5_diagram,
+    lemma6_node_lines,
     verify_lemma6,
 )
+
+ENGINES = {"kernel": True, "reference": False}
 
 
 class TestLemma6:
@@ -56,6 +60,25 @@ class TestLemma6:
     def test_alphabet_has_eight_labels(self):
         problem = compute_r_of_family(4, 3, 1).problem
         assert set(problem.alphabet) == set("XMOUABPQ")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_perturbed_normal_form_line_is_a_node_mismatch(self, engine):
+        """The check can fail: one perturbed exponent is caught."""
+        delta, a, x = 4, 3, 1
+        shared = SharedPoint(delta, a, x, use_kernel=ENGINES[engine])
+        *kept, last = lemma6_node_lines(delta, a, x)
+        assert last == "[ABPQ]^3 [XMOUABPQ]^1"
+        shared.node_lines = [*kept, "[ABPQ]^2 [XMOUABPQ]^2"]
+        with pytest.raises(AssertionError, match="node constraint mismatch"):
+            verify_lemma6(delta, a, x, use_kernel=ENGINES[engine], shared=shared)
+
+    def test_shared_inputs_must_match_the_call(self):
+        with pytest.raises(ValueError, match="shared inputs hold"):
+            verify_lemma6(4, 3, 1, shared=SharedPoint(5, 3, 1))
+        with pytest.raises(ValueError, match="use_kernel=True"):
+            verify_lemma6(
+                4, 3, 1, use_kernel=False, shared=SharedPoint(4, 3, 1)
+            )
 
 
 class TestFigure5:

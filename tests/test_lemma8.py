@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.core.constraints import Constraint
 from repro.core.configurations import parse_condensed
+from repro.core.problem import Problem
+from repro.lowerbound.lemma6 import SharedPoint, lemma6_node_lines
 from repro.lowerbound.lemma8 import (
     condensed_admits_counts,
     verify_lemma8_argument,
     verify_lemma8_direct,
 )
+
+
+ENGINES = {"kernel": True, "reference": False}
 
 
 def lemma8_grid(*deltas):
@@ -94,3 +100,41 @@ class TestCountingHelper:
         condensed = parse_condensed("[AB] [BC]")
         assert condensed_admits_counts(condensed, {"B": 1, "C": 1})
         assert not condensed_admits_counts(condensed, {"C": 2})
+
+
+class TestNonVacuity:
+    """A seeded mutation of the shared inputs makes each check fail."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_dropped_pi_rel_configuration_is_not_relaxable(self, engine):
+        delta, a, x = 4, 3, 1
+        shared = SharedPoint(delta, a, x, use_kernel=ENGINES[engine])
+        rel = shared.pi_rel
+        (dropped,) = [
+            configuration
+            for configuration in rel.node_constraint
+            if frozenset("MUBQ") in configuration
+        ]
+        shared.pi_rel = Problem(
+            rel.alphabet,
+            Constraint(rel.node_constraint.configurations - {dropped}),
+            rel.edge_constraint,
+            name=rel.name,
+        )
+        with pytest.raises(AssertionError, match="not relaxable into Pi_rel"):
+            verify_lemma8_direct(
+                delta, a, x, use_kernel=ENGINES[engine], shared=shared
+            )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_stray_normal_form_line_breaks_the_case_analysis(self, engine):
+        """A line admitting M, x+1 P and Delta-a U refutes the proof's
+        contradiction."""
+        delta, a, x = 4, 3, 1
+        shared = SharedPoint(delta, a, x, use_kernel=ENGINES[engine])
+        shared.node_lines = [*lemma6_node_lines(delta, a, x), "M P^2 U"]
+        report = verify_lemma8_argument(
+            delta, a, x, use_kernel=ENGINES[engine], shared=shared
+        )
+        assert not report.ok
+        assert not report.no_m_p_u_configuration

@@ -16,8 +16,9 @@ cases, proving both that the detector fires and that the one waiver
 grammar silences it.
 
 The shipped tree is linted exactly twice: once in-process (the
-``shipped_lint`` fixture, which also counts ``ast.parse`` calls) and
-once through the CLI, exactly as CI runs it.  The CLI tests memoise
+``shipped_lint`` fixture, which also counts ``ast.parse`` calls and
+keeps the call graph and facts of its whole-program pass) and once
+through the CLI, exactly as CI runs it.  The CLI tests memoise
 their subprocess runs by argument list, so tests that read the same
 run share it.
 """
@@ -46,6 +47,7 @@ from repro.lint import (
     parse_file,
     parse_suppressions,
 )
+from repro.lint import engine as lint_engine
 from repro.lint.callgraph import module_name_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -89,13 +91,6 @@ def link(path):
     files, missing = discover([str(path)])
     assert not missing
     return build_call_graph(parse_file(name) for name in files)
-
-
-@pytest.fixture(scope="module")
-def real_tree():
-    """The shipped package's graph and facts, built once per module."""
-    graph = link(REPO_ROOT / "src" / "repro")
-    return graph, collect_facts(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -441,35 +436,47 @@ def test_explicitly_named_fixture_is_still_lintable():
 
 @pytest.fixture(scope="module")
 def shipped_lint():
-    """The in-process lint of the shipped tree, with its ``ast.parse`` calls.
+    """The in-process lint of the shipped tree, with its ``ast.parse``
+    calls and the ``(call graph, facts)`` its whole-program pass built.
 
-    The one in-process shipped-tree run; the tests below read it.
+    The one in-process shipped-tree run; the tests below read it.  The
+    call graph links only files inside ``repro``, so it is the graph of
+    ``src/repro``.
     """
     parsed: Counter[str] = Counter()
+    programs = []
     real_parse = ast.parse
+    real_collect_facts = lint_engine.collect_facts
 
     def counting_parse(source, filename="<unknown>", *args, **kwargs):
         parsed[str(filename)] += 1
         return real_parse(source, filename, *args, **kwargs)
 
+    def capturing_collect_facts(graph):
+        facts = real_collect_facts(graph)
+        programs.append((graph, facts))
+        return facts
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ast, "parse", counting_parse)
+        patch.setattr(lint_engine, "collect_facts", capturing_collect_facts)
         targets = [str(REPO_ROOT / name) for name in SHIPPED_DIRS]
         reports, missing = lint_paths(targets)
     assert not missing
-    return reports, parsed
+    (program,) = programs
+    return reports, parsed, program
 
 
 def test_shipped_tree_is_lint_clean(shipped_lint):
     """Every shipped file parses, and the package itself is scanned."""
-    reports, _ = shipped_lint
+    reports, _, _ = shipped_lint
     errors = [report.error for report in reports if report.error]
     assert not errors, errors
     assert any("/repro/" in report.path for report in reports)
 
 
 def test_shipped_tree_has_zero_findings(shipped_lint):
-    reports, _ = shipped_lint
+    reports, _, _ = shipped_lint
     problems = [
         violation.render()
         for report in reports
@@ -480,7 +487,7 @@ def test_shipped_tree_has_zero_findings(shipped_lint):
 
 def test_one_parse_per_discovered_file(shipped_lint):
     """Both passes share one ``ast.parse`` of each file per run."""
-    reports, parsed = shipped_lint
+    reports, parsed, _ = shipped_lint
     # String annotations are parsed too, but never under a file name.
     by_file = Counter(
         {name: count for name, count in parsed.items() if name != "<unknown>"}
@@ -488,9 +495,9 @@ def test_one_parse_per_discovered_file(shipped_lint):
     assert by_file == Counter(report.path for report in reports)
 
 
-def test_schema_emission_closure(real_tree):
+def test_schema_emission_closure(shipped_lint):
     """Every declared counter is emitted somewhere — the list can't rot."""
-    graph, facts = real_tree
+    _, _, (graph, facts) = shipped_lint
     assert facts.schema, "schema tables not found in the scanned tree"
     emitted = {
         name
@@ -501,9 +508,9 @@ def test_schema_emission_closure(real_tree):
     assert not missing, f"declared but never emitted: {missing}"
 
 
-def test_semantic_counters_are_engine_symmetric(real_tree):
+def test_semantic_counters_are_engine_symmetric(shipped_lint):
     """Semantic counters are emitted by both engines or by neither."""
-    graph, facts = real_tree
+    _, _, (graph, facts) = shipped_lint
     for name in sorted(facts.semantic_counters):
         sites = [
             qualname
