@@ -297,6 +297,19 @@ class CondensedConfiguration:
             results.add(Configuration._presorted(tuple(labels)))
         return results
 
+    def rename(self, mapping: dict) -> "CondensedConfiguration":
+        """Apply a label renaming to every disjunction.
+
+        A group's image is the set of its renamed labels, which is exact
+        even for a non-injective ``mapping``: picking labels from a group
+        and renaming them gives every multiset the image group offers,
+        and groups whose images coincide merge their exponents.
+        """
+        return CondensedConfiguration(
+            (Disjunction(mapping.get(label, label) for label in disjunction.labels), exponent)
+            for disjunction, exponent in self._parts
+        )
+
     def contains(self, configuration: Configuration) -> bool:
         """Whether ``configuration`` is contained in this condensed form.
 

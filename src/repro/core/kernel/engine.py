@@ -24,6 +24,13 @@ the maximization DFS.  The cache lives on the ``Problem`` instance
 (:meth:`KernelProblem.of`), so lemma checkers that hit the same problem
 repeatedly pay for the analysis once.
 
+The existential step maps an input that keeps its condensed lines
+(every ``Problem.from_text`` problem, and R's own output renamed) line
+for line, by Section 2.3's simple method, and its output keeps the
+mapped lines: R of a text-built problem builds no configuration unless
+something later expands it.  Every other input runs the DFS over the
+closure machine.
+
 Budgets: the kernel calls the same ambient-budget checkpoints
 (:mod:`repro.robustness.budget`) with the same phase names as the
 reference engine, so ``governed()`` wall clocks, configuration caps and
@@ -36,7 +43,7 @@ import itertools
 from collections.abc import Hashable, Iterable
 
 from repro.core.cache import _set_sort_key
-from repro.core.configurations import Configuration
+from repro.core.configurations import CondensedConfiguration, Configuration
 from repro.core.constraints import Constraint
 from repro.core.kernel.bitops import (
     bit,
@@ -49,6 +56,7 @@ from repro.core.kernel.bitops import (
 from repro.core.kernel.interning import LabelInterner
 from repro.core.labels import Alphabet, render_label
 from repro.core.problem import Problem
+from repro.core.round_elimination import existential_line
 from repro.observability import trace as _trace
 from repro.observability.profiling import section as _prof_section
 from repro.robustness import budget as _budget
@@ -761,7 +769,16 @@ def existential_constraint_kernel(
     new_labels: Iterable[frozenset],
     arity: int,
 ) -> Constraint:
-    """Kernel twin of :func:`repro.core.round_elimination.existential_constraint`."""
+    """Kernel twin of :func:`repro.core.round_elimination.existential_constraint`.
+
+    An old constraint that keeps its condensed lines, at the output's
+    arity, maps line for line (:func:`_existential_lines`); any other,
+    such as an Rbar output, runs the keep-survivors DFS over its
+    closure machine.
+    """
+    lines = old_constraint.lines
+    if lines is not None and old_constraint.arity == arity:
+        return _existential_lines(old_constraint, lines, new_labels, arity)
     with _prof_section("exists.closure"):
         labels = sorted(set(new_labels), key=_set_sort_key)
         base: set[Hashable] = set(old_constraint.labels_used())
@@ -805,6 +822,81 @@ def existential_constraint_kernel(
     return Constraint(results)
 
 
+def _existential_lines(
+    old_constraint: Constraint,
+    lines: Iterable[CondensedConfiguration],
+    new_labels: Iterable[frozenset],
+    arity: int,
+) -> Constraint:
+    """The existential step on condensed lines (Section 2.3's simple method).
+
+    Each old line maps to one new line (:func:`existential_line`): a
+    group of exponent ``e`` becomes the disjunction of the new labels
+    that meet it, with exponent ``e``.  A line with a group that no new
+    label meets has no choice over the new labels and is dropped.  The
+    mapped lines denote exactly the configurations the DFS enumerates,
+    and nothing is expanded here.  Under a configuration budget the
+    output is counted, so the cap trips as it does on the DFS.
+    """
+    _budget.check_configurations(0, phase="existential", depth=0)
+    with _prof_section("exists.lines"):
+        labels = sorted(set(new_labels), key=_set_sort_key)
+        covered = frozenset().union(*labels)
+        mapped = [
+            existential_line(line, labels)
+            for line in lines
+            if all(not disjunction.labels.isdisjoint(covered) for disjunction, _ in line.parts)
+        ]
+    if not mapped:
+        raise InvalidProblem(
+            "existential step produced an empty constraint",
+            arity=arity,
+            alphabet_size=len(labels),
+            old_configurations=len(old_constraint),
+        )
+    result = Constraint.from_condensed(mapped)
+    budget = _budget.current_budget()
+    if budget is not None and budget.max_configurations is not None:
+        configuration_count(result)  # probes the cap as it counts
+    return result
+
+
+def configuration_count(constraint: Constraint) -> int:
+    """``len(constraint)``, counted on packed label ids when the
+    constraint keeps lines, so that no configuration is built.
+
+    Each line's configurations are the sums of one packed multiset
+    (:func:`pack_ids`) per group.  The count probes the configuration
+    budget under the ``"existential"`` phase every 64 new
+    configurations and once at the end, the checks the DFS makes as its
+    output grows.
+    """
+    lines = constraint.lines
+    if lines is None:
+        return len(constraint)
+    interner = LabelInterner(constraint.labels_used())
+    shift = constraint.arity.bit_length()
+    seen: set[int] = set()
+    checked = 0
+    for line in lines:
+        options = [
+            [
+                pack_ids(combination, shift)
+                for combination in itertools.combinations_with_replacement(
+                    interner.ids_of(disjunction.labels), exponent
+                )
+            ]
+            for disjunction, exponent in line.parts
+        ]
+        for packs in itertools.product(*options):
+            seen.add(sum(packs))
+            if len(seen) - checked >= 64:
+                checked = len(seen)
+                _budget.check_configurations(checked, phase="existential")
+    _budget.check_configurations(len(seen), phase="existential", depth=constraint.arity)
+    return len(seen)
+
+
 # ---------------------------------------------------------------------------
 # The R / Rbar operators
 # ---------------------------------------------------------------------------
@@ -824,7 +916,10 @@ def kernel_R(problem: Problem) -> Problem:
             problem.node_constraint, sigma, problem.delta
         )
         span.add("labels.out", len(sigma))
-        span.add("node.configs.out", len(node_constraint))
+        # Counting a line-built output costs a pass over its
+        # configurations, which only a traced run pays.
+        if _trace.tracing_enabled():
+            span.add("node.configs.out", configuration_count(node_constraint))
         span.add("edge.configs.out", len(edge_constraint))
     name = f"R({problem.name})" if problem.name else "R"
     return Problem(Alphabet(sigma), node_constraint, edge_constraint, name=name)
@@ -846,7 +941,8 @@ def kernel_Rbar(problem: Problem) -> Problem:
         )
         span.add("labels.out", len(sigma))
         span.add("node.configs.out", len(node_constraint))
-        span.add("edge.configs.out", len(edge_constraint))
+        if _trace.tracing_enabled():
+            span.add("edge.configs.out", configuration_count(edge_constraint))
     name = f"Rbar({problem.name})" if problem.name else "Rbar"
     return Problem(Alphabet(sigma), node_constraint, edge_constraint, name=name)
 

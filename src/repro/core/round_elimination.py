@@ -19,7 +19,6 @@ cross-validates these fast paths on small instances.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ from repro.core.configurations import (
 )
 from repro.core.constraints import Constraint
 from repro.core.diagram import Diagram
-from repro.core.labels import Alphabet, fresh_names, render_label
+from repro.core.labels import Alphabet, fresh_names
 from repro.core.problem import Problem
 from repro.observability import trace as _trace
 from repro.observability.profiling import section as _prof_section
@@ -282,28 +281,58 @@ def _grow_frontier_exists(
 
 
 def existential_condensed(
-    configuration: Configuration, new_labels: Iterable[frozenset]
+    configuration: Configuration | CondensedConfiguration,
+    new_labels: Iterable[frozenset],
 ) -> CondensedConfiguration:
     """The condensed replacement form of the existential step.
 
-    Implements the "simple method" of Section 2.3: replace each label
-    ``y`` of ``configuration`` by the disjunction of all new set labels
-    containing ``y``.  This is how Lemma 6 displays the node constraint
-    of R(Pi).
+    Implements the "simple method" of Section 2.3: replace each group of
+    ``configuration`` by the disjunction of all new set labels meeting
+    it, keeping the group's exponent.  A group is a label of a plain
+    configuration (the new labels containing it) or a disjunction of a
+    condensed line (the new labels sharing a label with it).  This is
+    how Lemma 6 displays the node constraint of R(Pi).  Raises
+    :class:`InvalidProblem` when some group meets no new label.
     """
-    labels = list(new_labels)
-    parts: Counter = Counter()
-    for label, multiplicity in configuration.counts().items():
-        containing = [candidate for candidate in labels if label in candidate]
-        if not containing:
-            raise InvalidProblem(
-                f"label {render_label(label)} occurs in no new set label",
-                alphabet_size=len(labels),
-                configuration=configuration.render(),
-            )
-        parts[Disjunction(containing)] += multiplicity
+    if isinstance(configuration, Configuration):
+        configuration = CondensedConfiguration(
+            (Disjunction([label]), multiplicity)
+            for label, multiplicity in configuration.counts().items()
+        )
+    line = existential_line(configuration, list(new_labels))
     _trace.add("condensed.configs")
-    return CondensedConfiguration(parts.items())
+    return line
+
+
+def existential_line(
+    line: CondensedConfiguration, new_labels: list[frozenset]
+) -> CondensedConfiguration:
+    """The rule of :func:`existential_condensed` on one condensed line,
+    without its trace counter.
+
+    The line denotes exactly the configurations over ``new_labels`` that
+    have some choice in ``line``: a choice picks, per position, a label
+    both in the position's set and in the group it is matched to, which
+    exists exactly when the set meets that group.  The kernel's
+    line-to-line existential step applies this to every line.
+    """
+    parts: list[tuple[Disjunction, int]] = []
+    for disjunction, exponent in line.parts:
+        meeting = [
+            candidate
+            for candidate in new_labels
+            if not candidate.isdisjoint(disjunction.labels)
+        ]
+        if not meeting:
+            text = disjunction.render()
+            what = f"label {text}" if len(disjunction) == 1 else f"group {text}"
+            raise InvalidProblem(
+                f"{what} occurs in no new set label",
+                alphabet_size=len(new_labels),
+                configuration=line.render(),
+            )
+        parts.append((Disjunction(meeting), exponent))
+    return CondensedConfiguration(parts)
 
 
 # ---------------------------------------------------------------------------

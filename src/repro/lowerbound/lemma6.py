@@ -13,9 +13,11 @@ and edge constraint ``XQ, OB, AU, PM``, under the renaming
     {A,O,X} -> A, {M,A,O,X} -> B, {P,A,O,X} -> P, {M,P,A,O,X} -> Q.
 
 :func:`verify_lemma6` recomputes R with the engine and compares, for
-any concrete parameters.  The kernel engine computes R by default; the
-reference engine (``use_kernel=False``) is the oracle it is tested
-against, and both must return the identical problem.
+any concrete parameters.  The kernel engine computes R by default,
+mapping the three condensed lines of Pi_Delta(a, x) to the three lines
+above (Section 2.3's simple method); the reference engine
+(``use_kernel=False``) is the oracle it is tested against, and both
+must return the identical problem.
 
 :class:`SharedPoint` holds the objects the Lemma 6 and Lemma 8 checks
 read at one parameter point (R, the normal form, its parsed lines and
@@ -204,6 +206,12 @@ def verify_lemma6(
     normal form.  Returns True on an exact match and raises
     ``AssertionError`` (with the differing part) on a mismatch, so
     failures are diagnosable.
+
+    The kernel's R keeps the condensed lines of its existential step,
+    and so does the normal form, so the node constraints match line for
+    line without expanding either; any other pair (the reference
+    engine's R, or lines that differ) is compared configuration by
+    configuration.
 
     R and the normal form come from ``shared``, a :class:`SharedPoint`
     for the same point and engine, when the caller passes one (the

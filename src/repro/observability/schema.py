@@ -74,8 +74,10 @@ SEMANTIC_COUNTERS = (
 #: Engine/runtime-dependent counters: excluded from differential diffs.
 #: ``condensed.configs`` lives here rather than in the semantic tuple:
 #: it is emitted only by :func:`existential_condensed`, the Lemma 6
-#: display form, which no engine execution path runs — the kernel never
-#: produces it, so the differential gate has nothing to compare.
+#: display form.  The kernel's line-to-line existential step applies
+#: the same rule through :func:`existential_line`, which emits nothing,
+#: and the reference engine never runs it, so neither engine's trace
+#: carries the counter and the differential gate has nothing to compare.
 TIMING_COUNTERS = (
     "condensed.configs",
     "kernel.cache.hit",

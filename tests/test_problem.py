@@ -51,7 +51,12 @@ class TestFromTextExpansion:
             return original(self)
 
         monkeypatch.setattr(CondensedConfiguration, "expand", counting_expand)
-        expected_r_of_family(delta, a, x)
+        problem = expected_r_of_family(delta, a, x)
+        # Building keeps the lines: nothing is expanded until used.
+        assert not expanded
+        for _ in range(2):
+            problem.node_constraint.configurations
+            problem.edge_constraint.configurations
         # Three node lines and the four edge lines X Q, O B, A U, P M.
         assert len(expanded) == 7
         assert set(expanded.values()) == {1}

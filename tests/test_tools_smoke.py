@@ -10,6 +10,7 @@ up here and not in production.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -66,6 +67,39 @@ class TestRegenGolden:
 
     def test_help_documents_exit_codes(self):
         completed = run_script("tools/regen_golden.py", "--help")
+        assert completed.returncode == 0
+        assert "Exit status" in completed.stdout
+
+
+class TestGenerateExperiments:
+    def test_check_passes_on_the_committed_file(self):
+        completed = run_script("tools/generate_experiments.py", "--check")
+        assert completed.returncode == 0, completed.stdout + completed.stderr
+        assert "EXPERIMENTS.md is current" in completed.stdout
+
+    def test_an_edited_row_is_stale_and_a_new_date_is_not(self):
+        from tools.generate_experiments import stale_lines
+
+        with open(os.path.join(REPO_ROOT, "EXPERIMENTS.md"), encoding="utf-8") as handle:
+            committed = handle.read()
+        row = next(
+            line for line in committed.splitlines() if line.startswith("| FIG5/LEM6 |")
+        )
+        edited = committed.replace(row, row.replace("exact match", "no match"))
+        diff = stale_lines(committed, edited)
+        assert f"-{row.replace('exact match', 'no match')}" in diff
+        assert f"+{row}" in diff
+        redated = re.sub(r"Generated: \S+", "Generated: 1999-01-01", committed)
+        assert redated != committed
+        assert stale_lines(committed, redated) == []
+
+    def test_unknown_flag_exits_2(self):
+        completed = run_script("tools/generate_experiments.py", "--bogus")
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("error:")
+
+    def test_help_documents_exit_codes(self):
+        completed = run_script("tools/generate_experiments.py", "--help")
         assert completed.returncode == 0
         assert "Exit status" in completed.stdout
 

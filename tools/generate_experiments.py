@@ -1,19 +1,28 @@
-"""Regenerate EXPERIMENTS.md from live runs.
+"""Regenerate EXPERIMENTS.md from live runs, or check that it is current.
 
 Usage:  python tools/generate_experiments.py [output-path]
+        python tools/generate_experiments.py --check [path]
 
 Every row of EXPERIMENTS.md is produced by re-running the experiment it
 describes (see ``repro.analysis.experiments``), so the document never
-drifts from the code.
+drifts from the code.  ``--check`` reruns every experiment and compares
+the result with the file (EXPERIMENTS.md by default) without writing,
+ignoring the ``Generated:`` date line.
+
+Exit status: 0 written / current, 1 a stale file or an experiment that
+disagrees with the paper, 2 bad usage.
 """
 
 from __future__ import annotations
 
+import difflib
 import sys
 from datetime import date
 from pathlib import Path
 
 from repro.analysis.experiments import run_all_experiments
+
+USAGE = "python tools/generate_experiments.py [--check] [path]"
 
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
@@ -108,12 +117,52 @@ def render(records) -> str:
     return "\n".join(lines)
 
 
-def main() -> int:
-    output = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("EXPERIMENTS.md")
+def stale_lines(generated: str, checked_in: str) -> list[str]:
+    """The unified diff from ``checked_in`` to ``generated``, ignoring
+    the ``Generated:`` date line; empty when the file is current."""
+
+    def dated_out(text: str) -> list[str]:
+        return [line for line in text.splitlines() if not line.startswith("Generated: ")]
+
+    return list(
+        difflib.unified_diff(
+            dated_out(checked_in),
+            dated_out(generated),
+            "checked in",
+            "regenerated",
+            lineterm="",
+        )
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    arguments = list(sys.argv[1:] if argv is None else argv)
+    if arguments in (["--help"], ["-h"]):
+        print(__doc__)
+        return 0
+    check = "--check" in arguments
+    if check:
+        arguments.remove("--check")
+    if len(arguments) > 1 or any(argument.startswith("-") for argument in arguments):
+        print(f"error: usage: {USAGE}", file=sys.stderr)
+        return 2
+    output = Path(arguments[0]) if arguments else Path("EXPERIMENTS.md")
+    if check and not output.is_file():
+        print(f"error: {output} does not exist", file=sys.stderr)
+        return 2
     records = run_all_experiments()
-    output.write_text(render(records))
     disagreements = [r.experiment_id for r in records if not r.agrees]
-    print(f"wrote {output} ({len(records)} experiments)")
+    if check:
+        diff = stale_lines(render(records), output.read_text())
+        if diff:
+            print("\n".join(diff))
+            print(f"error: {output} is stale; rerun tools/generate_experiments.py",
+                  file=sys.stderr)
+            return 1
+        print(f"{output} is current ({len(records)} experiments)")
+    else:
+        output.write_text(render(records))
+        print(f"wrote {output} ({len(records)} experiments)")
     if disagreements:
         print(f"DISAGREEMENTS: {disagreements}")
         return 1
