@@ -147,8 +147,12 @@ def test_different_lines_for_one_set_are_equal_and_hash_alike():
 
 
 def test_equal_line_sets_compare_equal_without_expanding():
+    """Repeated, reordered and respelled lines give one line set."""
     one = Constraint.from_condensed(["[MUBQ]^5 [XMOUABPQ]^2", "[PQ] [OUABPQ]^6"])
-    two = Constraint.from_condensed(["[PQ] [OUABPQ]^6", "[BQMU]^5 [XMOUABPQ]^2"])
+    two = Constraint.from_condensed(
+        ["[PQ] [OUABPQ]^6", "[BQMU]^5 [XMOUABPQ]^2", "[XMOUABPQ] [BQMU]^5 [XMOUABPQ]"]
+    )
+    assert len(two.lines) == 2
     assert one == two
     assert one._configurations is None and two._configurations is None
 
@@ -306,11 +310,3 @@ def test_rbar_of_a_text_built_problem_runs_the_edge_step_on_lines():
     assert problem.edge_constraint.lines is not None
     assert differential_Rbar("mis(3)", problem) is not None
     assert Rbar(problem, use_kernel=True).edge_constraint.lines is not None
-
-
-def test_line_sets_are_canonical():
-    """Repeated and reordered lines collapse to one line set."""
-    lines = ["M^2 X", "X M^2", "M X M", "[PO] O^2"]
-    constraint = Constraint.from_condensed(lines)
-    assert len(constraint.lines) == 2
-    assert constraint == Constraint.from_condensed(reversed(lines))
