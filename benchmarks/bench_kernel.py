@@ -41,6 +41,7 @@ file.
   profiled kernel trace as JSON lines before any floor check, so a
   failing gate leaves its own evidence for
   ``tools/trace_report.py hotspots``.
+* ``--help`` / ``-h`` prints this text and exits 0.
 
 Before its timed pairs every measurement runs each engine once under a
 tracer (which also warms imports and caches) and records the summed
@@ -48,6 +49,12 @@ counters: the semantic ones, which the two engines must agree on, plus
 the kernel's cache behavior, a work-per-second denominator that wall
 clock alone cannot give.  Failures of any kind exit non-zero with a
 one-line ``error:`` diagnostic.
+
+Exit status (unified across repro tooling):
+    0  success: the gate passed, or the row was recorded
+    1  a gate failed (drift, floor, cache or scenario), or a
+       measurement raised
+    2  usage error
 """
 
 import functools
@@ -560,6 +567,9 @@ def main(argv: list[str]) -> int:
     hotpath = False
     trace_path: str | None = None
     arguments = list(argv)
+    if arguments in (["--help"], ["-h"]):
+        print(__doc__)
+        return 0
     if "--trace" in arguments:
         where = arguments.index("--trace")
         try:

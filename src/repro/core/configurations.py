@@ -158,11 +158,17 @@ class Configuration:
         return Configuration(counts.elements())
 
     def render(self) -> str:
-        """Human-readable form with exponents, e.g. ``M^3 X``."""
-        counts = self.counts()
+        """Human-readable form with exponents, e.g. ``M^3 X``.
+
+        One pass over the canonically ordered items: a label's first
+        occurrence fixes its place, and each distinct label is rendered
+        once.
+        """
+        counts: dict[Hashable, int] = {}
+        for label in self._items:
+            counts[label] = counts.get(label, 0) + 1
         parts = []
-        for label in sorted(counts, key=render_label):
-            multiplicity = counts[label]
+        for label, multiplicity in counts.items():
             text = render_label(label)
             parts.append(text if multiplicity == 1 else f"{text}^{multiplicity}")
         return " ".join(parts)

@@ -29,7 +29,10 @@ The existential step maps an input that keeps its condensed lines
 for line, by Section 2.3's simple method, and its output keeps the
 mapped lines: R of a text-built problem builds no configuration unless
 something later expands it.  Every other input runs the DFS over the
-closure machine.
+closure machine.  A :class:`KernelProblem` view packs such lines
+straight into label-id words (:func:`constraint_words`), so Rbar of R's
+output, the node strength relation and the zero-round predicates
+expand nothing either.
 
 Budgets: the kernel calls the same ambient-budget checkpoints
 (:mod:`repro.robustness.budget`) with the same phase names as the
@@ -120,18 +123,31 @@ def closure_machine(
 
 
 class KernelProblem:
-    """The interned view of one :class:`~repro.core.problem.Problem`."""
+    """The interned view of one :class:`~repro.core.problem.Problem`.
+
+    The node constraint is kept as ``node_words``, the set of its
+    configurations packed into count fields (:func:`pack_ids`, ``shift
+    = delta.bit_length()`` bits per label), and the edge constraint as
+    ``compat``, each label's mask of allowed partners.  Both are built
+    by :func:`constraint_words`: a constraint that keeps its condensed
+    lines is packed line by line, so building the view, the node
+    strength relation, the right-closed sets and both zero-round
+    predicates expands no line and builds no
+    :class:`~repro.core.configurations.Configuration`.
+    """
 
     __slots__ = (
         "problem",
         "interner",
         "n",
         "delta",
+        "shift",
         "compat",
-        "node_configs",
+        "node_words",
         "_partner_cache",
         "_closed_sets",
         "_node_ge",
+        "_node_supports",
         "_node_strict_successors",
         "_node_right_closed",
         "_node_minimal_labels",
@@ -145,19 +161,27 @@ class KernelProblem:
         self.interner = interner
         self.n = len(interner)
         self.delta = problem.delta
-        self.compat: list[int] = [
-            interner.mask_of(problem.compatible_labels(label))
-            for label in interner.labels
-        ]
-        self.node_configs: tuple[tuple[int, ...], ...] = tuple(
-            sorted(
-                interner.ids_of(configuration.items)
-                for configuration in problem.node_constraint.configurations
-            )
+        self.shift = problem.delta.bit_length()
+        self.node_words: frozenset[int] = constraint_words(
+            problem.node_constraint, interner, self.shift, "condensed-expansion"
         )
+        # One pass over the packed edge words: the lowest occupied field
+        # is one end, and what remains after removing it is the other
+        # (the same field for a doubled label).
+        compat = [0] * self.n
+        for word in constraint_words(
+            problem.edge_constraint, interner, EDGE_SHIFT, "condensed-expansion"
+        ):
+            first = ((word & -word).bit_length() - 1) // EDGE_SHIFT
+            rest = word - (1 << (EDGE_SHIFT * first))
+            second = (rest.bit_length() - 1) // EDGE_SHIFT
+            compat[first] |= 1 << second
+            compat[second] |= 1 << first
+        self.compat: list[int] = compat
         self._partner_cache: dict[int, int] = {}
         self._closed_sets: tuple[int, ...] | None = None
         self._node_ge: list[int] | None = None
+        self._node_supports: frozenset[int] | None = None
         self._node_strict_successors: list[int] | None = None
         self._node_right_closed: tuple[int, ...] | None = None
         self._node_minimal_labels: tuple[tuple[int, ...], ...] | None = None
@@ -233,23 +257,24 @@ class KernelProblem:
         if self._node_ge is not None:
             return self._node_ge
         n = self.n
-        # Configurations packed into count fields (:func:`pack_ids`):
-        # replacing one ``weak`` by ``strong`` is a single int add, and
-        # no field over- or underflows (counts stay within 0..delta).
-        shift = self.delta.bit_length()
-        words = [pack_ids(configuration, shift) for configuration in self.node_configs]
-        packed = frozenset(words)
-        containing: list[list[int]] = [[] for _ in range(n)]
-        for configuration, word in zip(self.node_configs, words):
-            for index in sorted(set(configuration)):
-                containing[index].append(word)
+        # Replacing one ``weak`` by ``strong`` in a packed word is a
+        # single int add, and no field over- or underflows (counts stay
+        # within 0..delta).
+        shift = self.shift
+        field = (1 << shift) - 1
+        packed = self.node_words
+        containing = [
+            [word for word in packed if word & (field << (shift * index))]
+            for index in range(n)
+        ]
         ge: list[int] = []
         for weak in range(n):
             weak_field = 1 << (shift * weak)
             mask = 0
             for strong in range(n):
                 step = (1 << (shift * strong)) - weak_field
-                if step == 0 or all(word + step in packed for word in containing[weak]):
+                # ``issuperset`` stops at the first shifted word missing.
+                if step == 0 or packed.issuperset(map(step.__add__, containing[weak])):
                     mask |= 1 << strong
             ge.append(mask)
         self._node_ge = ge
@@ -346,9 +371,7 @@ class KernelProblem:
         """
         if self._node_prefix_closure is None:
             self._node_prefix_closure = prefix_closure(
-                self.node_configs,
-                self.delta.bit_length(),
-                "node-prefix-closure",
+                self.node_words, self.shift, "node-prefix-closure"
             )
         return self._node_prefix_closure
 
@@ -369,7 +392,7 @@ class KernelProblem:
         if self._node_machine is not None:
             return self._node_machine
         elements, trans = closure_machine(
-            self.node_prefix_closure(), self.delta.bit_length(), self.n
+            self.node_prefix_closure(), self.shift, self.n
         )
         # One pass per label over all elements: about 3x faster than
         # collecting each element's labels one element at a time.
@@ -391,23 +414,27 @@ class KernelProblem:
             index for index in range(self.n) if self.compat[index] & bit(index)
         )
 
+    def node_supports(self) -> frozenset[int]:
+        """The distinct support masks of the node configurations
+        (memoized: both zero-round predicates test them)."""
+        if self._node_supports is None:
+            self._node_supports = frozenset(
+                word_support(word, self.shift) for word in self.node_words
+            )
+        return self._node_supports
+
     def pn_solvable(self) -> bool:
         """Mask form of the general-PN 0-round test (Lemma 12 setting)."""
-        for configuration in self.node_configs:
-            support = mask_from_ids(configuration)
-            if all(
-                is_subset(support, self.compat[index])
-                for index in iter_bits(support)
-            ):
-                return True
-        return False
+        return any(
+            all(is_subset(support, self.compat[index]) for index in iter_bits(support))
+            for support in self.node_supports()
+        )
 
     def symmetric_solvable(self) -> bool:
         """Mask form of the symmetric-port 0-round test (Lemma 12)."""
         self_compatible = self.self_compatible_mask()
         return any(
-            is_subset(mask_from_ids(configuration), self_compatible)
-            for configuration in self.node_configs
+            is_subset(support, self_compatible) for support in self.node_supports()
         )
 
 
@@ -455,25 +482,87 @@ def pack_ids(ids: Iterable[int], shift: int) -> int:
     return packed
 
 
-def prefix_closure(
-    words: Iterable[Iterable[int]], shift: int, phase: str
-) -> frozenset[int]:
-    """Every sub-multiset of the given label-id multisets, packed.
+#: The count-field width of packed edge words: ``2 .bit_length()``.
+EDGE_SHIFT = 2
 
-    Each multiset is packed with :func:`pack_ids`.  The closure is
-    built downward, one size level at a time: every element of the
-    next level down is an element of this level with one label removed
-    (one subtract per occupied count field), so each sub-multiset is
-    produced from its parents rather than from all ``2**size``
-    sub-combinations of every word.  The empty pack ``0`` is included
-    whenever ``words`` is non-empty.  Budget probes run under
+
+def word_support(word: int, shift: int) -> int:
+    """The mask of the labels whose count field in ``word`` is non-zero."""
+    field = (1 << shift) - 1
+    support = 0
+    label_bit = 1
+    while word:
+        if word & field:
+            support |= label_bit
+        word >>= shift
+        label_bit <<= 1
+    return support
+
+
+def line_words(
+    line: CondensedConfiguration, interner: LabelInterner, shift: int, phase: str
+) -> set[int]:
+    """The configurations ``line`` denotes, as packed words.
+
+    A group ``[S]^e`` offers one :func:`pack_ids` word per
+    ``combinations_with_replacement`` of its ids, ``e`` at a time, and
+    each word of the line is the sum of one offer per group, so no
+    :class:`~repro.core.configurations.Configuration` is built.  The
+    configuration budget is probed under ``phase`` every 64 new words,
+    as :meth:`CondensedConfiguration.expand` probes its own output.
+    """
+    options: list[list[int]] = []
+    for disjunction, exponent in line.parts:
+        # Summing a combination of single-label words packs it.
+        singles = [1 << (shift * label_id) for label_id in interner.ids_of(disjunction.labels)]
+        options.append(list(map(sum, itertools.combinations_with_replacement(singles, exponent))))
+    words: set[int] = set()
+    checked = 0
+    for word in map(sum, itertools.product(*options)):
+        if len(words) - checked >= 64:
+            checked = len(words)
+            _budget.check_configurations(checked, phase=phase)
+        words.add(word)
+    return words
+
+
+def constraint_words(
+    constraint: Constraint, interner: LabelInterner, shift: int, phase: str
+) -> frozenset[int]:
+    """Every configuration of ``constraint`` as a packed word.
+
+    A constraint that keeps its lines is packed line by line
+    (:func:`line_words`, probing under ``phase``); any other packs its
+    configurations.
+    """
+    lines = constraint.lines
+    if lines is None:
+        id_of = interner.id_of
+        return frozenset(
+            pack_ids(map(id_of, configuration.items), shift)
+            for configuration in constraint.configurations
+        )
+    words: set[int] = set()
+    for line in lines:
+        words |= line_words(line, interner, shift, phase)
+    return frozenset(words)
+
+
+def prefix_closure(words: Iterable[int], shift: int, phase: str) -> frozenset[int]:
+    """Every sub-multiset of the given packed words (:func:`pack_ids`).
+
+    The closure is built downward, one size level at a time: every
+    element of the next level down is an element of this level with one
+    label removed (one subtract per occupied count field), so each
+    sub-multiset is produced from its parents rather than from all
+    ``2**size`` sub-combinations of every word.  The empty pack ``0`` is
+    included whenever ``words`` is non-empty.  Budget probes run under
     ``phase``.
     """
     field = (1 << shift) - 1
     closure: set[int] = set()
     level: list[int] = []
-    for word in words:
-        packed = pack_ids(word, shift)
+    for packed in words:
         if packed not in closure:
             closure.add(packed)
             level.append(packed)
@@ -791,10 +880,7 @@ def existential_constraint_kernel(
             for label_set in labels
         )
         closure = prefix_closure(
-            (
-                interner.ids_of(configuration.items)
-                for configuration in old_constraint.configurations
-            ),
+            constraint_words(old_constraint, interner, shift, "condensed-expansion"),
             shift,
             "existential",
         )
@@ -862,39 +948,26 @@ def _existential_lines(
 
 
 def configuration_count(constraint: Constraint) -> int:
-    """``len(constraint)``, counted on packed label ids when the
-    constraint keeps lines, so that no configuration is built.
+    """``len(constraint)``, counted on packed words
+    (:func:`constraint_words`) when the constraint keeps lines, so that
+    no configuration is built.
 
-    Each line's configurations are the sums of one packed multiset
-    (:func:`pack_ids`) per group.  The count probes the configuration
-    budget under the ``"existential"`` phase every 64 new
-    configurations and once at the end, the checks the DFS makes as its
-    output grows.
+    The count probes the configuration budget under the
+    ``"existential"`` phase every 64 new words of a line and once at
+    the end, the checks the DFS makes as its output grows.
     """
-    lines = constraint.lines
-    if lines is None:
+    if constraint.lines is None:
         return len(constraint)
-    interner = LabelInterner(constraint.labels_used())
-    shift = constraint.arity.bit_length()
-    seen: set[int] = set()
-    checked = 0
-    for line in lines:
-        options = [
-            [
-                pack_ids(combination, shift)
-                for combination in itertools.combinations_with_replacement(
-                    interner.ids_of(disjunction.labels), exponent
-                )
-            ]
-            for disjunction, exponent in line.parts
-        ]
-        for packs in itertools.product(*options):
-            seen.add(sum(packs))
-            if len(seen) - checked >= 64:
-                checked = len(seen)
-                _budget.check_configurations(checked, phase="existential")
-    _budget.check_configurations(len(seen), phase="existential", depth=constraint.arity)
-    return len(seen)
+    count = len(
+        constraint_words(
+            constraint,
+            LabelInterner(constraint.labels_used()),
+            constraint.arity.bit_length(),
+            "existential",
+        )
+    )
+    _budget.check_configurations(count, phase="existential", depth=constraint.arity)
+    return count
 
 
 # ---------------------------------------------------------------------------

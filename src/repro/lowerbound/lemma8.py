@@ -146,9 +146,11 @@ def verify_lemma8_argument(
     normal form, so the whole chain is machine-checked.
 
     The right-closedness facts come from the kernel's node strength
-    relation; ``use_kernel=False`` answers them with a reference
-    :class:`~repro.core.diagram.Diagram` instead, the oracle the kernel
-    is tested against field for field.
+    relation, computed on the normal form's lines packed into label-id
+    words, so the normal form is never expanded;
+    ``use_kernel=False`` answers them with a reference
+    :class:`~repro.core.diagram.Diagram` instead, which expands it, the
+    oracle the kernel is tested against field for field.
 
     The normal form, its parsed lines and Pi_rel come from ``shared``,
     a :class:`SharedPoint` for the same point and engine, when the
@@ -214,7 +216,9 @@ def _kernel_right_closedness(
     """The kernel twin of ``Diagram.right_closed_sets`` and
     ``Diagram.is_right_closed`` for ``problem``'s node constraint.
 
-    The view is built directly rather than through
+    The view packs the node lines into label-id words
+    (:class:`KernelProblem`), so a line-built ``problem`` is never
+    expanded.  It is built directly rather than through
     :meth:`KernelProblem.of`: ``problem`` is the normal form, of which
     no other check builds a kernel view, so the memo could never hit.
     """

@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from repro.core.configurations import Configuration
+from repro.core.configurations import CondensedConfiguration, Configuration
 from repro.core.diagram import Diagram, edge_diagram, node_diagram
 from repro.core.kernel.bitops import iter_bits, mask_from_ids, popcount
 from repro.core.kernel.engine import (
@@ -35,12 +35,16 @@ from repro.core.kernel.engine import (
 )
 from repro.core.kernel.interning import LabelInterner
 from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
+from repro.lowerbound.lemma6 import compute_r_of_family, expected_r_of_family
 from repro.observability.metrics import total_counters
 from repro.observability.trace import Tracer, span, tracing
+from repro.problems.family import family_problem
 from repro.problems.mis import mis_problem
-from repro.robustness.errors import InvalidProblem
+from repro.robustness.budget import Budget, governed
+from repro.robustness.errors import BudgetExceeded, InvalidProblem
 
 from tests.oracle import classic_corpus, generated_corpus, random_problem
+from tests.test_condensed_lines import expanded, from_lines
 
 SEED = 52
 
@@ -412,3 +416,102 @@ def test_closure_machine_guard_changes_no_live_transition():
             kernel.delta,
             f"node {item.name}",
         )
+
+
+# ---------------------------------------------------------------------------
+# Views built from condensed lines
+# ---------------------------------------------------------------------------
+
+def _view_facts(problem):
+    """Everything a kernel view derives from its two constraints."""
+    kernel = KernelProblem(problem)
+    return {
+        "node_words": kernel.node_words,
+        "compat": kernel.compat,
+        "node_ge_masks": kernel.node_ge_masks(),
+        "right_closed": kernel.node_right_closed_sets(),
+        "minimal_labels": kernel.node_minimal_labels(),
+        "pn_solvable": kernel.pn_solvable(),
+        "symmetric_solvable": kernel.symmetric_solvable(),
+    }
+
+
+def _line_and_configuration_pairs():
+    """``(name, built from lines, built from configurations)`` over the
+    generated corpus, the Pi_Delta(a, x) grid for Delta <= 6 and the
+    Lemma 6 normal forms for x + 2 <= a <= Delta <= 8."""
+    for item in generated_corpus():
+        yield item.name, from_lines(item.problem), item.problem
+    for delta in range(2, 7):
+        for a in range(delta + 1):
+            for x in range(a + 1):
+                problem = family_problem(delta, a, x)
+                yield f"family{(delta, a, x)}", problem, expanded(problem)
+    for delta in range(2, 9):
+        for a in range(2, delta + 1):
+            for x in range(a - 1):
+                problem = expected_r_of_family(delta, a, x)
+                yield f"lemma6{(delta, a, x)}", problem, expanded(problem)
+
+
+def test_line_built_view_equals_configuration_built_view():
+    """Packing lines group by group gives the view that packing the
+    expanded configurations gives: the same words, partner masks,
+    strength relation, right-closed sets, minimal labels and zero-round
+    verdicts."""
+    names = []
+    for name, lined, configured in _line_and_configuration_pairs():
+        assert lined.node_constraint.lines is not None, name
+        assert configured.node_constraint.lines is None, name
+        assert _view_facts(lined) == _view_facts(configured), name
+        names.append(name)
+    # 80 corpus inputs, 80 grid points and 84 normal forms.
+    assert len(names) == 244, len(names)
+
+
+def test_normal_form_view_expands_no_line(monkeypatch):
+    """On Lemma 6's normal form at (8, 8, 0), building the view, its
+    right-closed sets and both zero-round predicates expand no line."""
+    expansions = []
+    original = CondensedConfiguration.expand
+
+    def counting_expand(self):
+        expansions.append(self.render())
+        return original(self)
+
+    monkeypatch.setattr(CondensedConfiguration, "expand", counting_expand)
+    problem = expected_r_of_family(8, 8, 0)
+    kernel = KernelProblem(problem)
+    assert kernel.node_right_closed_sets()
+    assert not kernel.pn_solvable()
+    assert not kernel.symmetric_solvable()
+    assert len(kernel.node_words) == 1259
+    assert not expansions
+    assert problem.node_constraint._configurations is None
+    assert problem.edge_constraint._configurations is None
+
+
+@pytest.mark.parametrize(
+    "point, cap, reference_phase, kernel_phase",
+    [
+        ((4, 3, 1), 63, "condensed-expansion", "condensed-expansion"),
+        ((5, 5, 0), 100, "condensed-expansion", "condensed-expansion"),
+        ((4, 3, 1), 100, "node-maximization", "node-prefix-closure"),
+        ((6, 4, 1), 1000, "node-maximization", "node-prefix-closure"),
+    ],
+    ids=["431-cap63", "550-cap100", "431-cap100", "641-cap1000"],
+)
+def test_rbar_cap_on_a_line_built_input_trips_in_the_same_phase(
+    point, cap, reference_phase, kernel_phase
+):
+    """Rbar's input, R(Pi) renamed, keeps its lines.  A cap below its
+    largest line trips while the lines are expanded (reference) or
+    packed (kernel), both under ``"condensed-expansion"``; a cap above
+    every line trips in each engine's own maximization phase."""
+    for use_kernel, phase in ((False, reference_phase), (True, kernel_phase)):
+        renamed = compute_r_of_family(*point).problem
+        assert renamed.node_constraint.lines is not None
+        with governed(Budget(max_configurations=cap)):
+            with pytest.raises(BudgetExceeded) as raised:
+                Rbar(renamed, use_kernel=use_kernel)
+        assert raised.value.context["phase"] == phase, use_kernel

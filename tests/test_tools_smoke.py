@@ -194,6 +194,14 @@ class TestBenchKernel:
         assert completed.returncode == 2
         assert completed.stderr.startswith("error: --trace only applies")
 
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_documents_exit_codes(self, flag):
+        completed = run_script("benchmarks/bench_kernel.py", flag)
+        assert completed.returncode == 0, completed.stderr
+        assert "Exit status" in completed.stdout
+        assert "--hotpath" in completed.stdout
+        assert not completed.stderr
+
     @pytest.mark.slow
     def test_quick_gate_passes_and_prints_counters(self, tmp_path):
         trace = tmp_path / "hotpath.jsonl"
