@@ -1,14 +1,14 @@
 """RE-KERNEL: benchmarks of the interned-bitmask fast path, and the one
 recorder of ``BENCH_kernel.json``.
 
-Pytest benchmarks time the kernel operators against the reference
-engine.  Run as a script, the file maintains ``BENCH_kernel.json``, a
-committed trajectory of measured speedups.  Every timing in it — from
-this script, ``bench_cache.py`` and ``bench_scenarios.py`` — comes from
-:func:`measure_pairs`: two sides run over pairs of untraced runs,
-alternating which side goes first; each side keeps the median and
-interquartile range of its seconds; ``speedup`` is the ratio of the
-medians; and every run must return the same result.  A row records
+The script maintains ``BENCH_kernel.json``, a committed trajectory of
+measured speedups of the kernel engine over the reference engine.
+Every timing in it — from this script, ``bench_cache.py`` and
+``bench_scenarios.py`` — comes from :func:`measure_pairs`: two sides
+run over pairs of untraced runs, alternating which side goes first;
+each side keeps the median and interquartile range of its seconds;
+``speedup`` is the ratio of the medians; and every run must return the
+same result.  A row records
 ``PAIRS`` pairs; ``--quick`` computes the same statistic over
 ``QUICK_PAIRS`` pairs.  :func:`write_rows` stamps every row with the
 commit, Python version, ``os.cpu_count()`` and time, and writes the
@@ -66,7 +66,7 @@ import subprocess
 import sys
 import time
 
-from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
+from repro.core.round_elimination import speedup
 from repro.observability.metrics import (
     diff_semantic_profiles,
     hotspot_profile,
@@ -75,13 +75,9 @@ from repro.observability.metrics import (
 )
 from repro.observability.profiling import profiling
 from repro.observability.trace import Tracer, tracing
-from repro.problems.family import family_problem
 from repro.problems.mis import mis_problem
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_engine import MIS_CHAIN_DELTA, MIS_CHAIN_STEPS, run_mis_chain
-
 TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_kernel.json")
 REGRESSION_FACTOR = 3.0
 
@@ -99,23 +95,18 @@ HOTPATH_DELTA = 5
 HOTPATH_REGRESSION_FACTOR = 1.5
 HOTPATH_MIN_COVERAGE = 0.9
 
-
-# ---------------------------------------------------------------------------
-# Pytest benchmarks
-# ---------------------------------------------------------------------------
-
-def test_kernel_r_timing(benchmark):
-    problem = mis_problem(6)
-    result = benchmark(lambda: R(problem, use_kernel=True))
-    assert result == R(problem)
+#: The chain behind the default rows and the ``--quick`` ratio gate:
+#: two full speedup steps Rbar(R(.)) of Delta=4 MIS.
+MIS_CHAIN_DELTA = 4
+MIS_CHAIN_STEPS = 2
 
 
-def test_kernel_rbar_timing(benchmark):
-    intermediate = rename_to_strings(R(family_problem(4, 3, 1))).problem
-    result = benchmark.pedantic(
-        lambda: Rbar(intermediate, use_kernel=True), iterations=1, rounds=3
-    )
-    assert result == Rbar(intermediate)
+def run_mis_chain(*, use_kernel: bool):
+    """The Delta=4 MIS chain: two full speedup steps Rbar(R(.))."""
+    problem = mis_problem(MIS_CHAIN_DELTA)
+    for _ in range(MIS_CHAIN_STEPS):
+        problem = speedup(problem, use_kernel=use_kernel).problem
+    return problem
 
 
 # ---------------------------------------------------------------------------

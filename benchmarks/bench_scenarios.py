@@ -52,30 +52,6 @@ USAGE = (
 
 
 # ---------------------------------------------------------------------------
-# Pytest benchmarks
-# ---------------------------------------------------------------------------
-
-def test_quick_scenario_kernel_matches_reference(once):
-    """The registry's quick scenario, timed on the kernel path and
-    cross-checked problem-by-problem against the reference engine."""
-    spec = next(spec for decl, spec in load_registry() if decl.quick)
-    kernel = once(lambda: run_scenario(spec, use_kernel=True))
-    reference = run_scenario(spec, use_kernel=False)
-    assert kernel.ok, kernel.failures
-    assert reference.ok, reference.failures
-    assert kernel.problems == reference.problems
-
-
-def test_every_scenario_meets_expectations(once):
-    """One timed sweep of the full registry on the reference engine."""
-    runs = once(
-        lambda: [run_scenario(spec) for _, spec in load_registry()]
-    )
-    for run in runs:
-        assert run.ok, (run.spec.name, run.failures)
-
-
-# ---------------------------------------------------------------------------
 # Trajectory maintenance (script mode)
 # ---------------------------------------------------------------------------
 

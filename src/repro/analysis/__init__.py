@@ -3,8 +3,8 @@
 :mod:`repro.analysis.bounds` collects the asymptotic bound expressions
 of the paper and of the prior work it compares against, as concrete
 functions of (n, Delta, k); :mod:`repro.analysis.tables` renders the
-comparison tables used by the benchmarks and EXPERIMENTS.md, which
-:mod:`repro.analysis.experiments` regenerates.
+tables the example scripts print; :mod:`repro.analysis.experiments`
+reruns every row of EXPERIMENTS.md.
 """
 
 from repro.analysis.bounds import (

@@ -10,6 +10,7 @@ EXPERIMENTS.md, so the document is always reproducible from source.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.algorithms.cole_vishkin import run_cole_vishkin
@@ -46,7 +47,14 @@ from repro.sim.generators import (
     random_tree_bounded_degree,
     truncated_regular_tree,
 )
-from repro.sim.verifiers import verify_k_outdegree_dominating_set, verify_mis
+from repro.sim.transform import (
+    degeneracy_orientation,
+    induced_subgraph,
+    is_maximal_matching,
+    line_graph,
+    matching_from_line_graph_mis,
+)
+from repro.sim.verifiers import verify_k_outdegree_dominating_set, verify_lcl, verify_mis
 
 
 @dataclass
@@ -68,6 +76,65 @@ def experiment_fig1() -> ExperimentRecord:
         paper_claim="MIS edge diagram: P -> O, M unrelated to both",
         measured=f"computed Hasse edges: {sorted(edges)}",
         agrees=edges == {("P", "O")},
+    )
+
+
+def _figure23_labeling():
+    """The Pi_4(2, 2) labeling of Figures 2 and 3, on K_{4,4}.
+
+    Left nodes 0 and 1 are type 1 (M^2 X^2) and together cover every
+    right node with an M edge; left nodes 2 and 3 are type 3 (A^2 X^2);
+    right nodes are type 2 (P O^3), pointing at a type-1 node.
+    """
+    delta, a, x = 4, 2, 2
+    graph = complete_bipartite_graph(delta)
+    labeling = {}
+    coverage = {0: (delta, delta + 1), 1: (delta + 2, delta + 3)}
+    for node, targets in coverage.items():
+        m_ports = {graph.port_to(node, target) for target in targets}
+        for port in range(delta):
+            labeling[(node, port)] = "M" if port in m_ports else "X"
+    for node in (2, 3):
+        for port in range(delta):
+            labeling[(node, port)] = "A" if port < a else "X"
+    for node in range(delta, 2 * delta):
+        pointer = next(
+            port
+            for port in range(delta)
+            if labeling[
+                (graph.neighbor(node, port),
+                 graph.port_to(graph.neighbor(node, port), node))
+            ] == "M"
+        )
+        for port in range(delta):
+            labeling[(node, port)] = "P" if port == pointer else "O"
+    return graph, labeling, family_problem(delta, a, x)
+
+
+def experiment_fig23() -> ExperimentRecord:
+    graph, labeling, problem = _figure23_labeling()
+    result = verify_lcl(graph, problem, labeling)
+    census = Counter()
+    for node in range(graph.n):
+        labels = {labeling[(node, port)] for port in range(graph.degree(node))}
+        if "M" in labels:
+            census["dominating"] += 1
+        elif "A" in labels:
+            census["owning"] += 1
+        else:
+            census["pointing"] += 1
+    types = ("dominating", "pointing", "owning")
+    return ExperimentRecord(
+        experiment_id="FIG2/3",
+        paper_claim=(
+            "a valid Pi_4(2, 2) labeling with dominating (type 1), "
+            "pointing (type 2) and owning (type 3) nodes"
+        ),
+        measured=(
+            f"K_4,4 labeling verified: {result.ok}; node types: "
+            + ", ".join(f"{census[kind]} {kind}" for kind in types)
+        ),
+        agrees=result.ok and all(census[kind] >= 1 for kind in types),
     )
 
 
@@ -165,7 +232,7 @@ def experiment_lemma9() -> ExperimentRecord:
 
 def experiment_lemma12_15() -> ExperimentRecord:
     grid_ok = True
-    for delta in (3, 4, 5):
+    for delta in (3, 4, 5, 6):
         for a in range(delta + 1):
             for x in range(delta + 1):
                 solvable = zero_round_solvable_symmetric(family_problem(delta, a, x))
@@ -183,7 +250,7 @@ def experiment_lemma12_15() -> ExperimentRecord:
             "failure >= 1/(3 Delta)^2 >= 1/Delta^8"
         ),
         measured=(
-            f"solvability grid exact: {grid_ok}; analytic bound {bound:.4f} "
+            f"solvability grid exact (Delta 3..6): {grid_ok}; analytic bound {bound:.4f} "
             f"vs measured uniform-strategy failure {experiment.failure_rate:.2f}"
         ),
         agrees=grid_ok and experiment.failure_rate >= bound,
@@ -296,6 +363,46 @@ def experiment_mis_algorithms() -> ExperimentRecord:
     )
 
 
+def experiment_line_graphs() -> ExperimentRecord:
+    matchings = []
+    for delta, depth in ((3, 4), (4, 3), (5, 3)):
+        base = truncated_regular_tree(delta, depth)
+        line = line_graph(base)
+        result = run_luby_mis(line.graph, seed=delta)
+        mis = {node for node in range(line.graph.n) if result.outputs[node]}
+        matching = matching_from_line_graph_mis(base, line, mis)
+        matchings.append(
+            verify_mis(line.graph, mis).ok and is_maximal_matching(base, matching)
+        )
+    worst = 0.0
+    samples = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        line = line_graph(random_tree_bounded_degree(60, 5, rng))
+        selected = {node for node in range(line.graph.n) if rng.random() < 0.6}
+        if len(selected) < 2:
+            continue
+        subgraph, _ = induced_subgraph(line.graph, selected)
+        _, degeneracy = degeneracy_orientation(subgraph)
+        max_degree = max(subgraph.degree(node) for node in range(subgraph.n))
+        if degeneracy:
+            worst = max(worst, max_degree / degeneracy)
+        samples += 1
+    return ExperimentRecord(
+        experiment_id="LINE",
+        paper_claim=(
+            "an MIS of L(G) is a maximal matching of G; in a line graph, "
+            "outdegree <= k forces degree O(k)"
+        ),
+        measured=(
+            f"{sum(matchings)}/{len(matchings)} Luby MIS of L(G) are maximal "
+            f"matchings (Delta 3..5 trees); worst degree/outdegree ratio "
+            f"{worst:.2f} over {samples} random line-graph subsets"
+        ),
+        agrees=all(matchings) and samples >= 20 and worst <= 4.5,
+    )
+
+
 def experiment_certificates() -> ExperimentRecord:
     certificates = [build_certificate(delta, 0) for delta in (4, 8, 2**10)]
     return ExperimentRecord(
@@ -344,6 +451,7 @@ def experiment_scenarios() -> ExperimentRecord:
 
 ALL_EXPERIMENTS = [
     experiment_fig1,
+    experiment_fig23,
     experiment_fig4,
     experiment_fig5_lemma6,
     experiment_lemma5,
@@ -354,6 +462,7 @@ ALL_EXPERIMENTS = [
     experiment_theorem1,
     experiment_upper,
     experiment_mis_algorithms,
+    experiment_line_graphs,
     experiment_certificates,
     experiment_scenarios,
 ]

@@ -1,13 +1,13 @@
-"""Minimal fixed-width table rendering for benchmark output.
+"""Minimal fixed-width table rendering for the example scripts.
 
-The benchmark harness prints paper-shaped tables (bound comparisons,
-chain lengths, round counts); this helper keeps their formatting in one
-place and dependency-free.
+The examples print paper-shaped tables (chain lengths, round counts,
+dominating-set sizes); this helper keeps their formatting in one place
+and dependency-free.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from repro.robustness.errors import EngineMisuse
 
 
@@ -58,18 +58,3 @@ def _format(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.2f}"
     return str(cell)
-
-
-def series(values: Iterable[float], width: int = 40) -> str:
-    """A one-line ASCII sparkline for quick shape checks in benchmarks."""
-    values = list(values)
-    if not values:
-        return ""
-    low = min(values)
-    high = max(values)
-    span = (high - low) or 1.0
-    glyphs = " .:-=+*#%@"
-    return "".join(
-        glyphs[min(int((value - low) / span * (len(glyphs) - 1)), len(glyphs) - 1)]
-        for value in values
-    )

@@ -183,4 +183,4 @@ class Constraint:
 
     def render(self) -> str:
         """One configuration per line, in canonical order."""
-        return "\n".join(configuration.render() for configuration in self)
+        return "\n".join(sorted(c.render() for c in self.configurations))

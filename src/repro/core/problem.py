@@ -349,7 +349,7 @@ class Problem:
             "labels: " + " ".join(render_label(label) for label in self._alphabet)
         )
         lines.append("node constraint:")
-        lines.extend("  " + configuration.render() for configuration in self._node_constraint)
+        lines.extend("  " + line for line in self._node_constraint.render().splitlines())
         lines.append("edge constraint:")
-        lines.extend("  " + configuration.render() for configuration in self._edge_constraint)
+        lines.extend("  " + line for line in self._edge_constraint.render().splitlines())
         return "\n".join(lines)

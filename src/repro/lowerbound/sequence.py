@@ -9,8 +9,9 @@ relaxes that to the next chain member whenever (following the proof)
 complexity of Pi_0 — and, through Lemma 5, of the k-outdegree
 dominating set problem with k = x.
 
-Every step of the chain carries its side-condition checks; the
-benchmarks additionally re-verify sampled steps with the full engine.
+Every step of the chain carries its side-condition checks;
+``run_chain(..., verify_steps=True)`` additionally checks each step
+non-0-round-solvable (Lemma 12) with the engine.
 """
 
 from __future__ import annotations

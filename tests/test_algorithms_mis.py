@@ -52,6 +52,8 @@ class TestLuby:
         result = run_luby_mis(graph, seed=seed)
         selected = {node for node in range(graph.n) if result.outputs[node]}
         assert verify_mis(graph, selected).ok
+        # Each selected node dominates at most Delta + 1 nodes.
+        assert len(selected) >= graph.n / (graph.max_degree() + 1)
 
     def test_valid_on_cayley(self):
         graph = colored_port_cayley_graph(4)

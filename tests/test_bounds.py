@@ -20,7 +20,8 @@ from repro.analysis.bounds import (
     upper_bound_mis_trees_deterministic,
     upper_bound_mis_trees_randomized,
 )
-from repro.analysis.tables import Table, series
+from repro.analysis.tables import Table
+from repro.lowerbound.lift import theorem1_deterministic_bound
 
 
 class TestLogStar:
@@ -111,6 +112,16 @@ class TestUpperBounds:
             lower = this_paper_deterministic_shape(10**300, delta)
             upper = upper_bound_k_outdegree_ds(n, delta, 1)
             assert lower <= upper
+        # The certified Theorem 1 bound stays below the upper bound too,
+        # and the gap between them (Delta/k vs log Delta) widens.
+        n = 10**80
+        gaps = []
+        for exponent in (6, 9, 12, 15):
+            lower = theorem1_deterministic_bound(n, 2**exponent, 1)
+            upper = upper_bound_k_outdegree_ds(n, 2**exponent, 1)
+            assert lower <= upper
+            gaps.append(upper / max(lower, 1))
+        assert gaps[-1] > gaps[0]
 
     def test_tree_mis_upper_bounds(self):
         n = 2**36
@@ -148,14 +159,3 @@ class TestTable:
         table = Table("demo", ["flag"])
         table.add_row(True)
         assert "yes" in table.render()
-
-    def test_series_sparkline(self):
-        line = series([0, 1, 2, 3])
-        assert len(line) == 4
-        assert line[0] == " " and line[-1] == "@"
-
-    def test_series_empty(self):
-        assert series([]) == ""
-
-    def test_series_constant(self):
-        assert len(series([5, 5, 5])) == 3

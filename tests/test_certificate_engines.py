@@ -18,7 +18,6 @@ import json
 
 import pytest
 
-from benchmarks.bench_lemma6_speedup import SWEEP as LEMMA6_SWEEP
 from repro.lowerbound import lemma8
 from repro.lowerbound.certificate import build_certificate
 from repro.lowerbound.lemma6 import compute_r_of_family, verify_lemma6
@@ -33,6 +32,7 @@ from tests.faults import InjectedFault, tripping_budget
 ENGINES = {"kernel": True, "reference": False}
 CERTIFICATE_POINTS = [(delta, k) for delta in (3, 4, 5, 8) for k in (0, 1)]
 LEMMA8_DIRECT_POINTS = [(3, 2, 0), (4, 3, 1), (5, 3, 1)]
+LEMMA6_SWEEP = [(4, 3, 1), (5, 3, 1), (5, 4, 2), (6, 4, 1), (6, 5, 2), (7, 5, 1)]
 #: The certificate's representative step at Delta = 8: the first chain
 #: step inside Lemma 8's range x + 2 <= a <= Delta.
 DELTA8_REPRESENTATIVE = next(

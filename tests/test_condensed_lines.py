@@ -93,7 +93,7 @@ def test_line_path_r_equals_reference_on_the_family_grid(delta):
 CLASSICS = [
     (f"{builder.__name__}({delta})", builder, delta)
     for builder, deltas in (
-        (mis_problem, (2, 3, 4, 5)),
+        (mis_problem, (2, 3, 4, 5, 6)),
         (ruling_set_problem, (2, 3)),
         (maximal_matching_problem, (2, 3, 4)),
         (sinkless_orientation_problem, (2, 3, 4)),

@@ -27,6 +27,8 @@ class TestFigure1MIS:
 
     def test_hasse_edges_exactly_p_to_o(self, diagram):
         assert diagram.hasse_edges() == {("P", "O")}
+        for delta in range(2, 9):  # the edge constraint does not involve Delta
+            assert edge_diagram(mis_problem(delta)).hasse_edges() == {("P", "O")}
 
     def test_right_closed_sets(self, diagram):
         expected = {
@@ -81,10 +83,14 @@ class TestFigure4Family:
         assert set(diagram.right_closed_sets()) == expected
 
     def test_diagram_stable_across_parameters(self):
-        """The edge constraint does not depend on a, x — nor does Fig. 4."""
+        """The edge constraint does not depend on Delta, a, x — nor does
+        Fig. 4: the full (a, x) grid at four values of Delta."""
         reference = edge_diagram(family_problem(4, 2, 1)).hasse_edges()
-        for a, x in [(3, 0), (4, 2), (2, 2)]:
-            assert edge_diagram(family_problem(4, a, x)).hasse_edges() == reference
+        for delta in (4, 5, 6, 8):
+            for a in range(delta + 1):
+                for x in range(delta + 1):
+                    diagram = edge_diagram(family_problem(delta, a, x))
+                    assert diagram.hasse_edges() == reference, (delta, a, x)
 
 
 class TestDiagramProperties:

@@ -25,7 +25,7 @@ class TestFromMis:
     """An MIS is a 0-outdegree dominating set; the conversion must give
     a valid Pi_Delta(a, 0) solution for every a."""
 
-    @pytest.mark.parametrize("delta", [3, 4, 5])
+    @pytest.mark.parametrize("delta", [3, 4, 5, 6])
     def test_on_cayley_instance(self, delta):
         graph = colored_port_cayley_graph(delta)
         mis = greedy_mis(graph)
@@ -63,17 +63,17 @@ class TestPositiveK:
         every induced edge needs orientation; orient edge of color c
         toward the endpoint with bit c set: outdegree = number of unset
         bits = up to delta, so use k = delta."""
-        delta = 3
-        graph = colored_port_cayley_graph(delta)
-        orientation = {}
-        for edge_id, u, v in graph.edges():
-            color = graph.edge_color(edge_id)
-            head = u if (u >> color) & 1 else v
-            orientation[edge_id] = head
-        result = verify_lemma5(
-            graph, set(range(graph.n)), orientation, k=delta, a=1
-        )
-        assert result.ok, result.violations
+        for delta in (3, 4, 5):
+            graph = colored_port_cayley_graph(delta)
+            orientation = {}
+            for edge_id, u, v in graph.edges():
+                color = graph.edge_color(edge_id)
+                head = u if (u >> color) & 1 else v
+                orientation[edge_id] = head
+            result = verify_lemma5(
+                graph, set(range(graph.n)), orientation, k=delta, a=1
+            )
+            assert result.ok, result.violations
 
     def test_labeling_counts(self):
         delta = 3

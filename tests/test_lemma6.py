@@ -28,6 +28,9 @@ class TestLemma6:
             (5, 4, 2),
             (5, 5, 1),
             (6, 4, 1),
+            (8, 6, 1),
+            (10, 8, 1),
+            (12, 10, 1),
         ],
     )
     def test_engine_matches_normal_form(self, delta, a, x):

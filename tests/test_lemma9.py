@@ -74,7 +74,10 @@ class TestTargetArithmetic:
 class TestConversionOnBipartite:
     @pytest.mark.parametrize(
         "delta,a,x",
-        [(5, 4, 1), (5, 5, 1), (6, 5, 1), (7, 6, 2), (8, 7, 1), (9, 9, 2)],
+        [
+            (5, 4, 1), (5, 5, 1), (6, 5, 1), (7, 6, 2), (8, 7, 1), (9, 9, 2),
+            (10, 9, 2), (16, 15, 4),
+        ],
     )
     def test_converted_solution_is_valid(self, delta, a, x):
         graph, labeling = bipartite_plus_labeling(delta, a, x)

@@ -52,6 +52,11 @@ class TestTheorem1:
         assert theorem1_deterministic_bound(n, delta, 256) <= (
             theorem1_deterministic_bound(n, delta, 0)
         )
+        bounds = [
+            theorem1_deterministic_bound(10**100, 2**15, k)
+            for k in (0, 1, 8, 64, 512, 4096)
+        ]
+        assert all(b <= a for a, b in zip(bounds, bounds[1:]))
 
     def test_summary_fields(self):
         summary = lower_bound_summary(2**30, 2**9, 1)
@@ -74,7 +79,7 @@ class TestCorollary2:
         """Within constant factors of sqrt(log n) for large n."""
         import math
 
-        for exponent in (36, 64, 100, 144, 400):
+        for exponent in (36, 64, 100, 144, 400, 1024):
             n = 2**exponent
             bound = corollary2_deterministic_bound(n)
             # The constructive chain pays a factor ~3 (a drops by 2^3

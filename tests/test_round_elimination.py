@@ -192,8 +192,16 @@ class TestOperators:
         assert first.is_isomorphic(second)
 
     def test_speedup_keeps_delta(self):
-        result = speedup(mis_problem(3)).problem
-        assert result.delta == 3
+        """Delta is kept, and without simplification the label count
+        grows with every step (Sec. 1.2)."""
+        problem = mis_problem(3)
+        counts = [len(problem.alphabet)]
+        for _ in range(2):
+            problem = speedup(problem).problem
+            assert problem.delta == 3
+            counts.append(len(problem.alphabet))
+        assert counts[0] == 3
+        assert all(b > a for a, b in zip(counts, counts[1:]))
 
     def test_rename_to_strings_concatenates(self):
         so = sinkless_orientation_problem(3)

@@ -60,6 +60,9 @@ class TestChainLength:
         delta = 2**10
         assert sequence_length(delta, 0) >= 2
         assert sequence_length(delta, delta // 2) == 0
+        # Already k = Delta^0.8 leaves at most one step of a 4-step chain.
+        assert sequence_length(2**15, 0) >= 4
+        assert sequence_length(2**15, 2**12) <= 1
 
     def test_small_delta(self):
         assert sequence_length(1, 0) == 0

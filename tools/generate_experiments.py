@@ -32,10 +32,13 @@ Reproduction of Balliu, Brandt, Kuhn, Olivetti,
 Dominating Sets in Trees* (PODC 2021).
 
 This file is generated by ``python tools/generate_experiments.py``;
-each row reruns the experiment it reports (the same code paths the
-benchmarks in ``benchmarks/`` time).  The paper is a theory paper: its
-"tables and figures" are the five diagrams and the quantitative lemma /
-theorem statements, each mapped to an experiment id in DESIGN.md.
+each row reruns the experiment it reports, and
+``python tools/generate_experiments.py --check`` (run by the test
+suite) fails when a rerun no longer matches this file.  The paper is a
+theory paper: its "tables and figures" are the five diagrams and the
+quantitative lemma / theorem statements, each mapped to an experiment
+id in DESIGN.md, whose index names where each claim is checked: a row
+here, a module under ``tests/``, or both.
 
 The reproduction contract is *shape*, not absolute constants: who wins,
 by what growth rate, where parameter ranges begin and end.  Every
@@ -49,6 +52,9 @@ FOOTER = """\
 
 * **FIG1/FIG4/FIG5** — the paper's diagrams are recomputed from the
   constraint definitions; agreement is exact (Hasse-edge equality).
+* **FIG2/3** — the figures' example instance: a labeling of K_4,4 with
+  all three node types, checked by the generic LCL verifier against
+  the constraints of Pi_4(2, 2).
 * **LEM6/LEM8** — the engine re-derives the round-elimination normal
   forms; for Delta <= 5 the doubly-exponential object Rbar(R(Pi)) is
   materialized in full, beyond that the paper's own case analysis runs
@@ -58,9 +64,11 @@ FOOTER = """\
   the measured constant (~log2(Delta)/3, from the 2^3 decay of `a`)
   sits below the paper's undetermined Omega constant; the growth is
   linear in log Delta as claimed.
-* **UPPER/MIS-ALGS** — simulator measurements; the rooted-tree input
-  used by the deterministic pipeline is a documented substitution
-  (DESIGN.md), standard for Cole-Vishkin-style algorithms.
+* **UPPER/MIS-ALGS/LINE** — simulator measurements; the rooted-tree
+  input used by the deterministic pipeline is a documented substitution
+  (DESIGN.md), standard for Cole-Vishkin-style algorithms.  LINE's
+  degree/outdegree ratio uses the degeneracy orientation, which attains
+  the least possible maximum outdegree of each sampled subgraph.
 * **Counter provenance** — the operator-level counts that back these
   rows (labels in/out, right-closed sets, configuration counts) are
   the *semantic counters* of the trace schema
