@@ -36,7 +36,7 @@ from repro.lowerbound.lemma6 import (
     verify_lemma6,
 )
 from repro.lowerbound.lemma8 import verify_lemma8_argument, verify_lemma8_direct
-from repro.lowerbound.lemma9 import verify_lemma9
+from repro.lowerbound.lemma9 import bipartite_plus_labeling, verify_lemma9
 from repro.lowerbound.lift import lower_bound_summary
 from repro.lowerbound.sequence import lemma13_chain, sequence_length, verify_chain_arithmetic
 from repro.lowerbound.zero_round import UniformStrategy, monte_carlo_zero_round_failure
@@ -210,14 +210,7 @@ def experiment_lemma8() -> ExperimentRecord:
 def experiment_lemma9() -> ExperimentRecord:
     results = []
     for delta, a, x in ((5, 4, 1), (8, 7, 2), (12, 11, 3)):
-        graph = complete_bipartite_graph(delta)
-        labeling = {}
-        for node in range(delta):
-            for port in range(delta):
-                labeling[(node, port)] = "C" if port >= x else "X"
-        for node in range(delta, 2 * delta):
-            for port in range(delta):
-                labeling[(node, port)] = "A" if port < a - x - 1 else "X"
+        graph, labeling = bipartite_plus_labeling(delta, a, x)
         results.append(verify_lemma9(graph, labeling, delta, a, x).ok)
     return ExperimentRecord(
         experiment_id="LEM9",

@@ -11,7 +11,8 @@ troublesome ``C`` configuration by letting C-nodes claim ownership
 *give up* ownership on exactly those colors, so no ``AA`` edge can
 appear.  :func:`convert_plus_solution` implements the two relabeling
 rules verbatim; :func:`verify_lemma9` runs the conversion on a supplied
-solution and re-checks the result with the generic LCL verifier.
+solution and re-checks the result with the generic LCL verifier;
+:func:`bipartite_plus_labeling` builds a Pi+ solution to feed it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.problems.family import family_plus_problem, family_problem
+from repro.sim.generators import complete_bipartite_graph
 from repro.sim.graph import Graph
 from repro.sim.verifiers import VerificationResult, verify_lcl
 from repro.robustness.errors import InvalidProblem
@@ -29,6 +31,24 @@ Labeling = dict[tuple[int, int], str]
 def lemma9_target_a(a: int, x: int) -> int:
     """The ownership requirement after the conversion."""
     return (a - 2 * x - 1) // 2
+
+
+def bipartite_plus_labeling(delta: int, a: int, x: int) -> tuple[Graph, Labeling]:
+    """A Pi+_Delta(a, x) solution on K_{delta,delta} exercising the C and A rules.
+
+    Left nodes output the C configuration (C^(delta-x) X^x), right
+    nodes the A configuration (A^(a-x-1) X^(delta-a+x+1)).  The
+    bipartition rules out CC and AA edges; everything else is allowed.
+    """
+    graph = complete_bipartite_graph(delta)
+    labeling: Labeling = {}
+    for node in range(delta):  # left: C configuration
+        for port in range(delta):
+            labeling[(node, port)] = "C" if port >= x else "X"
+    for node in range(delta, 2 * delta):  # right: A configuration
+        for port in range(delta):
+            labeling[(node, port)] = "A" if port < a - x - 1 else "X"
+    return graph, labeling
 
 
 def _check_lemma9_range(delta: int, a: int, x: int) -> None:

@@ -1,5 +1,6 @@
 """Tests for the randomized MIS algorithms (Luby, Ghaffari-style)."""
 
+import math
 import random
 
 import pytest
@@ -61,11 +62,15 @@ class TestLuby:
         selected = {node for node in range(graph.n) if result.outputs[node]}
         assert verify_mis(graph, selected).ok
 
-    def test_round_count_logarithmic(self):
-        """O(log n) w.h.p.: generous constant for the assertion."""
-        graph = random_tree(200, random.Random(3))
-        result = run_luby_mis(graph, seed=3)
-        assert result.rounds <= 20 * 8  # 2 rounds per phase, <= 10 log2(200)
+    @pytest.mark.parametrize("n", [50, 200, 800])
+    def test_round_count_logarithmic(self, n):
+        """O(log n) w.h.p.: within 8 log2 n rounds, on random trees of
+        max degree 4 and of unbounded degree."""
+        for graph, seed in (
+            (random_tree_bounded_degree(n, 4, random.Random(n)), 1),
+            (random_tree(n, random.Random(3)), 3),
+        ):
+            assert run_luby_mis(graph, seed=seed).rounds <= 8 * math.log2(n)
 
     def test_single_node(self):
         from repro.sim.graph import Graph

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.algorithms.cole_vishkin import run_cole_vishkin
 from repro.algorithms.color_reduction import run_full_coloring_pipeline
 from repro.algorithms.greedy import greedy_coloring
 from repro.algorithms.sweep import run_kods_sweep, run_mis_sweep
@@ -13,6 +14,7 @@ from repro.algorithms.trees import (
     parent_ports,
     root_tree,
 )
+from repro.analysis.bounds import log_star
 from repro.sim.generators import (
     cycle_graph,
     path_graph,
@@ -83,6 +85,22 @@ class TestMisSweep:
         result = run_mis_sweep(graph, colors, max(colors) + 1)
         selected = {node for node in range(graph.n) if result.outputs[node]}
         assert verify_mis(graph, selected).ok
+
+    def test_cole_vishkin_pipeline_rounds_grow_like_log_star(self):
+        """CV + 3-sweep: at most 2 more rounds over a 16x range of n on
+        random trees, and within log* n + 10 on regular trees."""
+        rounds = []
+        for n in (50, 200, 800):
+            graph = random_tree_bounded_degree(n, 4, random.Random(n))
+            coloring = run_cole_vishkin(graph)
+            result = run_mis_sweep(graph, coloring.outputs, 3)
+            selected = {node for node in range(n) if result.outputs[node]}
+            assert verify_mis(graph, selected).ok
+            rounds.append(coloring.rounds + result.rounds)
+        assert rounds[-1] - rounds[0] <= 2
+        for depth in (2, 4, 6, 8):
+            graph = truncated_regular_tree(3, depth)
+            assert run_cole_vishkin(graph).rounds + 3 <= log_star(graph.n) + 10
 
 
 class TestKodsSweep:

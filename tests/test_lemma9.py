@@ -4,32 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lowerbound.lemma9 import (
+    bipartite_plus_labeling,
     convert_plus_solution,
     lemma9_target_a,
     verify_lemma9,
 )
 from repro.problems.family import family_plus_problem
 from repro.sim.edge_coloring import is_proper_edge_coloring
-from repro.sim.generators import colored_port_cayley_graph, complete_bipartite_graph
+from repro.sim.generators import colored_port_cayley_graph
 from repro.sim.verifiers import verify_lcl
-
-
-def bipartite_plus_labeling(delta, a, x):
-    """A Pi+ solution on K_{delta,delta} exercising the C and A rules.
-
-    Left nodes output the C configuration (C^(delta-x) X^x), right
-    nodes the A configuration (A^(a-x-1) X^(delta-a+x+1)).  The
-    bipartition rules out CC and AA edges; everything else is allowed.
-    """
-    graph = complete_bipartite_graph(delta)
-    labeling = {}
-    for node in range(delta):  # left: C configuration
-        for port in range(delta):
-            labeling[(node, port)] = "C" if port >= x else "X"
-    for node in range(delta, 2 * delta):  # right: A configuration
-        for port in range(delta):
-            labeling[(node, port)] = "A" if port < a - x - 1 else "X"
-    return graph, labeling
 
 
 def mis_style_plus_labeling(delta, x):

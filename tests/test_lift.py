@@ -15,7 +15,7 @@ from repro.lowerbound.sequence import lemma13_chain, sequence_length
 
 
 class TestTheorem14Premises:
-    @pytest.mark.parametrize("delta", [2**6, 2**9, 2**12])
+    @pytest.mark.parametrize("delta", [2**6, 2**9, 2**12, 2**15, 2**18])
     def test_premises_hold_for_the_chain(self, delta):
         premises = verify_theorem14_premises(lemma13_chain(delta, 0))
         assert premises.ok
@@ -33,6 +33,11 @@ class TestTheorem1:
         delta = 2**12
         bound = theorem1_deterministic_bound(10**100, delta, 0)
         assert bound == sequence_length(delta, 0)
+        # The min never exceeds the chain length, whatever n is.
+        for delta in (2**6, 2**9, 2**12, 2**15, 2**18):
+            for n in (2**24, 2**64, 2**256):
+                bound = theorem1_deterministic_bound(n, delta, 0)
+                assert bound <= sequence_length(delta, 0)
 
     def test_small_n_caps_the_bound(self):
         delta = 2**12

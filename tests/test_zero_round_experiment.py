@@ -2,6 +2,8 @@
 
 import typing
 
+import pytest
+
 from repro.core.solvability import randomized_zero_round_failure_bound
 from repro.lowerbound.zero_round import (
     GreedyStrategy,
@@ -17,14 +19,16 @@ class TestMonteCarlo:
         hints = typing.get_type_hints(monte_carlo_zero_round_failure)
         assert hints["strategy"] == UniformStrategy | GreedyStrategy | None
 
-    def test_uniform_strategy_fails_at_least_the_bound(self):
-        problem = family_problem(3, 2, 1)
+    @pytest.mark.parametrize("params", [(3, 2, 1), (3, 1, 1), (4, 2, 1)])
+    def test_uniform_strategy_fails_at_least_the_bound(self, params):
+        problem = family_problem(*params)
         experiment = monte_carlo_zero_round_failure(problem, trials=100, seed=1)
         bound = float(randomized_zero_round_failure_bound(problem))
         assert experiment.failure_rate >= bound
 
-    def test_greedy_strategy_also_fails(self):
-        problem = family_problem(3, 2, 1)
+    @pytest.mark.parametrize("params", [(3, 2, 1), (3, 1, 1), (4, 2, 1)])
+    def test_greedy_strategy_also_fails(self, params):
+        problem = family_problem(*params)
         experiment = monte_carlo_zero_round_failure(
             problem, strategy=GreedyStrategy(problem), trials=20, seed=2
         )
