@@ -20,7 +20,10 @@ framework, so failures are exactly reproducible by seed):
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -355,6 +358,89 @@ def test_mis6_second_step_search_tree():
     counters = total_counters(tracer.records)
     assert counters["node_max.frames"] == 9291
     assert counters["node_max.leaves"] == 3899
+
+
+# Records every ``check_configurations(count, phase=..., depth=...)`` call
+# that one node maximization makes, per input, and prints the number of
+# calls and the SHA-256 of the sequence, one ``(count, phase, depth)``
+# line per call.
+_PROBE_SCRIPT = """
+import hashlib
+from repro.core.kernel.engine import maximize_node_constraint_kernel
+from repro.core.round_elimination import R, rename_to_strings, speedup
+from repro.lowerbound.lemma6 import compute_r_of_family
+from repro.problems.mis import mis_problem
+from repro.robustness import budget
+
+calls = []
+original = budget.check_configurations
+
+def recording(count, **context):
+    calls.append(f"{count} {context.get('phase')} {context.get('depth')}\\n")
+    original(count, **context)
+
+budget.check_configurations = recording
+step_one = mis_problem(6)
+step_two = speedup(step_one, use_kernel=True).problem
+inputs = [
+    ("mis6 step1", lambda: rename_to_strings(R(step_one, use_kernel=True)).problem),
+    ("mis6 step2", lambda: rename_to_strings(R(step_two, use_kernel=True)).problem),
+    ("lemma8 (5, 2, 0)", lambda: compute_r_of_family(5, 2, 0).problem),
+    ("lemma8 (6, 4, 2)", lambda: compute_r_of_family(6, 4, 2).problem),
+]
+for name, build in inputs:
+    problem = build()
+    calls.clear()
+    maximize_node_constraint_kernel(problem)
+    digest = hashlib.sha256("".join(calls).encode()).hexdigest()
+    print(f"{name}|{len(calls)}|{digest}")
+"""
+
+
+def test_node_maximization_budget_probe_sequence():
+    """Every budget probe of ``maximize_node_constraint_kernel``, in
+    order, pinned by count and SHA-256: the renamed R of the MIS
+    Delta=6 first and second steps, and Lemma 8's R at (5, 2, 0) and
+    (6, 4, 2).  Budget caps, wall clocks and fault-injection probes
+    fire at exactly these calls.
+
+    The prefix closure's strided probes follow the iteration order of
+    a set of packed words, which depends on string hashing, so the
+    sequence is recorded in a child interpreter with a fixed
+    ``PYTHONHASHSEED``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = os.path.join(root, "src")
+    environment["PYTHONHASHSEED"] = "0"
+    completed = subprocess.run(
+        [sys.executable, "-c", _PROBE_SCRIPT],
+        env=environment,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    sequences = {}
+    for line in completed.stdout.splitlines():
+        name, length, digest = line.split("|")
+        sequences[name] = (int(length), digest)
+    assert sequences == {
+        "mis6 step1": (
+            202,
+            "e5a4a1b5a7bdf8c53cd46870017ff6890ff49acf4e5d01c9b2f0915f0559801a",
+        ),
+        "mis6 step2": (
+            13224,
+            "d39cd2b793e89b99a1234b3cb7af4dddeac53bb747d1a7da668f931dd0d624d2",
+        ),
+        "lemma8 (5, 2, 0)": (
+            3971,
+            "14bb7c299c51257a59de4a85bde0bd61b96f4d0f57134fd71c14f668d548ca59",
+        ),
+        "lemma8 (6, 4, 2)": (
+            11166,
+            "24ff91df6d8b6e7f7e49a8203f3ed4bd770ecb48328be398287345ee183f9929",
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
