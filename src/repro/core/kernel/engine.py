@@ -82,46 +82,6 @@ def partner_mask(compat: tuple[int, ...] | list[int], full: int, mask: int) -> i
     return result
 
 
-def closure_machine(
-    closure: Iterable[int], shift: int, label_count: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Compile a packed prefix closure into a transition table.
-
-    Elements are the packed multisets in sorted order — index 0 is
-    always the empty pack ``0`` — and ``trans[label][element]`` is the
-    element index of ``element + label`` or ``-1`` when the extension
-    leaves the closure.  The DFS inner step thus becomes one tuple
-    lookup on small ints instead of a big-int add plus a hash of a
-    many-hundred-bit packed key, and frontiers hold small element
-    indices instead of ``frozenset`` objects of packs.
-
-    A count field already at capacity (``2**shift - 1``) compiles to
-    ``-1`` rather than letting the add carry into the next label's
-    field: the raw add can alias an unrelated valid pack, so a
-    transition is always either exact or ``-1``.  No search ever reads
-    such an entry — a full field means the element's count sum is at
-    least the capacity, which is at least the search arity, while
-    frontiers are only ever grown at depth strictly below the arity —
-    so the guard changes no live behavior
-    (``tests/test_kernel_properties.py::
-    test_closure_machine_guard_changes_no_live_transition`` checks it
-    over the generated corpus).
-    """
-    elements = tuple(sorted(closure))
-    index = {element: position for position, element in enumerate(elements)}
-    field = (1 << shift) - 1
-    trans = tuple(
-        tuple(
-            -1
-            if (element >> (shift * label_id)) & field == field
-            else index.get(element + (1 << (shift * label_id)), -1)
-            for element in elements
-        )
-        for label_id in range(label_count)
-    )
-    return elements, trans
-
-
 class KernelProblem:
     """The interned view of one :class:`~repro.core.problem.Problem`.
 
@@ -151,7 +111,6 @@ class KernelProblem:
         "_node_strict_successors",
         "_node_right_closed",
         "_node_minimal_labels",
-        "_node_prefix_closure",
         "_node_machine",
     )
 
@@ -185,7 +144,6 @@ class KernelProblem:
         self._node_strict_successors: list[int] | None = None
         self._node_right_closed: tuple[int, ...] | None = None
         self._node_minimal_labels: tuple[tuple[int, ...], ...] | None = None
-        self._node_prefix_closure: frozenset[int] | None = None
         self._node_machine: (
             tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
             | None
@@ -362,48 +320,29 @@ class KernelProblem:
         return self._node_minimal_labels
 
     def node_prefix_closure(self) -> frozenset[int]:
-        """All sub-multisets of allowed node configurations, packed.
-
-        The :func:`prefix_closure` of the node configurations, whose
-        packed form turns extending a partial configuration by one
-        label into a single integer add instead of a tuple sort — the
-        profiled hot spot of the maximization DFS.
-        """
-        if self._node_prefix_closure is None:
-            self._node_prefix_closure = prefix_closure(
-                self.node_words, self.shift, "node-prefix-closure"
-            )
-        return self._node_prefix_closure
+        """All sub-multisets of allowed node configurations, packed: the
+        elements of :meth:`node_dfs_machine`, for the reference twins
+        and the property tests."""
+        return frozenset(self.node_dfs_machine()[0])
 
     def node_dfs_machine(
         self,
     ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """The prefix closure compiled to a transition table (memoized).
+        """The node prefix closure compiled to a transition machine
+        (memoized).
 
-        Returns ``(elements, trans, extends)``: the machine of
-        :func:`closure_machine`, which the allocation-free maximization
-        DFS actually walks, and ``extends[e]``, the mask of labels with
-        a valid transition from element ``e``.  ``best(F)``, the labels
-        every element of a frontier ``F`` extends by, is the AND of
-        ``extends`` over ``F``.  The raw packed closure of
-        :meth:`node_prefix_closure` stays available for the reference
-        twins and the property tests.
+        Returns ``(elements, trans, extends)`` from
+        :func:`closure_machine`, whose downward walk over the packed
+        node configurations builds the closure and, from the same
+        subtracts, every exact transition.  The maximization DFS walks
+        ``trans``, and ``best(F)``, the labels every element of a
+        frontier ``F`` extends by, is the AND of ``extends`` over ``F``.
+        Budget probes run under ``"node-prefix-closure"``.
         """
-        if self._node_machine is not None:
-            return self._node_machine
-        elements, trans = closure_machine(
-            self.node_prefix_closure(), self.shift, self.n
-        )
-        # One pass per label over all elements: about 3x faster than
-        # collecting each element's labels one element at a time.
-        extends = [0] * len(elements)
-        for label_id, transitions in enumerate(trans):
-            label_bit = 1 << label_id
-            extends = [
-                mask | label_bit if target >= 0 else mask
-                for mask, target in zip(extends, transitions)
-            ]
-        self._node_machine = (elements, trans, tuple(extends))
+        if self._node_machine is None:
+            self._node_machine = closure_machine(
+                self.node_words, self.shift, self.n, "node-prefix-closure"
+            )
         return self._node_machine
 
     # -- Zero-round predicates ------------------------------------------
@@ -548,16 +487,30 @@ def constraint_words(
     return frozenset(words)
 
 
-def prefix_closure(words: Iterable[int], shift: int, phase: str) -> frozenset[int]:
-    """Every sub-multiset of the given packed words (:func:`pack_ids`).
+def closure_machine(
+    words: Iterable[int], shift: int, label_count: int, phase: str
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The prefix closure of packed words, compiled to a transition machine.
 
-    The closure is built downward, one size level at a time: every
-    element of the next level down is an element of this level with one
-    label removed (one subtract per occupied count field), so each
-    sub-multiset is produced from its parents rather than from all
+    The closure, every sub-multiset of the given packed words
+    (:func:`pack_ids`), is built downward, one size level at a time:
+    every element of the next level down is an element of this level
+    with one label removed (one subtract per occupied count field), so
+    each sub-multiset is produced from its parents rather than from all
     ``2**size`` sub-combinations of every word.  The empty pack ``0`` is
     included whenever ``words`` is non-empty.  Budget probes run under
     ``phase``.
+
+    Each subtract ``smaller = packed - step`` is an exact transition
+    ``smaller + label = packed``, and the walk makes every one of them,
+    since it removes every occupied field of every element.  So the
+    walk also records the machine the searches run on, and no add is
+    ever made that could carry into a neighboring count field.
+    Returns ``(elements, trans, extends)``: the packed closure in
+    sorted order (index 0 is always the empty pack), the table
+    ``trans[label][element]`` of the element index of ``element +
+    label`` (``-1`` when it leaves the closure), and ``extends[e]``,
+    the mask of labels with a transition from element ``e``.
     """
     field = (1 << shift) - 1
     closure: set[int] = set()
@@ -566,6 +519,9 @@ def prefix_closure(words: Iterable[int], shift: int, phase: str) -> frozenset[in
         if packed not in closure:
             closure.add(packed)
             level.append(packed)
+    # Per label, the packed targets of the transitions the walk found;
+    # each source is its target minus the label's single-label word.
+    targets: list[list[int]] = [[] for _ in range(label_count)]
     checked = 0
     while level:
         below: list[int] = []
@@ -577,16 +533,33 @@ def prefix_closure(words: Iterable[int], shift: int, phase: str) -> frozenset[in
                 _budget.check_configurations(len(closure), phase=phase)
             remaining = packed
             step = 1
+            label_id = 0
             while remaining:
                 if remaining & field:
                     smaller = packed - step
+                    targets[label_id].append(packed)
                     if smaller not in closure:
                         closure.add(smaller)
                         below.append(smaller)
                 remaining >>= shift
                 step <<= shift
+                label_id += 1
         level = below
-    return frozenset(closure)
+    elements = tuple(sorted(closure))
+    index = {element: position for position, element in enumerate(elements)}
+    size = len(elements)
+    extends = [0] * size
+    trans: list[tuple[int, ...]] = []
+    for label_id, found in enumerate(targets):
+        row = [-1] * size
+        step = 1 << (shift * label_id)
+        label_bit = 1 << label_id
+        for target in found:
+            source = index[target - step]
+            row[source] = index[target]
+            extends[source] |= label_bit
+        trans.append(tuple(row))
+    return elements, tuple(trans), tuple(extends)
 
 
 # hotpath
@@ -600,13 +573,14 @@ def _maximization_dfs(
     """The iterative all-or-nothing DFS over the closure machine.
 
     One explicit-stack loop searches every multiset of right-closed
-    sets, under the ``"node-maximization"`` budget phase: frames are
-    ``[cursor, frontier, best, key]``, and a ``chosen`` list beside the
-    stack holds the prefix's candidate indices.  A frontier is a short
-    dict whose keys are the closure-machine element indices the prefix
-    reaches, and ``best`` is ``best(F)``, the labels every one of them
-    extends by: the AND of ``extends`` over it, computed once per
-    accepted prefix.
+    sets, under the ``"node-maximization"`` budget phase.  Frames are
+    ``[cursor, frontier, best, key]``, and a frame's depth is its
+    position on the stack.  A frontier is a short dict whose keys are
+    the closure-machine element indices the prefix reaches, ``best`` is
+    ``best(F)``, the labels every one of them extends by (the AND of
+    ``extends`` over it, computed once per accepted prefix), and
+    ``key`` holds the prefix's candidate indices packed ``width`` bits
+    apiece.
 
     Each candidate is walked through its ``minimal_labels``
     (:meth:`KernelProblem.node_minimal_labels`), not all its members.
@@ -630,47 +604,82 @@ def _maximization_dfs(
     candidate order.  Every maximal configuration is emitted this way,
     in the order the full search listed it.
 
-    A leaf is maximal iff each coordinate equals ``best`` of the
-    others.  The complement of any coordinate is a depth-``arity - 1``
-    sub-multiset of a leaf, hence a prefix this search has opened, so
-    every coordinate is checked after the search against the
-    per-prefix memo (candidate index of ``best``, ``-1`` for none,
-    keyed by the prefix's indices packed ``width`` bits apiece).  The
-    timing counters ``node_max.frames`` (prefixes opened, closed ones
-    included) and ``node_max.leaves`` (leaves emitted before any
-    filter) go to the open span once per call.
+    The closing prefixes, at depth ``arity - 1``, are evaluated inside
+    their parent's loop: a frame at depth ``arity - 2`` leaves the
+    stack and runs through all its remaining candidates at once, with
+    no child frame or frontier.  A closing prefix needs only its
+    ``best``, the AND over the parent's frontier of ``closing[c][e]``:
+    the AND of ``extends[trans[l][e]]`` over ``c``'s minimal labels
+    ``l``, a per-candidate memo filled on first use.
+
+    A leaf is kept as its key, the prefix's key with the candidate
+    index of ``best`` above it.  A leaf is maximal iff each coordinate
+    equals ``best`` of the others.  The complement of any coordinate is
+    a depth-``arity - 1`` sub-multiset of a leaf, hence a prefix this
+    search has closed, so every coordinate is checked after the search
+    against the per-prefix memo (candidate index of ``best``, ``-1``
+    for none, by key), and only the kept keys are decoded into tuples
+    of sets.  The timing counters ``node_max.frames`` (prefixes opened,
+    closed ones included) and ``node_max.leaves`` (leaves emitted
+    before any filter) go to the open span once per call.
     """
-    results: list[tuple[int, ...]] = []
     count = len(candidates)
     position = {mask: index for index, mask in enumerate(candidates)}
     width = max(count.bit_length(), 1)
-    # Per candidate: the transition rows of its minimal labels, and
-    # ``required[c]``, the mask of those labels.
+    # Per candidate: the transition rows of its minimal labels,
+    # ``required[c]``, the mask of those labels, and the closing memo.
     steps = [
         tuple(trans[label_id] for label_id in labels) for labels in minimal_labels
     ]
     required = [mask_from_ids(labels) for labels in minimal_labels]
-    pick = candidates.__getitem__
+    closing: list[dict[int, int]] = [{} for _ in minimal_labels]
     best_index: dict[int, int] = {}
     leaf_keys: list[int] = []
     frames = 0
     last = arity - 1
+    closer = last - 1
     phase = "node-maximization"
     _budget.check_configurations(0, phase=phase, depth=0)
-    chosen: list[int] = []
     stack: list[list] = []
     if last == 0:
         if extends[0]:
-            results.append((extends[0],))
+            leaf_keys.append(position[extends[0]])
     else:
         stack.append([0, {0: None}, extends[0], 0])
     while stack:
+        depth = len(stack) - 1
         frame = stack[-1]
+        if depth == closer:
+            stack.pop()
+            start, frontier, best, key = frame
+            below = width * depth
+            for cursor in range(start, count):
+                if required[cursor] & ~best:
+                    continue
+                memo = closing[cursor]
+                closed = -1
+                for element in frontier:
+                    value = memo.get(element)
+                    if value is None:
+                        value = -1
+                        for row in steps[cursor]:
+                            value &= extends[row[element]]
+                        memo[element] = value
+                    closed &= value
+                frames += 1
+                prefix = key | (cursor << below)
+                _budget.check_configurations(len(leaf_keys), phase=phase, depth=last)
+                index = position[closed] if closed else -1
+                best_index[prefix] = index
+                if index >= cursor:
+                    _budget.check_configurations(
+                        len(leaf_keys), phase=phase, depth=arity
+                    )
+                    leaf_keys.append(prefix | (index << (below + width)))
+            continue
         cursor = frame[0]
         if cursor == count:
             stack.pop()
-            if chosen:
-                chosen.pop()
             continue
         frame[0] = cursor + 1
         if required[cursor] & ~frame[2]:
@@ -683,28 +692,14 @@ def _maximization_dfs(
         for element in grown:
             best &= extends[element]
         frames += 1
-        depth = len(chosen)
-        key = frame[3] | (cursor << (width * depth))
-        chosen.append(cursor)
-        depth += 1
-        _budget.check_configurations(len(results), phase=phase, depth=depth)
-        if depth < last:
-            stack.append([cursor, grown, best, key])
-            continue
-        index = position[best] if best else -1
-        best_index[key] = index
-        if index >= cursor:
-            _budget.check_configurations(len(results), phase=phase, depth=arity)
-            results.append(tuple(map(pick, chosen)) + (best,))
-            leaf_keys.append(key | (index << (width * depth)))
-        chosen.pop()
+        _budget.check_configurations(len(leaf_keys), phase=phase, depth=depth + 1)
+        stack.append([cursor, grown, best, frame[3] | (cursor << (width * depth))])
     _trace.add("node_max.frames", frames)
-    _trace.add("node_max.leaves", len(results))
-    if last < 1:
-        return results
+    _trace.add("node_max.leaves", len(leaf_keys))
     field = (1 << width) - 1
+    fields = range(0, width * arity, width)
     kept: list[tuple[int, ...]] = []
-    for sets, key in zip(results, leaf_keys):
+    for key in leaf_keys:
         for coordinate in range(last):
             below = width * coordinate
             complement = (key & ((1 << below) - 1)) | (
@@ -713,7 +708,7 @@ def _maximization_dfs(
             if best_index[complement] != (key >> below) & field:
                 break
         else:
-            kept.append(sets)
+            kept.append(tuple([candidates[(key >> below) & field] for below in fields]))
     return kept
 
 
@@ -729,8 +724,6 @@ def maximize_node_constraint_kernel(problem: Problem) -> Constraint:
         candidates = kernel.node_right_closed_sets()
         minimal_labels = kernel.node_minimal_labels()
     _trace.add("node.right_closed_sets", len(candidates))
-    with _prof_section("node_max.prefix_closure"):
-        kernel.node_prefix_closure()
     with _prof_section("node_max.machine"):
         _elements, trans, extends = kernel.node_dfs_machine()
     delta = kernel.delta
@@ -879,12 +872,12 @@ def existential_constraint_kernel(
             tuple(sorted(interner.id_of(member) for member in label_set))
             for label_set in labels
         )
-        closure = prefix_closure(
+        _elements, trans, _extends = closure_machine(
             constraint_words(old_constraint, interner, shift, "condensed-expansion"),
             shift,
+            len(interner),
             "existential",
         )
-        _elements, trans = closure_machine(closure, shift, len(interner))
     with _prof_section("exists.dfs"):
         index_tuples = _existential_dfs(member_labels, trans, arity)
     with _prof_section("exists.materialize"):

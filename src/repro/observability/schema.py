@@ -37,7 +37,9 @@ construction (two runs of the same workload differ in every one).
 ``node_max.frames`` and ``node_max.leaves`` measure the kernel's
 node-maximization DFS (:func:`repro.core.kernel.engine._maximization_dfs`),
 added once per search: the prefixes it opened and the leaves it emitted
-before the maximality filter.  The reference engine runs a different
+before the maximality filter.  A closing prefix, at depth Delta - 1,
+counts as opened although its parent evaluates it in its own loop,
+with no frame of its own.  The reference engine runs a different
 search, so they are timing-class.
 
 The ``service.*`` counters are emitted by the job orchestrator

@@ -30,9 +30,9 @@ import pytest
 from repro.core.configurations import CondensedConfiguration, Configuration
 from repro.core.diagram import Diagram, edge_diagram, node_diagram
 from repro.core.kernel.bitops import iter_bits, mask_from_ids, popcount
+from repro.core.kernel import engine
 from repro.core.kernel.engine import (
     KernelProblem,
-    closure_machine,
     maximize_node_constraint_kernel,
     pack_ids,
 )
@@ -444,64 +444,77 @@ def test_node_maximization_budget_probe_sequence():
 
 
 # ---------------------------------------------------------------------------
-# The closure machine's capacity guard
+# The closure machine is exact and complete
 # ---------------------------------------------------------------------------
 
-def _assert_guard_is_dead(closure, shift, label_count, arity, name):
-    """Below the search arity, every guarded transition is the raw one."""
-    elements, trans = closure_machine(closure, shift, label_count)
-    index = {element: position for position, element in enumerate(elements)}
+def _assert_machine_exact_and_complete(machine, shift, label_count, name):
+    """Every transition adds exactly one label without carrying into a
+    neighboring count field, every such sum inside the closure has its
+    transition, and ``extends[e]`` is the labels with a transition."""
+    elements, trans, extends = machine
+    assert elements[0] == 0 and list(elements) == sorted(set(elements)), name
+    closure = set(elements)
     field = (1 << shift) - 1
-    live = 0
+    assert len(trans) == label_count, name
     for position, element in enumerate(elements):
-        counts = sum(
-            (element >> (shift * label_id)) & field
-            for label_id in range(label_count)
-        )
-        if counts >= arity:
-            continue
+        labels = 0
         for label_id, row in enumerate(trans):
-            raw = index.get(element + (1 << (shift * label_id)), -1)
-            assert row[position] == raw, (
-                f"{name}: guard changed trans[{label_id}][{position}]"
-            )
-            live += 1
-    assert live, f"{name}: no element below the arity"
+            count = (element >> (shift * label_id)) & field
+            exact = element + (1 << (shift * label_id)) if count < field else None
+            target = row[position]
+            if target >= 0:
+                assert elements[target] == exact, (
+                    f"{name}: trans[{label_id}][{position}] is not exact"
+                )
+                labels |= 1 << label_id
+            else:
+                assert exact not in closure, (
+                    f"{name}: trans[{label_id}][{position}] is missing"
+                )
+        assert extends[position] == labels, f"{name}: extends[{position}]"
 
 
-def test_closure_machine_guard_changes_no_live_transition():
-    """``closure_machine`` compiles a full count field to ``-1`` instead
-    of the raw carrying add.  Over the generated corpus, on the node
-    machine of every Rbar input and on the existential machine of every
-    R node step, each element a search can grow (count sum below the
-    arity) has exactly the raw transition for every label."""
+def test_closure_machine_is_exact_and_complete(monkeypatch):
+    """Over the generated corpus, on the existential machine R's node
+    step builds for every input and on the node machine of every Rbar
+    input, the machine the downward closure walk builds holds exactly
+    the exact one-label transitions inside the closure, and the node
+    closure is every sub-multiset of every node configuration."""
+    built = []
+    original = engine.closure_machine
+
+    def recording(words, shift, label_count, phase):
+        machine = original(words, shift, label_count, phase)
+        built.append((machine, shift, label_count))
+        return machine
+
+    monkeypatch.setattr(engine, "closure_machine", recording)
+    existential = node = 0
     for item in generated_corpus():
-        problem = item.problem
-        interner = LabelInterner(problem.alphabet)
-        shift = problem.delta.bit_length()
-        closure = {
-            pack_ids(combo, shift)
-            for configuration in problem.node_constraint.configurations
-            for size in range(problem.delta + 1)
-            for combo in itertools.combinations(
-                interner.ids_of(configuration.items), size
-            )
-        }
-        _assert_guard_is_dead(
-            closure, shift, len(interner), problem.delta, f"exists {item.name}"
-        )
+        built.clear()
         try:
-            renamed = rename_to_strings(R(problem, use_kernel=True)).problem
+            renamed = rename_to_strings(R(item.problem, use_kernel=True)).problem
         except InvalidProblem:
             continue
+        for machine, shift, label_count in built:
+            _assert_machine_exact_and_complete(
+                machine, shift, label_count, f"exists {item.name}"
+            )
+            existential += 1
         kernel = KernelProblem.of(renamed)
-        _assert_guard_is_dead(
-            kernel.node_prefix_closure(),
-            kernel.delta.bit_length(),
-            kernel.n,
-            kernel.delta,
-            f"node {item.name}",
+        _assert_machine_exact_and_complete(
+            kernel.node_dfs_machine(), kernel.shift, kernel.n, f"node {item.name}"
         )
+        assert kernel.node_prefix_closure() == {
+            pack_ids(combo, kernel.shift)
+            for configuration in renamed.node_constraint.configurations
+            for size in range(kernel.delta + 1)
+            for combo in itertools.combinations(
+                kernel.interner.ids_of(configuration.items), size
+            )
+        }, f"node {item.name}: closure"
+        node += 1
+    assert existential and node, (existential, node)
 
 
 # ---------------------------------------------------------------------------
