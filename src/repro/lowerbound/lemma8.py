@@ -58,10 +58,11 @@ def verify_lemma8_direct(
 
     The cost grows about 3.5-4-fold per Delta.  On the kernel, on a
     2-vCPU Xeon with Python 3.11, the whole grid ``x + 2 <= a <= Delta``
-    takes about 0.8 s at Delta = 6, 2.9 s at Delta = 7 and 11.3 s at
-    Delta = 8, where the slowest points, (8, 2, 0) and (8, 8, 6), take
-    about 0.9 s each.  Nearly all of it is the node maximization of
-    Rbar; R itself maps condensed lines and takes about 1 ms.
+    takes about 0.4 s at Delta = 6, 1.3 s at Delta = 7 and 5.2 s at
+    Delta = 8, where the slowest points, such as (8, 2, 0) and
+    (8, 8, 6), take about 0.35 s each.  Nearly all of it is the node
+    maximization of Rbar; R itself maps condensed lines and takes about
+    1 ms.
 
     R, the node maximization and the existential edge constraint run
     on the kernel unless ``use_kernel=False`` selects the reference
