@@ -250,6 +250,15 @@ class CondensedConfiguration:
         """
         return cls((Disjunction(labels), exponent) for labels, exponent in groups)
 
+    @classmethod
+    def of(cls, configuration: Configuration) -> "CondensedConfiguration":
+        """The line denoting exactly ``configuration``: one single-label
+        group per distinct label, with its multiplicity as exponent."""
+        return cls(
+            (Disjunction([label]), multiplicity)
+            for label, multiplicity in configuration.counts().items()
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CondensedConfiguration):
             return NotImplemented

@@ -24,15 +24,14 @@ the maximization DFS.  The cache lives on the ``Problem`` instance
 (:meth:`KernelProblem.of`), so lemma checkers that hit the same problem
 repeatedly pay for the analysis once.
 
-The existential step maps an input that keeps its condensed lines
-(every ``Problem.from_text`` problem, and R's own output renamed) line
-for line, by Section 2.3's simple method, and its output keeps the
-mapped lines: R of a text-built problem builds no configuration unless
-something later expands it.  Every other input runs the DFS over the
-closure machine.  A :class:`KernelProblem` view packs such lines
-straight into label-id words (:func:`constraint_words`), so Rbar of R's
-output, the node strength relation and the zero-round predicates
-expand nothing either.
+The existential step maps its input line for line, by Section 2.3's
+simple method; an input built from configurations is read as one
+single-label line per configuration.  Its output keeps the mapped
+lines, so R and Rbar build no existential configuration unless
+something later expands it.  A :class:`KernelProblem` view packs such
+lines straight into label-id words (:func:`constraint_words`), so Rbar
+of R's output, the node strength relation and the zero-round
+predicates expand nothing either.
 
 Budgets: the kernel calls the same ambient-budget checkpoints
 (:mod:`repro.robustness.budget`) with the same phase names as the
@@ -63,7 +62,7 @@ from repro.core.round_elimination import existential_line
 from repro.observability import trace as _trace
 from repro.observability.profiling import section as _prof_section
 from repro.robustness import budget as _budget
-from repro.robustness.errors import InvalidProblem
+from repro.robustness.errors import EngineMisuse, InvalidProblem
 
 # hotpath
 def partner_mask(compat: tuple[int, ...] | list[int], full: int, mask: int) -> int:
@@ -470,9 +469,10 @@ def constraint_words(
 ) -> frozenset[int]:
     """Every configuration of ``constraint`` as a packed word.
 
-    A constraint that keeps its lines is packed line by line
-    (:func:`line_words`, probing under ``phase``); any other packs its
-    configurations.
+    A constraint that keeps its lines is packed line by line, in
+    :meth:`CondensedConfiguration.render` order (:func:`line_words`,
+    probing under ``phase``, so the probes are the same in every
+    process); any other packs its configurations.
     """
     lines = constraint.lines
     if lines is None:
@@ -482,7 +482,7 @@ def constraint_words(
             for configuration in constraint.configurations
         )
     words: set[int] = set()
-    for line in lines:
+    for line in sorted(lines, key=CondensedConfiguration.render):
         words |= line_words(line, interner, shift, phase)
     return frozenset(words)
 
@@ -498,14 +498,16 @@ def closure_machine(
     with one label removed (one subtract per occupied count field), so
     each sub-multiset is produced from its parents rather than from all
     ``2**size`` sub-combinations of every word.  The empty pack ``0`` is
-    included whenever ``words`` is non-empty.  Budget probes run under
-    ``phase``.
+    included whenever ``words`` is non-empty.  The walk starts from the
+    words in sorted order, so its budget probes, strided under
+    ``phase``, are the same in every process.
 
     Each subtract ``smaller = packed - step`` is an exact transition
     ``smaller + label = packed``, and the walk makes every one of them,
     since it removes every occupied field of every element.  So the
-    walk also records the machine the searches run on, and no add is
-    ever made that could carry into a neighboring count field.
+    walk also records the machine the node maximization runs on
+    (:meth:`KernelProblem.node_dfs_machine`), and no add is ever made
+    that could carry into a neighboring count field.
     Returns ``(elements, trans, extends)``: the packed closure in
     sorted order (index 0 is always the empty pack), the table
     ``trans[label][element]`` of the element index of ``element +
@@ -515,7 +517,7 @@ def closure_machine(
     field = (1 << shift) - 1
     closure: set[int] = set()
     level: list[int] = []
-    for packed in words:
+    for packed in sorted(words):
         if packed not in closure:
             closure.add(packed)
             level.append(packed)
@@ -750,102 +752,6 @@ def maximize_node_constraint_kernel(problem: Problem) -> Constraint:
 # Existential steps
 # ---------------------------------------------------------------------------
 
-# hotpath
-def _existential_dfs(
-    member_labels: tuple[tuple[int, ...], ...],
-    trans: tuple[tuple[int, ...], ...],
-    arity: int,
-) -> list[tuple[int, ...]]:
-    """The iterative keep-survivors DFS over the closure machine.
-
-    Frames are ``[cursor, limit, frontier_mask, members]``: the
-    frontier is an int bitmask over element indices (initially ``1``,
-    the empty pack) and ``members`` caches its bit decomposition.  The
-    search runs to full depth over every label.  The grow step ORs the
-    surviving transitions instead of failing on the first invalid one,
-    and an empty grown frontier (mask ``0``, impossible after a
-    successful step since element 0 is never re-entered) prunes the
-    branch.  Emits label-*index* tuples; the caller owns the label
-    list.
-
-    The frontier stays a bitmask, unlike the node maximization's dict
-    frontiers: the keep-survivors step ORs whole per-candidate rows,
-    which a dict frontier would replace with one insert per surviving
-    transition.  On the existential steps of relabeled MIS Δ=6
-    two-step chains, a dict-frontier twin of this DFS measured about
-    1.1 ms per call against 0.8 ms here (medians of 8 alternating
-    runs, two batches, 2-vCPU Xeon, Python 3.11).
-    """
-    results: list[tuple[int, ...]] = []
-    count = len(member_labels)
-    element_count = len(trans[0]) if trans else 1
-    element_range = range(element_count)
-    # Lazy per-label image memo (``label_image[lab][e]`` is the bit of
-    # ``trans[lab][e]``) and per-candidate rows ORing its labels' images:
-    # a label that cannot extend from an element simply contributes no
-    # bit, and a branch dies only when the whole grown frontier comes
-    # out empty.
-    label_image: dict[int, list[int]] = {}
-    rows: list[list[int] | None] = [None] * count
-    _budget.check_configurations(0, phase="existential", depth=0)
-    chosen: list[int] = []
-    stack: list[list] = [[0, count, 1, None]]
-    while stack:
-        frame = stack[-1]
-        cursor = frame[0]
-        if cursor == frame[1]:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        frame[0] = cursor + 1
-        frontier = frame[2]
-        row = rows[cursor]
-        if row is None:
-            images: list[list[int]] = []
-            for label_id in member_labels[cursor]:
-                image = label_image.get(label_id)
-                if image is None:
-                    transitions = trans[label_id]
-                    image = [
-                        (1 << transitions[element])
-                        if transitions[element] >= 0
-                        else 0
-                        for element in element_range
-                    ]
-                    label_image[label_id] = image
-                images.append(image)
-            row = list(images[0])
-            for image in images[1:]:
-                row = [left | right for left, right in zip(row, image)]
-            rows[cursor] = row
-        members = frame[3]
-        if members is None:
-            members = []
-            remaining = frontier
-            while remaining:
-                low_bit = remaining & -remaining
-                members.append(low_bit.bit_length() - 1)
-                remaining ^= low_bit
-            frame[3] = members
-        grown = 0
-        for element in members:
-            grown |= row[element]
-        if grown == 0:
-            continue
-        chosen.append(cursor)
-        depth = len(chosen)
-        _budget.check_configurations(
-            len(results), phase="existential", depth=depth
-        )
-        if depth == arity:
-            results.append(tuple(chosen))
-            chosen.pop()
-            continue
-        stack.append([cursor, count, grown, None])
-    return results
-
-
 def existential_constraint_kernel(
     old_constraint: Constraint,
     new_labels: Iterable[frozenset],
@@ -853,73 +759,40 @@ def existential_constraint_kernel(
 ) -> Constraint:
     """Kernel twin of :func:`repro.core.round_elimination.existential_constraint`.
 
-    An old constraint that keeps its condensed lines, at the output's
-    arity, maps line for line (:func:`_existential_lines`); any other,
-    such as an Rbar output, runs the keep-survivors DFS over its
-    closure machine.
+    Section 2.3's simple method, line for line: each old line maps to
+    one new line (:func:`existential_line`), where a group of exponent
+    ``e`` becomes the disjunction of the new labels that meet it, with
+    exponent ``e``.  A constraint built from configurations is read as
+    one single-label line per configuration
+    (:meth:`CondensedConfiguration.of`, as
+    :func:`~repro.core.round_elimination.existential_condensed` reads
+    one).  A line with a group that no new label meets has no choice
+    over the new labels and is dropped.  The mapped lines denote
+    exactly the configurations the reference search enumerates, the
+    output keeps them, and nothing is expanded here.  Under a
+    configuration budget the output is counted
+    (:func:`configuration_count`), so the cap trips as it does on the
+    reference engine.  ``arity`` must be the old constraint's.
+
+    Unequal new labels that render alike have no canonical order
+    inside a line; the reference lists them as they come in the sorted
+    new labels (a stable sort by rendering), so when two of them tie
+    the output is expanded in that order instead.
     """
-    lines = old_constraint.lines
-    if lines is not None and old_constraint.arity == arity:
-        return _existential_lines(old_constraint, lines, new_labels, arity)
-    with _prof_section("exists.closure"):
-        labels = sorted(set(new_labels), key=_set_sort_key)
-        base: set[Hashable] = set(old_constraint.labels_used())
-        for label_set in labels:
-            base |= label_set
-        interner = LabelInterner(base)
-        shift = max(arity, old_constraint.arity).bit_length()
-        member_labels = tuple(
-            tuple(sorted(interner.id_of(member) for member in label_set))
-            for label_set in labels
-        )
-        _elements, trans, _extends = closure_machine(
-            constraint_words(old_constraint, interner, shift, "condensed-expansion"),
-            shift,
-            len(interner),
-            "existential",
-        )
-    with _prof_section("exists.dfs"):
-        index_tuples = _existential_dfs(member_labels, trans, arity)
-    with _prof_section("exists.materialize"):
-        # Equals ``Configuration(labels[index] for index in ids)``: the
-        # same stable sort over the same input order, keyed by the same
-        # strings, each rendered once per call instead of per occurrence.
-        keys = [render_label(label) for label in labels]
-        results: set[Configuration] = {
-            Configuration._presorted(
-                tuple(labels[index] for index in sorted(ids, key=keys.__getitem__))
-            )
-            for ids in index_tuples
-        }
-    if not results:
-        raise InvalidProblem(
-            "existential step produced an empty constraint",
+    if arity != old_constraint.arity:
+        raise EngineMisuse(
+            f"existential step of arity {arity} on a constraint of arity "
+            f"{old_constraint.arity}",
             arity=arity,
-            alphabet_size=len(labels),
-            old_configurations=len(old_constraint),
+            old_arity=old_constraint.arity,
         )
-    return Constraint(results)
-
-
-def _existential_lines(
-    old_constraint: Constraint,
-    lines: Iterable[CondensedConfiguration],
-    new_labels: Iterable[frozenset],
-    arity: int,
-) -> Constraint:
-    """The existential step on condensed lines (Section 2.3's simple method).
-
-    Each old line maps to one new line (:func:`existential_line`): a
-    group of exponent ``e`` becomes the disjunction of the new labels
-    that meet it, with exponent ``e``.  A line with a group that no new
-    label meets has no choice over the new labels and is dropped.  The
-    mapped lines denote exactly the configurations the DFS enumerates,
-    and nothing is expanded here.  Under a configuration budget the
-    output is counted, so the cap trips as it does on the DFS.
-    """
     _budget.check_configurations(0, phase="existential", depth=0)
     with _prof_section("exists.lines"):
+        lines: Iterable[CondensedConfiguration] | None = old_constraint.lines
+        if lines is None:
+            lines = map(CondensedConfiguration.of, old_constraint.configurations)
         labels = sorted(set(new_labels), key=_set_sort_key)
+        tied = len(set(map(render_label, labels))) < len(labels)
         covered = frozenset().union(*labels)
         mapped = [
             existential_line(line, labels)
@@ -937,20 +810,24 @@ def _existential_lines(
     budget = _budget.current_budget()
     if budget is not None and budget.max_configurations is not None:
         configuration_count(result)  # probes the cap as it counts
+    if tied:
+        rank = {label: place for place, label in enumerate(sorted(labels, key=render_label))}
+        return Constraint(
+            Configuration._presorted(tuple(sorted(configuration.items, key=rank.__getitem__)))
+            for configuration in result.configurations
+        )
     return result
 
 
 def configuration_count(constraint: Constraint) -> int:
     """``len(constraint)``, counted on packed words
-    (:func:`constraint_words`) when the constraint keeps lines, so that
-    no configuration is built.
+    (:func:`constraint_words`), so that a line-built constraint builds
+    no configuration.
 
     The count probes the configuration budget under the
     ``"existential"`` phase every 64 new words of a line and once at
-    the end, the checks the DFS makes as its output grows.
+    the end, as the reference search probes its output as it grows.
     """
-    if constraint.lines is None:
-        return len(constraint)
     count = len(
         constraint_words(
             constraint,
@@ -985,7 +862,8 @@ def kernel_R(problem: Problem) -> Problem:
         # Counting a line-built output costs a pass over its
         # configurations, which only a traced run pays.
         if _trace.tracing_enabled():
-            span.add("node.configs.out", configuration_count(node_constraint))
+            with _prof_section("exists.count"):
+                span.add("node.configs.out", configuration_count(node_constraint))
         span.add("edge.configs.out", len(edge_constraint))
     name = f"R({problem.name})" if problem.name else "R"
     return Problem(Alphabet(sigma), node_constraint, edge_constraint, name=name)
@@ -1008,7 +886,8 @@ def kernel_Rbar(problem: Problem) -> Problem:
         span.add("labels.out", len(sigma))
         span.add("node.configs.out", len(node_constraint))
         if _trace.tracing_enabled():
-            span.add("edge.configs.out", configuration_count(edge_constraint))
+            with _prof_section("exists.count"):
+                span.add("edge.configs.out", configuration_count(edge_constraint))
     name = f"Rbar({problem.name})" if problem.name else "Rbar"
     return Problem(Alphabet(sigma), node_constraint, edge_constraint, name=name)
 

@@ -295,10 +295,7 @@ def existential_condensed(
     :class:`InvalidProblem` when some group meets no new label.
     """
     if isinstance(configuration, Configuration):
-        configuration = CondensedConfiguration(
-            (Disjunction([label]), multiplicity)
-            for label, multiplicity in configuration.counts().items()
-        )
+        configuration = CondensedConfiguration.of(configuration)
     line = existential_line(configuration, list(new_labels))
     _trace.add("condensed.configs")
     return line

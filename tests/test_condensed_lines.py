@@ -3,7 +3,8 @@
 A constraint built from condensed lines keeps them and expands on first
 use; renaming maps the lines, and equal line sets compare equal without
 expanding.  The kernel's existential step maps such a constraint line
-for line (Section 2.3's simple method) instead of searching it.  These
+for line (Section 2.3's simple method), and reads a constraint built
+from configurations as one single-label line per configuration.  These
 tests pin that path to the reference engine, which stays fully
 expanded: on the Pi_Delta(a, x) grid, on the text-built classics and on
 the generated corpus rebuilt from its rendered lines.
@@ -33,7 +34,7 @@ from repro.problems import (
 )
 from repro.problems.family import family_problem
 from repro.robustness.budget import Budget, governed
-from repro.robustness.errors import BudgetExceeded, InvalidProblem
+from repro.robustness.errors import BudgetExceeded, EngineMisuse, InvalidProblem
 
 from tests.oracle import differential_R, differential_Rbar, generated_corpus
 
@@ -228,26 +229,34 @@ NEW_LABELS = [frozenset(labels) for labels in ("A", "AB", "BC", "ABC", "E")]
 )
 def test_kernel_line_step_equals_the_reference_existential_step(data, arity):
     """Lines whose groups meet no new label (``D`` meets none) drop out;
-    when every line drops, both engines raise the same error."""
+    when every line drops, both engines raise the same error.  The
+    kernel gives the same answer on the configuration-built twin of the
+    drawn lines, read as one single-label line per configuration, and
+    refuses any other arity than the old constraint's."""
     lines = data.draw(condensed_lines(arity))
     new_labels = data.draw(
         st.lists(st.sampled_from(NEW_LABELS), min_size=1, max_size=4, unique=True)
     )
     old = Constraint.from_condensed(lines)
+    twin = Constraint(old.configurations)
+    with pytest.raises(EngineMisuse):
+        existential_constraint_kernel(twin, new_labels, arity + 1)
     try:
         reference = existential_constraint(old, new_labels, arity)
     except InvalidProblem as error:
-        with pytest.raises(InvalidProblem) as raised:
-            existential_constraint_kernel(old, new_labels, arity)
-        assert (raised.value.message, raised.value.context) == (
-            error.message,
-            error.context,
-        )
+        for source in (old, twin):
+            with pytest.raises(InvalidProblem) as raised:
+                existential_constraint_kernel(source, new_labels, arity)
+            assert (raised.value.message, raised.value.context) == (
+                error.message,
+                error.context,
+            )
         return
-    kernel = existential_constraint_kernel(old, new_labels, arity)
-    assert kernel.lines is not None
-    assert kernel == reference
-    assert {c.items for c in kernel} == {c.items for c in reference}
+    for source in (old, twin):
+        kernel = existential_constraint_kernel(source, new_labels, arity)
+        assert kernel.lines is not None
+        assert kernel == reference
+        assert {c.items for c in kernel} == {c.items for c in reference}
 
 
 def test_existential_condensed_reads_a_line_and_a_configuration_alike():
@@ -273,9 +282,9 @@ def test_untraced_r_leaves_its_node_constraint_unexpanded():
 
 @pytest.mark.parametrize("point", [(4, 3, 1), (5, 5, 0)])
 def test_configuration_budget_trips_on_both_existential_paths(point):
-    """R's node constraint over the budget trips on the line path as
-    the DFS does on the same problem built from configurations; at the
-    exact count neither trips."""
+    """R's node constraint over the budget trips on the problem built
+    from lines and on its twin built from configurations; at the exact
+    count neither input trips."""
     problem = family_problem(*point)
     count = len(R(problem, use_kernel=True).node_constraint)
     for source in (problem, expanded(problem)):
