@@ -93,10 +93,13 @@ class KernelProblem:
     strength relation, the right-closed sets and both zero-round
     predicates expands no line and builds no
     :class:`~repro.core.configurations.Configuration`.
+
+    The view keeps no reference to its problem: the problem holds the
+    view (:meth:`of`), and a cycle would leave every discarded problem
+    to the cyclic garbage collector instead of freeing it at once.
     """
 
     __slots__ = (
-        "problem",
         "interner",
         "n",
         "delta",
@@ -114,7 +117,6 @@ class KernelProblem:
     )
 
     def __init__(self, problem: Problem) -> None:
-        self.problem = problem
         interner = LabelInterner(problem.alphabet)
         self.interner = interner
         self.n = len(interner)
