@@ -396,10 +396,9 @@ for name, build in inputs:
 """
 
 
-# The pins: the MIS Delta=6 second step makes 25 ``condensed-expansion``
-# probes while R's output, built from Rbar's configurations, is packed
-# line by line; the 13,201 ``node-maximization`` probes of that input,
-# and of every other, are the DFS's own.
+# The MIS Delta=6 second step's R output keeps lines, so packing its
+# node constraint makes 25 ``condensed-expansion`` probes ahead of the
+# DFS's 13,201 ``node-maximization`` probes.
 _PROBE_PINS = {
     "mis6 step1": (
         202,
