@@ -3,8 +3,7 @@ recorder of ``BENCH_kernel.json``.
 
 The script maintains ``BENCH_kernel.json``, a committed trajectory of
 measured speedups of the kernel engine over the reference engine.
-Every timing in it — from this script, ``bench_cache.py`` and
-``bench_scenarios.py`` — comes from :func:`measure_pairs`: two sides
+Every timing in it comes from :func:`measure_pairs`: two sides
 run over pairs of untraced runs, alternating which side goes first;
 each side keeps the median and interquartile range of its seconds;
 ``speedup`` is the ratio of the medians; and every run must return the
@@ -113,14 +112,12 @@ def run_mis_chain(*, use_kernel: bool):
 # The recorder: one timing routine, one traced run, one writer
 # ---------------------------------------------------------------------------
 
-def measure_pairs(first, second, pairs: int, *, alternate: bool = True):
+def measure_pairs(first, second, pairs: int):
     """Time two sides over ``pairs`` pairs of runs.
 
     ``first`` and ``second`` are ``(name, fn)``.  Each pair runs both
-    sides once, untraced.  With ``alternate`` the side that goes first
-    swaps every pair, so drift of the host hits both sides alike.  The
-    cold/warm cache rows pass ``alternate=False``: warm must follow
-    cold in the same store, so their pairs run in a fixed order.
+    sides once, untraced.  The side that goes first swaps every pair,
+    so drift of the host hits both sides alike.
 
     Every run must return a result equal to the first run's, so the
     timed runs are also the cross-check between the two sides; a
@@ -134,7 +131,7 @@ def measure_pairs(first, second, pairs: int, *, alternate: bool = True):
     seconds: dict[str, list[float]] = {first[0]: [], second[0]: []}
     results = []
     for index in range(pairs):
-        order = (second, first) if alternate and index % 2 else (first, second)
+        order = (second, first) if index % 2 else (first, second)
         for name, fn in order:
             started = time.perf_counter()
             result = fn()

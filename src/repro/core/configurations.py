@@ -23,11 +23,15 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import Counter
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import TypeVar
 
 from repro.core.labels import render_label, render_label_set
 from repro.robustness import budget as _budget
 from repro.robustness.errors import InvalidProblem
+
+LeftT = TypeVar("LeftT")
+RightT = TypeVar("RightT")
 
 
 def render_map(groups: Iterable[Iterable[Hashable]]) -> dict[Hashable, str]:
@@ -333,10 +337,13 @@ class CondensedConfiguration:
         """
         if configuration.arity != self.arity:
             return False
-        slots: list[frozenset] = []
-        for disjunction, exponent in self._parts:
-            slots.extend([disjunction.labels] * exponent)
-        return _match_labels_to_slots(list(configuration.items), slots)
+        slots = [
+            disjunction for disjunction, exponent in self._parts for _ in range(exponent)
+        ]
+        matched = saturating_matching(
+            configuration.items, slots, lambda label, slot: label in slot
+        )
+        return matched is not None
 
     def render(self) -> str:
         """Paper-style rendering, e.g. ``[MX]^2 [PO]``."""
@@ -347,24 +354,38 @@ class CondensedConfiguration:
         return " ".join(parts)
 
 
-def _match_labels_to_slots(labels: list, slots: list[frozenset]) -> bool:
-    """Bipartite perfect matching: each label into a slot admitting it."""
-    assignment: dict[int, int] = {}  # slot index -> label index
+def saturating_matching(
+    left: Sequence[LeftT],
+    right: Sequence[RightT],
+    admits: Callable[[LeftT, RightT], bool],
+) -> list[int] | None:
+    """Match every ``left`` item to its own ``right`` item, or ``None``.
 
-    def try_assign(label_index: int, visited: set[int]) -> bool:
-        for slot_index, slot in enumerate(slots):
-            if slot_index in visited or labels[label_index] not in slot:
+    Kuhn's augmenting paths over the bipartite graph whose edges are
+    the pairs with ``admits(left_item, right_item)``.  Returns ``rho``
+    with ``left[i]`` matched to ``right[rho[i]]``.  Right items may stay
+    unmatched: a caller that needs a perfect matching checks
+    ``len(left) == len(right)`` itself.
+    """
+    owner: dict[int, int] = {}  # right index -> left index
+
+    def augment(left_index: int, visited: set[int]) -> bool:
+        for right_index, right_item in enumerate(right):
+            if right_index in visited or not admits(left[left_index], right_item):
                 continue
-            visited.add(slot_index)
-            if slot_index not in assignment or try_assign(assignment[slot_index], visited):
-                assignment[slot_index] = label_index
+            visited.add(right_index)
+            if right_index not in owner or augment(owner[right_index], visited):
+                owner[right_index] = left_index
                 return True
         return False
 
-    for label_index in range(len(labels)):
-        if not try_assign(label_index, set()):
-            return False
-    return True
+    for left_index in range(len(left)):
+        if not augment(left_index, set()):
+            return None
+    rho = [0] * len(left)
+    for right_index, left_index in owner.items():
+        rho[left_index] = right_index
+    return rho
 
 
 def parse_condensed(text: str) -> CondensedConfiguration:

@@ -5,11 +5,11 @@ The reference engine (:mod:`repro.core.round_elimination` and friends)
 stays the semantic source of truth; this package is its performance
 twin, pinned to it by the differential oracle in ``tests/oracle.py``.
 Select it through the ``use_kernel=True`` flag on the public entry
-points (``R``, ``Rbar``, ``speedup``, the zero-round tests, the
-relaxation helpers) or call the ``*_kernel`` functions directly.  The
-engine work of :mod:`repro.lowerbound` (``run_chain``,
-``build_certificate`` and the Lemma 6/8 checks) runs here by default;
-``use_kernel=False`` sends it back to the reference engine.
+points (``R``, ``Rbar``, ``speedup``, the zero-round tests) or call
+the ``*_kernel`` functions directly.  The engine work of
+:mod:`repro.lowerbound` (``run_chain``, ``build_certificate`` and the
+Lemma 6/8 checks) runs here by default; ``use_kernel=False`` sends it
+back to the reference engine.
 """
 
 from repro.core.kernel.bitops import (
@@ -23,9 +23,7 @@ from repro.core.kernel.bitops import (
 )
 from repro.core.kernel.engine import (
     KernelProblem,
-    all_relax_into_kernel,
     existential_constraint_kernel,
-    find_label_relabeling_kernel,
     kernel_R,
     kernel_Rbar,
     maximize_edge_constraint_kernel,
@@ -43,8 +41,6 @@ __all__ = [
     "maximize_edge_constraint_kernel",
     "maximize_node_constraint_kernel",
     "existential_constraint_kernel",
-    "all_relax_into_kernel",
-    "find_label_relabeling_kernel",
     "zero_round_solvable_pn_kernel",
     "zero_round_solvable_symmetric_kernel",
     "bit",

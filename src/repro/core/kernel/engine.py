@@ -2,9 +2,9 @@
 
 Semantically this module is a re-implementation of
 :mod:`repro.core.round_elimination` (and the hot predicates of
-:mod:`repro.core.solvability` / :mod:`repro.core.relaxation`) over an
-interned representation: labels become dense integer ids, label sets
-become int bitmasks, and configurations become sorted id tuples.  All
+:mod:`repro.core.solvability`) over an interned representation: labels
+become dense integer ids, label sets become int bitmasks, and
+configurations become sorted id tuples.  All
 the ``frozenset`` algebra and ``render_label``-keyed sorting of the
 reference engine — its profiled hot spots — turn into single int
 instructions and native int-tuple sorts.
@@ -42,7 +42,7 @@ fault-injection probes keep working on the fast path.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Hashable, Iterable
+from collections.abc import Iterable
 
 from repro.core.cache import _set_sort_key
 from repro.core.configurations import CondensedConfiguration, Configuration
@@ -895,129 +895,6 @@ def kernel_Rbar(problem: Problem) -> Problem:
 
 
 # ---------------------------------------------------------------------------
-# Relaxation and relabeling fast paths
-# ---------------------------------------------------------------------------
-
-def _mask_match(source: tuple[int, ...], target: tuple[int, ...]) -> bool:
-    """Kuhn matching of source positions into target supersets, on masks."""
-    assignment: dict[int, int] = {}
-
-    def try_assign(source_index: int, visited: set[int]) -> bool:
-        small = source[source_index]
-        for target_index, big in enumerate(target):
-            if target_index in visited or not is_subset(small, big):
-                continue
-            visited.add(target_index)
-            if target_index not in assignment or try_assign(
-                assignment[target_index], visited
-            ):
-                assignment[target_index] = source_index
-                return True
-        return False
-
-    return all(
-        try_assign(source_index, set()) for source_index in range(len(source))
-    )
-
-
-def all_relax_into_kernel(
-    configurations: Iterable[Configuration], targets: Iterable[Configuration]
-) -> bool:
-    """Kernel twin of :func:`repro.core.relaxation.all_relax_into`.
-
-    Interns the member labels of every set label once, so the pointwise
-    subset tests of Definition 7 become int comparisons.
-    """
-    configuration_list = list(configurations)
-    target_list = list(targets)
-    base: set[Hashable] = set()
-    for configuration in itertools.chain(configuration_list, target_list):
-        for label_set in configuration.items:
-            base |= label_set
-    interner = LabelInterner(base)
-
-    def as_masks(configuration: Configuration) -> tuple[int, ...]:
-        return tuple(interner.mask_of(label_set) for label_set in configuration.items)
-
-    targets_by_arity: dict[int, list[tuple[int, ...]]] = {}
-    for target in target_list:
-        targets_by_arity.setdefault(target.arity, []).append(as_masks(target))
-    for configuration in configuration_list:
-        masks = as_masks(configuration)
-        candidates = targets_by_arity.get(configuration.arity, [])
-        if not any(_mask_match(masks, candidate) for candidate in candidates):
-            return False
-    return True
-
-
-def find_label_relabeling_kernel(source: Problem, target: Problem) -> dict | None:
-    """Kernel twin of :func:`repro.core.relaxation.find_label_relabeling`.
-
-    Returns *a* valid relabeling (possibly a different witness than the
-    reference search finds, since candidates are tried in interner
-    order), or ``None`` exactly when the reference returns ``None``.
-    """
-    if source.delta != target.delta:
-        return None
-    source_interner = LabelInterner(source.alphabet)
-    target_interner = LabelInterner(target.alphabet)
-
-    def interned_constraint(
-        constraint: Constraint, interner: LabelInterner
-    ) -> frozenset[frozenset[int]]:
-        return frozenset(
-            interner.ids_of(configuration.items)
-            for configuration in constraint.configurations
-        )
-
-    pairs = [
-        (
-            [
-                source_interner.ids_of(configuration.items)
-                for configuration in constraint.configurations
-            ],
-            interned_constraint(target_constraint, target_interner),
-        )
-        for constraint, target_constraint in (
-            (source.node_constraint, target.node_constraint),
-            (source.edge_constraint, target.edge_constraint),
-        )
-    ]
-    source_count = len(source_interner)
-    target_ids = range(len(target_interner))
-    mapping: dict[int, int] = {}
-
-    def consistent_so_far() -> bool:
-        assigned = mask_from_ids(mapping)
-        for source_configs, target_set in pairs:
-            for configuration in source_configs:
-                if not is_subset(mask_from_ids(configuration), assigned):
-                    continue
-                image = tuple(sorted(mapping[label] for label in configuration))
-                if image not in target_set:
-                    return False
-        return True
-
-    def assign(index: int) -> bool:
-        _budget.checkpoint(phase="relabeling-search", assigned=index)
-        if index == source_count:
-            return True
-        for candidate in target_ids:
-            mapping[index] = candidate
-            if consistent_so_far() and assign(index + 1):
-                return True
-            del mapping[index]
-        return False
-
-    if assign(0):
-        return {
-            source_interner.label_of(source_id): target_interner.label_of(target_id)
-            for source_id, target_id in mapping.items()
-        }
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Zero-round fast paths
 # ---------------------------------------------------------------------------
 
@@ -1038,8 +915,6 @@ __all__ = [
     "existential_constraint_kernel",
     "kernel_R",
     "kernel_Rbar",
-    "all_relax_into_kernel",
-    "find_label_relabeling_kernel",
     "zero_round_solvable_pn_kernel",
     "zero_round_solvable_symmetric_kernel",
     "pack_ids",

@@ -19,14 +19,19 @@ Three related notions live here:
   the upgraded configuration is allowed by the target's node
   constraint.  Strength guarantees edge configurations stay allowed, so
   such a witness again certifies a 0-round reduction.
+
+Every matching here — a relaxation's permutation, an upgrade's
+position assignment — comes from
+:func:`repro.core.configurations.saturating_matching`, the one
+bipartite matcher of the code base.  These checks have no kernel twin.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Hashable, Iterable
 
 from repro.core import cache as _cache
-from repro.core.configurations import Configuration
+from repro.core.configurations import Configuration, saturating_matching
 from repro.core.diagram import Diagram
 from repro.core.problem import Problem
 from repro.observability import trace as _trace
@@ -37,14 +42,10 @@ def can_relax(source: Configuration, target: Configuration) -> bool:
     """Definition 7: whether ``source`` can be relaxed to ``target``.
 
     Both configurations must consist of set labels (``frozenset``) and
-    share one arity.  Uses bipartite matching (Kuhn's augmenting paths)
-    over the pointwise-subset relation.
+    share one arity.  A bipartite matching over the pointwise-subset
+    relation decides it.
     """
-    if source.arity != target.arity:
-        return False
-    source_sets = list(source.items)
-    target_sets = list(target.items)
-    return _match(source_sets, target_sets, lambda small, big: small <= big)
+    return relaxation_witness(source, target) is not None
 
 
 def relaxation_witness(
@@ -57,84 +58,29 @@ def relaxation_witness(
     """
     if source.arity != target.arity:
         return None
-    source_sets = list(source.items)
-    target_sets = list(target.items)
-    assignment = _match_assignment(
-        source_sets, target_sets, lambda small, big: small <= big
+    return saturating_matching(
+        source.items, target.items, lambda small, big: small <= big
     )
-    if assignment is None:
-        return None
-    rho = [0] * len(source_sets)
-    for target_index, source_index in assignment.items():
-        rho[source_index] = target_index
-    return rho
 
 
-def _match(left: list, right: list, admits: Callable[[object, object], bool]) -> bool:
-    return _match_assignment(left, right, admits) is not None
-
-
-def _match_assignment(
-    left: list, right: list, admits: Callable[[object, object], bool]
-) -> dict[int, int] | None:
-    """Perfect matching of ``left`` items into ``right`` slots.
-
-    ``admits(left_item, right_item)`` decides admissibility.  Returns
-    ``{right_index: left_index}`` or ``None``.
-    """
-    if len(left) != len(right):
-        return None
-    assignment: dict[int, int] = {}
-
-    def try_assign(left_index: int, visited: set[int]) -> bool:
-        for right_index, right_item in enumerate(right):
-            if right_index in visited or not admits(left[left_index], right_item):
-                continue
-            visited.add(right_index)
-            if right_index not in assignment or try_assign(
-                assignment[right_index], visited
-            ):
-                assignment[right_index] = left_index
-                return True
-        return False
-
-    for left_index in range(len(left)):
-        if not try_assign(left_index, set()):
-            return None
-    return assignment
-
-
-def find_label_relabeling(
-    source: Problem, target: Problem, *, use_kernel: bool = False
-) -> dict | None:
+def find_label_relabeling(source: Problem, target: Problem) -> dict | None:
     """A uniform map g: Sigma_source -> Sigma_target certifying a
     0-round reduction, or ``None`` if no such map exists.
 
     The map must send every allowed node (edge) configuration of the
     source to an allowed node (edge) configuration of the target.
     Backtracking over the source alphabet with incremental pruning.
-    ``use_kernel=True`` runs the interned-id search instead (same
-    existence answer; the returned witness may differ).
     """
     if source.delta != target.delta:
         return None
-    engine = "kernel" if use_kernel else "reference"
-    with _trace.span("op.relabeling", engine=engine, delta=source.delta) as span:
+    with _trace.span("op.relabeling", engine="reference", delta=source.delta) as span:
         span.add("labels.in", len(source.alphabet))
-
-        def compute() -> dict | None:
-            if use_kernel:
-                from repro.core.kernel.engine import (
-                    find_label_relabeling_kernel,
-                )
-
-                return find_label_relabeling_kernel(source, target)
-            return _find_label_relabeling_reference(source, target)
-
-        return _cache.cached_relabeling(source, target, compute)
+        return _cache.cached_relabeling(
+            source, target, lambda: _search_relabeling(source, target)
+        )
 
 
-def _find_label_relabeling_reference(source: Problem, target: Problem) -> dict | None:
+def _search_relabeling(source: Problem, target: Problem) -> dict | None:
     source_labels = list(source.alphabet)
     target_labels = list(target.alphabet)
     mapping: dict = {}
@@ -201,12 +147,13 @@ def find_upgrade_reduction(
             phase="upgrade-reduction", witnesses=len(witnesses)
         )
         found = None
+        # Equal deltas give every pair one arity: saturating the source
+        # side is a perfect matching.
         for candidate in target.node_constraint.configurations:
-            if _match(
-                list(configuration.items),
-                list(candidate.items),
-                lambda weak, strong: upgradable(weak, strong),
-            ):
+            matched = saturating_matching(
+                configuration.items, candidate.items, upgradable
+            )
+            if matched is not None:
                 found = candidate
                 break
         if found is None:
@@ -215,9 +162,7 @@ def find_upgrade_reduction(
     return witnesses
 
 
-def compare_problems(
-    first: Problem, second: Problem, *, use_kernel: bool = False
-) -> str:
+def compare_problems(first: Problem, second: Problem) -> str:
     """Order two problems by 0-round relabeling reductions.
 
     Returns one of ``"equivalent"``, ``"first_easier"`` (a solution of
@@ -228,8 +173,8 @@ def compare_problems(
     but it is exactly the kind of certificate the paper's Lemma 11 and
     the relaxation steps produce.
     """
-    forward = find_label_relabeling(first, second, use_kernel=use_kernel) is not None
-    backward = find_label_relabeling(second, first, use_kernel=use_kernel) is not None
+    forward = find_label_relabeling(first, second) is not None
+    backward = find_label_relabeling(second, first) is not None
     if forward and backward:
         return "equivalent"
     if forward:
@@ -240,20 +185,9 @@ def compare_problems(
 
 
 def all_relax_into(
-    configurations: Iterable[Configuration],
-    targets: Iterable[Configuration],
-    *,
-    use_kernel: bool = False,
+    configurations: Iterable[Configuration], targets: Iterable[Configuration]
 ) -> bool:
-    """Whether every configuration relaxes into some target (Lemma 8).
-
-    ``use_kernel=True`` interns the set labels once and runs the
-    Definition 7 matchings over bitmasks.
-    """
-    if use_kernel:
-        from repro.core.kernel.engine import all_relax_into_kernel
-
-        return all_relax_into_kernel(configurations, targets)
+    """Whether every configuration relaxes into some target (Lemma 8)."""
     target_list = list(targets)
     return all(
         any(can_relax(configuration, target) for target in target_list)

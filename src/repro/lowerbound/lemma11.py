@@ -11,9 +11,9 @@ half-edge labelings.
 
 from __future__ import annotations
 
-from repro.core.configurations import Configuration
+from repro.core.configurations import Configuration, saturating_matching
 from repro.core.diagram import Diagram
-from repro.core.relaxation import _match_assignment, find_upgrade_reduction
+from repro.core.relaxation import find_upgrade_reduction
 from repro.problems.family import family_problem
 from repro.sim.graph import Graph
 from repro.sim.verifiers import VerificationResult, verify_lcl
@@ -80,19 +80,20 @@ def convert_labeling_lemma11(
             # Truncated (leaf) configuration: keep it, upgrading surplus
             # M / A to X so the counts match the target problem.
             chosen = _truncate_upgrade(labels, a_target, x_target)
-        assignment = _match_assignment(
-            labels,
-            list(chosen.items),
-            lambda weak, strong: diagram.at_least_as_strong(strong, weak),
-        )
-        if assignment is None:
+        rho = None
+        if len(labels) == chosen.arity:
+            rho = saturating_matching(
+                labels,
+                chosen.items,
+                lambda weak, strong: diagram.at_least_as_strong(strong, weak),
+            )
+        if rho is None:
             raise AssertionError(
                 f"node {node}: cannot match {configuration.render()} "
                 f"into {chosen.render()}"
             )
-        target_items = list(chosen.items)
-        for target_index, port in assignment.items():
-            converted[(node, port)] = target_items[target_index]
+        for port, target_index in enumerate(rho):
+            converted[(node, port)] = chosen.items[target_index]
     return converted
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable, Hashable, Iterable
 
-from repro.core.configurations import CondensedConfiguration
+from repro.core.configurations import CondensedConfiguration, saturating_matching
 from repro.core.diagram import Diagram
 from repro.core.kernel.bitops import is_subset, iter_bits
 from repro.core.kernel.engine import (
@@ -242,7 +242,7 @@ def _node_constraint_admits(
 ) -> bool:
     """Whether some configuration of N_{R(Pi)} meets the minimum counts.
 
-    Works on the condensed normal form via transportation feasibility,
+    Works on the condensed normal form by bipartite matching,
     so it runs for any Delta without expanding the constraint.
     """
     requirements = {
@@ -262,71 +262,15 @@ def condensed_admits_counts(
     """Whether the condensed configuration contains a configuration with
     at least ``minimum_counts[y]`` occurrences of each label ``y``.
 
-    Transportation feasibility between required labels (supplies) and
-    disjunction groups (capacities), solved by max flow; leftover slots
-    can always be filled because every group is non-empty.
+    Every required occurrence is matched to its own slot of a group
+    that offers its label; leftover slots can always be filled because
+    every group is non-empty.
     """
-    requirements = {
-        label: count for label, count in minimum_counts.items() if count > 0
-    }
-    total_required = sum(requirements.values())
-    if total_required > condensed.arity:
-        return False
-    if not requirements:
-        return True
-    groups = list(condensed.parts)
-    source, sink = "source", "sink"
-    capacity: dict[tuple, int] = {}
-    for label, count in requirements.items():
-        capacity[(source, ("label", label))] = count
-    for index, (disjunction, exponent) in enumerate(groups):
-        capacity[(("group", index), sink)] = exponent
-        for label in requirements:
-            if label in disjunction:
-                capacity[(("label", label), ("group", index))] = total_required
-    return _max_flow(capacity, source, sink) == total_required
-
-
-def _max_flow(capacity: dict[tuple, int], source: tuple, sink: tuple) -> int:
-    """Ford-Fulkerson with depth-first augmenting paths (tiny graphs)."""
-    flow: dict[tuple, int] = {edge: 0 for edge in capacity}
-    adjacency: dict = {}
-    for (tail, head) in capacity:
-        adjacency.setdefault(tail, set()).add(head)
-        adjacency.setdefault(head, set()).add(tail)
-
-    def residual(tail: tuple, head: tuple) -> int:
-        forward = capacity.get((tail, head), 0) - flow.get((tail, head), 0)
-        backward = flow.get((head, tail), 0)
-        return forward + backward
-
-    def push(tail: tuple, head: tuple, amount: int) -> None:
-        backward = flow.get((head, tail), 0)
-        cancel = min(backward, amount)
-        if cancel:
-            flow[(head, tail)] -= cancel
-            amount -= cancel
-        if amount:
-            flow[(tail, head)] = flow.get((tail, head), 0) + amount
-
-    def augment(node: tuple, pushed: int, visited: set) -> int:
-        if node == sink:
-            return pushed
-        visited.add(node)
-        for neighbor in adjacency.get(node, ()):
-            slack = residual(node, neighbor)
-            if neighbor in visited or slack <= 0:
-                continue
-            sent = augment(neighbor, min(pushed, slack), visited)
-            if sent:
-                push(node, neighbor, sent)
-                return sent
-        return 0
-
-    total = 0
-    while True:
-        sent = augment(source, 10**9, set())
-        if not sent:
-            return total
-        total += sent
-
+    required = [
+        label for label, count in minimum_counts.items() for _ in range(count)
+    ]
+    slots = [
+        disjunction for disjunction, exponent in condensed.parts for _ in range(exponent)
+    ]
+    matched = saturating_matching(required, slots, lambda label, slot: label in slot)
+    return matched is not None

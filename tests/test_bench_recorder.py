@@ -133,16 +133,6 @@ class TestMeasurePairs:
         )
         assert log == ["a", "b", "b", "a", "a", "b", "b", "a"]
 
-    def test_fixed_order_keeps_the_first_side_first(self, clock):
-        log: list[str] = []
-        measure_pairs(
-            ("cold", scripted(clock, log, "cold", [1.0] * 3)),
-            ("warm", scripted(clock, log, "warm", [1.0] * 3)),
-            3,
-            alternate=False,
-        )
-        assert log == ["cold", "warm"] * 3
-
     def test_medians_iqrs_and_the_ratio_of_medians(self, clock):
         log: list[str] = []
         # Pair order a b / b a / a b: a takes 1, 3, 2 s and b 0.5, 1.5, 1 s.

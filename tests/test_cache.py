@@ -16,6 +16,7 @@ Three contracts, each tested here:
   middle of a disk write leaves no partial entry behind.
 """
 
+import functools
 import random
 
 import pytest
@@ -35,7 +36,11 @@ from repro.core.round_elimination import R, Rbar, rename_to_strings, speedup
 from repro.core.solvability import zero_round_solvable_pn
 from repro.lowerbound.certificate import build_certificate
 from repro.lowerbound.sequence import run_chain
-from repro.observability.metrics import total_counters
+from repro.observability.metrics import (
+    diff_semantic_profiles,
+    semantic_profile,
+    total_counters,
+)
 from repro.observability.schema import TIMING_COUNTERS
 from repro.observability.trace import Tracer, tracing
 from repro.problems.mis import mis_problem
@@ -49,6 +54,22 @@ from tests.oracle import (
     full_corpus,
     relabeling_is_valid,
 )
+
+
+def _mis_chain(delta, steps):
+    """``steps`` kernel speedup steps from MIS at ``delta``."""
+    problem = mis_problem(delta)
+    for _ in range(steps):
+        problem = speedup(problem, use_kernel=True).problem
+    return problem
+
+
+def _traced(fn):
+    """``fn()`` under a fresh tracer: its result and the trace records."""
+    tracer = Tracer()
+    with tracing(tracer):
+        result = fn()
+    return result, tracer.finish()
 
 
 def _random_renaming(problem, rng):
@@ -249,16 +270,21 @@ class TestCachedDifferential:
         assert store.hits > 0 and store.misses > 0
 
     def test_cached_speedup_matches_uncached_on_mis(self):
-        for delta in (3, 4):
-            problem = mis_problem(delta)
-            plain = speedup(problem, use_kernel=True)
+        """Cold and warm cached chains equal the uncached one, and the
+        cold chain's semantic counters match it (Delta=5 runs two steps)."""
+        for delta, steps in ((3, 1), (4, 1), (5, 2)):
+            chain = functools.partial(_mis_chain, delta, steps)
+            plain, plain_records = _traced(chain)
             with caching(OperatorCache()):
-                cold = speedup(problem, use_kernel=True)
-                warm = speedup(problem, use_kernel=True)
-            assert cold.problem == plain.problem
-            assert warm.problem == plain.problem
-            assert cold.problem.render() == plain.problem.render()
-            assert warm.problem.render() == plain.problem.render()
+                cold, cold_records = _traced(chain)
+                warm = chain()
+            assert cold == plain
+            assert warm == plain
+            assert cold.render() == plain.render()
+            assert warm.render() == plain.render()
+            assert not diff_semantic_profiles(
+                semantic_profile(plain_records), semantic_profile(cold_records)
+            )
 
 
 # ---------------------------------------------------------------------------

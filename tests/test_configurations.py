@@ -1,5 +1,7 @@
 """Unit tests for configurations, disjunctions, and the condensed parser."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -105,13 +107,19 @@ class TestCondensedConfiguration:
         condensed = CondensedConfiguration.from_groups((("M",), 3), (("P", "O"), 2))
         assert condensed.arity == 5
 
-    def test_contains_matches_expand(self):
-        condensed = CondensedConfiguration.from_groups((("M", "X"), 2), (("P", "O"), 1))
+    @pytest.mark.parametrize(
+        "text", ["[MX]^2 [PO]", "[MP] M", "[AB]^2 [BC] C^2", "[ABC]^3 [AX]", "A^2 [AB] [BC]^2"]
+    )
+    def test_contains_matches_expand(self, text):
+        """Every multiset of the line's arity over its labels and one
+        foreign label is contained exactly when expand() lists it."""
+        condensed = parse_condensed(text)
         expanded = condensed.expand()
-        for config in expanded:
-            assert condensed.contains(config)
-        assert not condensed.contains(Configuration("PPP"))
-        assert not condensed.contains(Configuration("MX"))
+        labels = sorted(set().union(*(group.labels for group, _ in condensed.parts)) | {"Z"})
+        for items in itertools.combinations_with_replacement(labels, condensed.arity):
+            config = Configuration(items)
+            assert condensed.contains(config) == (config in expanded), config
+        assert not condensed.contains(Configuration("P" * (condensed.arity + 1)))
 
     def test_contains_needs_matching_not_greedy(self):
         # Slots [MP] and [M]: the configuration "M P" fits only if M

@@ -15,7 +15,6 @@ from collections import Counter
 
 import pytest
 
-from repro.core.relaxation import all_relax_into, compare_problems
 from repro.core.round_elimination import R, rename_to_strings, speedup
 from repro.problems.mis import mis_problem
 
@@ -25,7 +24,6 @@ from tests.oracle import (
     classic_corpus,
     differential_Rbar,
     differential_engines,
-    differential_relabeling,
     differential_self_reduction,
     differential_speedup,
     differential_zero_round,
@@ -38,7 +36,6 @@ from tests.oracle import (
 CORPUS = full_corpus()
 CORPUS_IDS = [name for name, _ in CORPUS]
 CLASSICS = classic_corpus()
-CLASSIC_IDS = [name for name, _ in CLASSICS]
 
 # Self-reduction corpus: scenario base problems plus cheap classics and
 # a few random systems (one full speedup per problem rides inside).
@@ -73,53 +70,6 @@ def test_zero_round_differential(name, problem):
 def test_self_reduction_differential(name, problem):
     """condense/speedup/condense agrees between engines, end to end."""
     differential_self_reduction(name, problem)
-
-
-@pytest.mark.parametrize(
-    "source_index, target_index",
-    [(0, 1), (0, 2), (2, 0), (3, 3), (5, 6), (1, 1)],
-)
-def test_relabeling_differential(source_index, target_index):
-    source_name, source = CLASSICS[source_index]
-    target_name, target = CLASSICS[target_index]
-    differential_relabeling(f"{source_name}->{target_name}", source, target)
-
-
-@pytest.mark.parametrize(
-    "source_name, source", random_corpus(seed=987, count=6),
-    ids=[f"random{i}" for i in range(6)],
-)
-def test_relabeling_differential_random(source_name, source):
-    for target_name, target in random_corpus(seed=988, count=3):
-        if source.delta == target.delta:
-            differential_relabeling(
-                f"{source_name}->{target_name}", source, target
-            )
-
-
-@pytest.mark.parametrize("name, problem", CLASSICS, ids=CLASSIC_IDS)
-def test_compare_problems_differential(name, problem):
-    """compare_problems forwards the flag into both directed searches."""
-    other = CLASSICS[0][1]
-    assert compare_problems(problem, other) == compare_problems(
-        problem, other, use_kernel=True
-    )
-
-
-def test_all_relax_into_differential():
-    """Definition 7 matchings over bitmasks agree with the reference."""
-    for name, problem in CLASSICS[:4]:
-        step = R(problem)
-        configurations = list(step.node_constraint.configurations)
-        targets = list(step.node_constraint.configurations)
-        assert all_relax_into(configurations, targets) == all_relax_into(
-            configurations, targets, use_kernel=True
-        ), f"all_relax_into disagrees on {name}"
-        # A strict subset of targets exercises the False branch too.
-        fewer = targets[: max(1, len(targets) // 2)]
-        assert all_relax_into(configurations, fewer) == all_relax_into(
-            configurations, fewer, use_kernel=True
-        ), f"all_relax_into (restricted) disagrees on {name}"
 
 
 @pytest.mark.parametrize("item", GENERATED, ids=GENERATED_IDS)

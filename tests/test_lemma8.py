@@ -1,5 +1,7 @@
 """Machine-checks of Lemma 8: Pi+ is one round easier than Pi."""
 
+import random
+
 import pytest
 
 from repro.core.constraints import Constraint
@@ -14,6 +16,21 @@ from repro.lowerbound.lemma8 import (
 
 
 ENGINES = {"kernel": True, "reference": False}
+
+
+def assert_admits_like_expansion(condensed, requirements):
+    """condensed_admits_counts answers as a scan of every configuration
+    the line expands to does."""
+    expanded = [configuration.counts() for configuration in condensed.expand()]
+    for minimum_counts in requirements:
+        expected = any(
+            all(counts[label] >= count for label, count in minimum_counts.items())
+            for counts in expanded
+        )
+        assert condensed_admits_counts(condensed, minimum_counts) == expected, (
+            condensed.render(),
+            minimum_counts,
+        )
 
 
 def lemma8_grid(*deltas):
@@ -100,6 +117,38 @@ class TestCountingHelper:
         condensed = parse_condensed("[AB] [BC]")
         assert condensed_admits_counts(condensed, {"B": 1, "C": 1})
         assert not condensed_admits_counts(condensed, {"C": 2})
+
+    @pytest.mark.parametrize("delta", [3, 4, 5, 6])
+    def test_agrees_with_expansion_on_lemma6_lines(self, delta):
+        """Lemma 6's lines over Lemma 8's grid, under both of the case
+        analysis's count requirements and seeded random ones."""
+        rng = random.Random(delta)
+        for _, a, x in lemma8_grid(delta):
+            requirements = [
+                {"M": 1, "P": x + 1, "U": delta - a},
+                {"A": x + 1, "U": delta - a + 1, "B": a - x - 2},
+            ]
+            requirements += [
+                {label: rng.randint(0, 2) for label in rng.sample("XMOUABPQ", 3)}
+                for _ in range(12)
+            ]
+            for text in lemma6_node_lines(delta, a, x):
+                assert_admits_like_expansion(parse_condensed(text), requirements)
+
+    def test_agrees_with_expansion_on_random_lines(self):
+        """Seeded random lines over labels A-E: at most four groups,
+        exponents at most four."""
+        rng = random.Random(20261020)
+        for _ in range(150):
+            line = " ".join(
+                "[" + "".join(rng.sample("ABCDE", rng.randint(1, 3))) + f"]^{rng.randint(1, 4)}"
+                for _ in range(rng.randint(1, 4))
+            )
+            requirements = [
+                {label: rng.randint(0, 3) for label in rng.sample("ABCDE", rng.randint(1, 3))}
+                for _ in range(8)
+            ]
+            assert_admits_like_expansion(parse_condensed(line), requirements)
 
 
 class TestNonVacuity:

@@ -1,21 +1,46 @@
 """Tests for relaxations (Definition 7) and 0-round reduction witnesses."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.configurations import Configuration
 from repro.core.relaxation import (
     all_relax_into,
     can_relax,
+    compare_problems,
     find_label_relabeling,
     find_upgrade_reduction,
     relaxation_witness,
 )
+from repro.core.round_elimination import R
 from repro.problems.family import family_problem
 from repro.problems.mis import mis_problem
+
+from tests.oracle import (
+    classic_corpus,
+    random_corpus,
+    relabeling_is_valid,
+    relaxes_by_permutation,
+)
+
+CLASSICS = classic_corpus()
+RANDOM_SOURCES = random_corpus(seed=987, count=6)
+RANDOM_TARGETS = random_corpus(seed=988, count=3)
+#: The (source, target) index pairs of equal degree, among the random
+#: problems above, that admit a relabeling.
+RANDOM_RELABELINGS = {(0, 1), (2, 0), (2, 1), (3, 1), (5, 2)}
 
 
 def sets(*parts):
     return Configuration([frozenset(part) for part in parts])
+
+
+def assert_relabeling(source, target, exists):
+    """A relabeling exists exactly when expected, and any witness is valid."""
+    witness = find_label_relabeling(source, target)
+    assert (witness is not None) == exists, witness
+    if witness is not None:
+        assert relabeling_is_valid(source, target, witness), witness
 
 
 class TestCanRelax:
@@ -66,6 +91,22 @@ class TestCanRelax:
         assert all_relax_into(sources, targets)
         assert not all_relax_into([sets("P", "P")], targets)
 
+    @pytest.mark.parametrize(
+        "name, problem", CLASSICS[:4], ids=[name for name, _ in CLASSICS[:4]]
+    )
+    def test_all_relax_into_matches_brute_force(self, name, problem):
+        """R's node configurations, against all of them and against the
+        first half in render order (which exercises the False branch)."""
+        configurations = sorted(
+            R(problem).node_constraint.configurations, key=Configuration.render
+        )
+        for targets in (configurations, configurations[: max(1, len(configurations) // 2)]):
+            expected = all(
+                any(relaxes_by_permutation(source, target) for target in targets)
+                for source in configurations
+            )
+            assert all_relax_into(configurations, targets) == expected, name
+
 
 class TestLabelRelabeling:
     def test_identity_on_same_problem(self):
@@ -89,11 +130,33 @@ class TestLabelRelabeling:
     def test_delta_mismatch(self):
         assert find_label_relabeling(mis_problem(3), mis_problem(4)) is None
 
+    @pytest.mark.parametrize(
+        "source_index, target_index, exists",
+        [
+            (0, 1, False),
+            (0, 2, False),
+            (2, 0, False),
+            (3, 3, True),
+            (5, 6, False),
+            (1, 1, True),
+        ],
+    )
+    def test_classic_pairs(self, source_index, target_index, exists):
+        assert_relabeling(
+            CLASSICS[source_index][1], CLASSICS[target_index][1], exists
+        )
+
+    @pytest.mark.parametrize("source_index", range(len(RANDOM_SOURCES)))
+    def test_random_pairs(self, source_index):
+        source = RANDOM_SOURCES[source_index][1]
+        for target_index, (_, target) in enumerate(RANDOM_TARGETS):
+            if source.delta == target.delta:
+                exists = (source_index, target_index) in RANDOM_RELABELINGS
+                assert_relabeling(source, target, exists)
+
 
 class TestCompareProblems:
     def test_equivalent_after_renaming(self):
-        from repro.core.relaxation import compare_problems
-
         problem = mis_problem(3)
         renamed = problem.rename({"M": "a", "P": "b", "O": "c"})
         assert compare_problems(problem, renamed) == "equivalent"
@@ -102,7 +165,6 @@ class TestCompareProblems:
         """Pi with an extra always-allowed label is easier than without:
         solutions of the smaller problem are solutions of the larger."""
         from repro.core.problem import Problem
-        from repro.core.relaxation import compare_problems
 
         strict = mis_problem(3)
         relaxed = Problem.from_text(
@@ -112,7 +174,6 @@ class TestCompareProblems:
         assert compare_problems(strict, relaxed) == "first_easier"
 
     def test_incomparable(self):
-        from repro.core.relaxation import compare_problems
         from repro.problems.classic import (
             perfect_matching_problem,
             sinkless_orientation_problem,
@@ -122,6 +183,23 @@ class TestCompareProblems:
             perfect_matching_problem(3), sinkless_orientation_problem(3)
         )
         assert outcome == "incomparable"
+
+    @pytest.mark.parametrize(
+        "index, expected",
+        [
+            (0, "equivalent"),
+            (1, "incomparable"),
+            (2, "incomparable"),
+            (3, "incomparable"),
+            (4, "incomparable"),
+            (5, "second_easier"),
+            (6, "incomparable"),
+            (7, "incomparable"),
+            (8, "incomparable"),
+        ],
+    )
+    def test_classics_against_mis3(self, index, expected):
+        assert compare_problems(CLASSICS[index][1], CLASSICS[0][1]) == expected
 
 
 class TestUpgradeReduction:

@@ -221,40 +221,6 @@ class TestBenchKernel:
         assert "prof.op" in names
 
 
-class TestBenchCache:
-    def test_unknown_flag_exits_2(self):
-        completed = run_script("benchmarks/bench_cache.py", "--bogus")
-        assert completed.returncode == 2
-        assert completed.stderr.startswith("error:")
-
-    @pytest.mark.slow
-    def test_quick_passes_without_recording(self):
-        completed = run_script("benchmarks/bench_cache.py", "--quick")
-        assert completed.returncode == 0, completed.stderr + completed.stdout
-        assert "mis_delta5_steps2" in completed.stdout
-        assert completed.stdout.rstrip().endswith("PASS (nothing recorded)")
-
-
-class TestBenchScenarios:
-    def test_unknown_flag_exits_2(self):
-        completed = run_script("benchmarks/bench_scenarios.py", "--bogus")
-        assert completed.returncode == 2
-        assert completed.stderr.startswith("error:")
-
-    def test_help_documents_exit_codes(self):
-        completed = run_script("benchmarks/bench_scenarios.py", "--help")
-        assert completed.returncode == 0
-        assert "Exit status" in completed.stdout
-
-    @pytest.mark.slow
-    def test_check_passes_for_every_registered_scenario(self):
-        completed = run_script("benchmarks/bench_scenarios.py", "--check")
-        assert completed.returncode == 0, completed.stderr + completed.stdout
-        assert "maximal_matching2_selfreduce" in completed.stdout
-        assert "ruling_set2_2_selfreduce" in completed.stdout
-        assert completed.stdout.rstrip().endswith("PASS")
-
-
 class TestServe:
     def test_help_documents_exit_codes(self):
         completed = run_script("tools/serve.py", "--help")

@@ -28,6 +28,7 @@ from repro.observability.metrics import (
 from repro.observability.schema import SEMANTIC_COUNTERS, validate_trace
 from repro.observability.trace import Tracer, tracing
 from repro.robustness.errors import InvalidProblem
+from repro.scenarios import load_registry, run_scenario
 
 from tests.oracle import full_corpus, scenario_corpus
 
@@ -88,7 +89,9 @@ def test_self_reduction_semantic_counters_agree(name, problem):
 
 
 def test_corpus_wide_profiles_agree_and_export():
-    """One trace per engine over the whole corpus: zero semantic drift.
+    """One trace per engine over the whole corpus and every registered
+    scenario's full chain: the same outcomes, every scenario meets its
+    expectations, and zero semantic drift.
 
     Also the CI artifact hook: with ``REPRO_TRACE_ARTIFACT`` set, the
     kernel trace is written there for upload.
@@ -106,7 +109,12 @@ def test_corpus_wide_profiles_agree_and_export():
                     speedup(problem, use_kernel=use_kernel)
                 except InvalidProblem:
                     failed.append(name)
-        outcomes.append(failed)
+            runs = [
+                run_scenario(spec, use_kernel=use_kernel)
+                for _, spec in load_registry()
+            ]
+        assert [run.failures for run in runs] == [[] for _ in runs]
+        outcomes.append((failed, runs))
     assert outcomes[0] == outcomes[1]
 
     reference_records = reference_tracer.finish()

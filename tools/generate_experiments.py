@@ -88,9 +88,8 @@ FOOTER = """\
   each value is a machine-checked round lower bound for that family.
   The same registry feeds the oracle corpus, the golden traces
   (``tools/regen_golden.py --scenario``), the CI scenario matrix
-  (``tools/run_scenario.py run --all``), and the per-family trajectory
-  rows in ``BENCH_kernel.json`` under ``"mode": "scenario"``
-  (``benchmarks/bench_scenarios.py``).
+  (``tools/run_scenario.py run --all``), and the cross-engine trace
+  check in ``tests/test_trace_differential.py``.
 * **Cache provenance** — runs under the content-addressed operator
   cache (``repro.core.cache``; enable with ``--cache`` or an ambient
   ``caching(...)`` block) record per-step ``cache: ... hit|miss``
@@ -98,10 +97,7 @@ FOOTER = """\
   checkpoint write so cached and uncached runs persist byte-identical
   state.  Cache counters are timing-class: a cached rerun must show
   *zero* semantic drift against a cold one (gated by
-  ``benchmarks/bench_kernel.py --quick``), and the cold/warm timings
-  live in ``BENCH_kernel.json`` under ``"mode": "operator-cache"``
-  (``benchmarks/bench_cache.py``; cold/warm pairs run in a fixed
-  order, since warm must follow cold in the same store).
+  ``benchmarks/bench_kernel.py --quick`` and ``tests/test_cache.py``).
 """
 
 
